@@ -16,7 +16,7 @@ from .errors import (
     ParseError,
     StructuralError,
 )
-from .geo import EARTH, EarthModel, GeoCoord, great_circle_distance, law_of_cosines_distance
+from .geo import EARTH, EarthModel, GeoCoord, great_circle_distance, haversine_km
 from .field import (
     DEFAULT_ROI_THRESHOLD,
     FieldSnapshot,
@@ -99,7 +99,7 @@ __all__ = [
     "EarthModel",
     "EARTH",
     "great_circle_distance",
-    "law_of_cosines_distance",
+    "haversine_km",
     # field
     "ObservationKind",
     "GridSpec",

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +26,7 @@ from .ingest import (
     parse_grid_series,
     parse_sensor_catalog,
     placement_to_dict,
+    read_utf8,
     robustness_to_dict,
 )
 from .metrics import coverage_report, degree_centrality, evaluate_robustness
@@ -141,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument(
         "--threads",
         type=_positive_int,
-        default=max(1, os.cpu_count() or 1),
-        help="parallel trial evaluators (results do not depend on this)",
+        default=1,
+        help="accepted and ignored: trials are scored serially in blocks",
     )
     p_opt.add_argument("--trace", type=Path, help="write per-trial CSV here")
     p_opt.add_argument(
@@ -233,11 +233,13 @@ def _write_snapshots(net: TemporalGstbn, out_dir: Path, prefix: str = "gstbn") -
     out_dir.mkdir(parents=True, exist_ok=True)
     for snap in net.snapshots:
         doc = export_geojson(net, snap.timestamp)
-        (out_dir / f"{prefix}-{snap.timestamp}.geojson").write_text(dump_json(doc))
+        (out_dir / f"{prefix}-{snap.timestamp}.geojson").write_text(
+            dump_json(doc), encoding="utf-8"
+        )
 
 
 def _write_trace(path: Path, traces) -> None:
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["placement", "trial_index", "lon", "lat", "score"])
         for k, records in enumerate(traces, start=1):
@@ -259,7 +261,7 @@ def _cmd_score(cfg: CliConfig) -> None:
         input_paths=inputs,
     )
     cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    cfg.out.write_text(dump_json(report))
+    cfg.out.write_text(dump_json(report), encoding="utf-8")
 
 
 def _cmd_robustness(cfg: CliConfig) -> None:
@@ -273,7 +275,7 @@ def _cmd_robustness(cfg: CliConfig) -> None:
         input_paths=inputs,
     )
     cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    cfg.out.write_text(dump_json(report))
+    cfg.out.write_text(dump_json(report), encoding="utf-8")
 
 
 def _cmd_optimize(cfg: CliConfig) -> None:
@@ -302,7 +304,7 @@ def _cmd_optimize(cfg: CliConfig) -> None:
     # --out names the report file; the updated network's GeoJSON goes
     # next to it, prefixed by the report's stem so runs don't collide
     cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    cfg.out.write_text(dump_json(report))
+    cfg.out.write_text(dump_json(report), encoding="utf-8")
     stem = cfg.out.name.removesuffix(".json") or cfg.out.name
     _write_snapshots(final, cfg.out.parent, prefix=f"{stem}-gstbn")
     if cfg.trace:
@@ -310,10 +312,9 @@ def _cmd_optimize(cfg: CliConfig) -> None:
 
 
 def _cmd_synth(cfg: CliConfig) -> None:
+    text = read_utf8(cfg.spec)
     try:
-        doc = json.loads(cfg.spec.read_text())
-    except OSError as exc:
-        raise ParseError(cfg.spec, None, f"cannot read file: {exc}") from exc
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(cfg.spec, exc.lineno, f"bad JSON: {exc.msg}") from exc
     spec = scenario_spec_from_dict(doc)

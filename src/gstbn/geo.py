@@ -1,16 +1,25 @@
-"""Spherical geodesy primitives: coordinates, earth model, great-circle distance."""
+"""Spherical geodesy primitives: coordinates, earth model, great-circle distance.
+
+Every distance in the package, scalar or array, comes from :func:`haversine_km`.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+import numpy as np
 
 __all__ = [
     "GeoCoord",
     "EarthModel",
     "EARTH",
+    "BLOCK_PAIRS",
     "great_circle_distance",
-    "law_of_cosines_distance",
+    "haversine_km",
+    "lonlat_arrays",
+    "row_blocks",
 ]
 
 
@@ -52,31 +61,45 @@ class EarthModel:
 EARTH = EarthModel()
 
 
-def great_circle_distance(a: GeoCoord, b: GeoCoord, earth: EarthModel = EARTH) -> float:
-    """Great-circle distance between two points, in kilometres.
+# Largest (rows x cols) distance block computed at once. Callers split
+# bigger problems by rows, so each float64 temporary stays at 512 KiB
+# however many RoIs, sensors or trials there are.
+BLOCK_PAIRS = 1 << 16
+
+
+def haversine_km(lon1, lat1, lon2, lat2, radius_km: float = EARTH.radius_km) -> np.ndarray:
+    """Great-circle distance in kilometres between broadcastable arrays of
+    decimal-degree coordinates.
 
     Uses the haversine form, which stays accurate for nearby points where
     the arccos form loses precision. The asin argument is clamped into
-    [0, 1] so rounding can never push it out of domain.
+    [0, 1] so rounding can never push it out of domain. Terms that depend
+    on one side only are computed before broadcasting; every element still
+    goes through the same operations, so the result is exactly symmetric
+    and does not depend on the element's position or the block shape.
     """
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlmb = math.radians(b.lon - a.lon)
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlmb / 2.0) ** 2
-    return 2.0 * earth.radius_km * math.asin(min(1.0, math.sqrt(h)))
+    lon1, lat1, lon2, lat2 = (np.asarray(x, dtype=np.float64) for x in (lon1, lat1, lon2, lat2))
+    s_phi = np.sin(np.radians(lat2 - lat1) / 2.0)
+    s_lmb = np.sin(np.radians(lon2 - lon1) / 2.0)
+    h = s_phi * s_phi + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * (s_lmb * s_lmb)
+    return 2.0 * radius_km * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
-def law_of_cosines_distance(a: GeoCoord, b: GeoCoord, earth: EarthModel = EARTH) -> float:
-    """Great-circle distance via the spherical law of cosines, in kilometres.
+def lonlat_arrays(coords: Iterable[GeoCoord]) -> tuple[np.ndarray, np.ndarray]:
+    """Longitude and latitude arrays of `coords`, for :func:`haversine_km`."""
+    lon, lat = np.array([(c.lon, c.lat) for c in coords], dtype=np.float64).reshape(-1, 2).T.copy()
+    return lon, lat
 
-    Kept as a cross-check for :func:`great_circle_distance`; the two agree
-    to well under 1e-6 km for separations above ~1 km, but this form is
-    noisier near zero separation. The arccos argument is clamped into
-    [-1, 1].
-    """
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dlmb = math.radians(a.lon - b.lon)
-    c = math.sin(phi1) * math.sin(phi2) + math.cos(phi1) * math.cos(phi2) * math.cos(dlmb)
-    return math.acos(max(-1.0, min(1.0, c))) * earth.radius_km
+
+def row_blocks(n_rows: int, n_cols: int) -> Iterator[slice]:
+    """Row slices of an (n_rows x n_cols) problem, at most BLOCK_PAIRS each
+    (a single row may exceed it)."""
+    step = max(1, BLOCK_PAIRS // max(1, n_cols))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
+def great_circle_distance(a: GeoCoord, b: GeoCoord, earth: EarthModel = EARTH) -> float:
+    """Great-circle distance between two points, in kilometres
+    (:func:`haversine_km` on one pair)."""
+    return float(haversine_km(a.lon, a.lat, b.lon, b.lat, earth.radius_km))

@@ -51,6 +51,7 @@ __all__ = [
     "format_grid_snapshot",
     "write_grid_snapshot",
     "parse_grid_series",
+    "read_utf8",
     "export_geojson",
     "file_digest",
     "coverage_to_dict",
@@ -80,6 +81,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def read_utf8(path) -> str:
+    """A file's text as UTF-8, whatever the locale; ParseError if the file
+    is unreadable or not UTF-8 (naming the line of the first bad byte)."""
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ParseError(path, None, f"cannot read file: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(
+            path, line, f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
+
+
 def _parse_enum(enum_cls, token: str, path, line: int, field: str):
     try:
         return enum_cls(token)
@@ -91,11 +109,7 @@ def _parse_enum(enum_cls, token: str, path, line: int, field: str):
 def parse_sensor_catalog(path) -> list[SensorNode]:
     """Read a sensor catalog CSV; row order is preserved."""
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(path, None, f"cannot read file: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(read_utf8(path)))
     try:
         header = next(reader)
     except StopIteration:
@@ -183,7 +197,7 @@ def format_sensor_catalog(sensors: Sequence[SensorNode]) -> str:
 
 
 def write_sensor_catalog(sensors: Sequence[SensorNode], path) -> None:
-    Path(path).write_text(format_sensor_catalog(sensors))
+    Path(path).write_text(format_sensor_catalog(sensors), encoding="utf-8")
 
 
 def _parse_kv(token: str, key: str, path, line: int) -> str:
@@ -196,10 +210,7 @@ def _parse_kv(token: str, key: str, path, line: int) -> str:
 def parse_grid_snapshot(path) -> FieldSnapshot:
     """Read one grid snapshot file."""
     path = Path(path)
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise ParseError(path, None, f"cannot read file: {exc}") from exc
+    lines = read_utf8(path).splitlines()
     if not lines or lines[0] != _GRID_MAGIC:
         raise ParseError(path, 1, f"missing magic line {_GRID_MAGIC!r}")
     if len(lines) < 3:
@@ -281,7 +292,7 @@ def format_grid_snapshot(snap: FieldSnapshot) -> str:
 
 
 def write_grid_snapshot(snap: FieldSnapshot, path) -> None:
-    Path(path).write_text(format_grid_snapshot(snap))
+    Path(path).write_text(format_grid_snapshot(snap), encoding="utf-8")
 
 
 def parse_grid_series(paths: Iterable) -> dict[ObservationKind, list[FieldSnapshot]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import ParameterError, StructuralError
 from .network import GstbnSnapshot, TemporalGstbn, remove_sensor
@@ -18,6 +19,7 @@ __all__ = [
     "CoverageReport",
     "CentralityReport",
     "RobustnessReport",
+    "coverage_sum",
     "static_coverage",
     "total_temporal_coverage",
     "average_temporal_coverage",
@@ -50,16 +52,25 @@ class RobustnessReport:
     relative_increase: float
 
 
+def coverage_sum(values: Iterable[float]) -> float:
+    """The one reduction behind every coverage figure: the builtin `sum`,
+    left to right. Edge weights go in roi-id order and snapshot sums in
+    time order, so a trial score and a rebuilt network's coverage add the
+    same floats in the same order and agree exactly.
+    """
+    return sum(values)
+
+
 def static_coverage(snapshot: GstbnSnapshot) -> float:
     """Sum of edge weights in one snapshot, in km. Zero when no RoIs fired."""
-    return sum(e.weight_km for e in snapshot.edges)
+    return coverage_sum(e.weight_km for e in snapshot.edges)
 
 
 def total_temporal_coverage(net: TemporalGstbn) -> float:
     """Static coverage summed over all snapshots."""
     if not net.snapshots:
         raise StructuralError("network has no snapshots")
-    return sum(static_coverage(s) for s in net.snapshots)
+    return coverage_sum(static_coverage(s) for s in net.snapshots)
 
 
 def average_temporal_coverage(net: TemporalGstbn) -> float:

@@ -16,7 +16,6 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     NoObserversError,
@@ -34,7 +33,7 @@ from .field import (
     extract_roi_events,
     kind_sort_key,
 )
-from .geo import EARTH, EarthModel, GeoCoord, great_circle_distance
+from .geo import EARTH, EarthModel, GeoCoord, haversine_km, lonlat_arrays, row_blocks
 
 __all__ = [
     "Membership",
@@ -204,63 +203,25 @@ class TemporalGstbn:
         raise NotFoundError(f"no snapshot at timestamp {timestamp}")
 
 
-# Linear scan is faster than a tree below this many sensors.
-_BRUTE_FORCE_MAX = 8
-# Shortlist widening, in unit-sphere chord length. Float rounding moves an
-# arc distance by well under 1e-7 km, i.e. under 1e-10 chord; anything
-# outside this ball can never tie with the minimum.
-_CHORD_EPS = 1e-9
+def _nearest(
+    rois: Sequence[RoIEventNode], sensors: Sequence[SensorNode], earth: EarthModel
+) -> tuple[list[int], list[float]]:
+    """(sensor id, distance km) of the nearest sensor for each RoI.
 
-
-def _unit_xyz(lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
-    lam = np.radians(lons)
-    phi = np.radians(lats)
-    return np.column_stack(
-        (np.cos(phi) * np.cos(lam), np.cos(phi) * np.sin(lam), np.sin(phi))
-    )
-
-
-class _NearestSensorIndex:
-    """Nearest-active-sensor lookup with exact, reproducible tie-breaking.
-
-    Above a small sensor count a KD-tree on unit-sphere points shortlists
-    candidates by chord distance (which orders identically to arc
-    distance); the final choice always comes from the scalar great-circle
-    distance with ties going to the lowest sensor id, so the accelerated
-    path returns bit-identical results to a plain double loop.
+    Sensors are sorted by id and `argmin` returns the first minimum, so
+    ties go to the lowest id. Distances are computed in row blocks of at
+    most BLOCK_PAIRS pairs.
     """
-
-    def __init__(self, sensors: Sequence[SensorNode], earth: EarthModel):
-        if not sensors:
-            raise NoObserversError("no active sensors to link against")
-        self._sensors = sorted(sensors, key=lambda s: s.id)
-        self._earth = earth
-        if len(self._sensors) > _BRUTE_FORCE_MAX:
-            pts = _unit_xyz(
-                np.array([s.geolocation.lon for s in self._sensors]),
-                np.array([s.geolocation.lat for s in self._sensors]),
-            )
-            self._tree = cKDTree(pts)
-        else:
-            self._tree = None
-
-    def nearest(self, coord: GeoCoord) -> tuple[int, float]:
-        """(sensor_id, distance_km) of the closest sensor to `coord`."""
-        if self._tree is None:
-            candidates = self._sensors
-        else:
-            pt = _unit_xyz(np.array([coord.lon]), np.array([coord.lat]))[0]
-            d0, _ = self._tree.query(pt)
-            shortlist = self._tree.query_ball_point(pt, d0 + _CHORD_EPS)
-            candidates = [self._sensors[i] for i in sorted(shortlist)]
-        best_dist = math.inf
-        best_id = -1
-        for s in candidates:
-            d = great_circle_distance(coord, s.geolocation, self._earth)
-            if d < best_dist or (d == best_dist and s.id < best_id):
-                best_dist = d
-                best_id = s.id
-        return best_id, best_dist
+    ordered = sorted(sensors, key=lambda s: s.id)
+    s_lon, s_lat = lonlat_arrays(s.geolocation for s in ordered)
+    r_lon, r_lat = lonlat_arrays(r.geolocation for r in rois)
+    best = np.empty(len(rois), dtype=np.intp)
+    dist = np.empty(len(rois), dtype=np.float64)
+    for rows in row_blocks(len(rois), len(ordered)):
+        block = haversine_km(r_lon[rows, None], r_lat[rows, None], s_lon, s_lat, earth.radius_km)
+        best[rows] = block.argmin(axis=1)
+        dist[rows] = block.min(axis=1)
+    return [ordered[i].id for i in best.tolist()], dist.tolist()
 
 
 def build_edges(
@@ -297,10 +258,11 @@ def build_edges(
             if not eligible:
                 names = ",".join(sorted(k.value for k in kinds))
                 raise NoObserversError(f"no active sensor observes any of: {names}")
-        index = _NearestSensorIndex(eligible, earth)
-        for roi in members:
-            sensor_id, dist = index.nearest(roi.geolocation)
-            edges.append(GstbnEdge(roi_id=roi.id, sensor_id=sensor_id, weight_km=dist))
+        ids, dists = _nearest(members, eligible, earth)
+        edges.extend(
+            GstbnEdge(roi_id=roi.id, sensor_id=sid, weight_km=d)
+            for roi, sid, d in zip(members, ids, dists)
+        )
     edges.sort(key=lambda e: e.roi_id)
     return tuple(edges)
 
@@ -409,40 +371,15 @@ def build_temporal_gstbn(
     )
 
 
-def _rebuild_snapshots(
-    net: TemporalGstbn, catalog: tuple[SensorNode, ...]
-) -> tuple[GstbnSnapshot, ...]:
-    actives = [s for s in catalog if s.is_active]
-    if not actives:
-        raise NoObserversError("removal would leave no active sensors")
-    active_ids = frozenset(s.id for s in actives)
-    rebuilt = []
-    for snap in net.snapshots:
-        rois = [net.rois_by_id[rid] for rid in sorted(snap.roi_ids)]
-        contributing = None
-        if net.strict_observations:
-            contributing = {
-                r.id: frozenset(r.snapshots[snap.timestamp]) for r in rois
-            }
-        edges = build_edges(rois, actives, net.earth, contributing_kinds=contributing)
-        rebuilt.append(
-            GstbnSnapshot(
-                timestamp=snap.timestamp,
-                sensor_ids=active_ids,
-                roi_ids=snap.roi_ids,
-                edges=edges,
-            )
-        )
-    return tuple(rebuilt)
-
-
 def add_sensor(net: TemporalGstbn, coord: GeoCoord) -> TemporalGstbn:
     """New network with a synthetic active sensor at `coord`.
 
     The sensor gets a fresh id above every catalog id and observes all
     variables, so it is eligible for every RoI even under strict
-    matching. Edges are recomputed in every snapshot; no snapshot's
-    coverage can increase.
+    matching. Each RoI moves to it only when it is strictly closer than
+    the current edge (w <- min(w, d_new)): its id is the highest, so a tie
+    stays with the existing sensor, exactly as a rebuild would decide. No
+    snapshot's coverage can increase.
     """
     fresh_id = max((s.id for s in net.sensor_catalog), default=0) + 1
     sensor = SensorNode(
@@ -456,20 +393,26 @@ def add_sensor(net: TemporalGstbn, coord: GeoCoord) -> TemporalGstbn:
         observations=frozenset(ObservationKind),
     )
     catalog = net.sensor_catalog + (sensor,)
-    return TemporalGstbn(
-        snapshots=_rebuild_snapshots(net, catalog),
-        sensor_catalog=catalog,
-        roi_registry=net.roi_registry,
-        strict_observations=net.strict_observations,
-        earth=net.earth,
-    )
+    active_ids = frozenset(s.id for s in catalog if s.is_active)
+    snapshots = []
+    for snap in net.snapshots:
+        lon, lat = lonlat_arrays(net.rois_by_id[e.roi_id].geolocation for e in snap.edges)
+        d_new = haversine_km(lon, lat, coord.lon, coord.lat, net.earth.radius_km).tolist()
+        edges = tuple(
+            GstbnEdge(roi_id=e.roi_id, sensor_id=fresh_id, weight_km=d) if d < e.weight_km else e
+            for e, d in zip(snap.edges, d_new)
+        )
+        snapshots.append(replace(snap, sensor_ids=active_ids, edges=edges))
+    return replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)
 
 
 def remove_sensor(net: TemporalGstbn, sensor_id: int) -> TemporalGstbn:
-    """New network with the given sensor deactivated and edges recomputed.
+    """New network with the given sensor deactivated.
 
-    The sensor stays in the catalog for reporting; it just stops
-    receiving edges. Removing the last active sensor is refused.
+    Only the RoIs it served are relinked, through :func:`build_edges`;
+    every other RoI keeps its nearest sensor. The sensor stays in the
+    catalog for reporting; it just stops receiving edges. Removing the
+    last active sensor is refused.
     """
     target = net.sensors_by_id.get(sensor_id)
     if target is None:
@@ -480,10 +423,18 @@ def remove_sensor(net: TemporalGstbn, sensor_id: int) -> TemporalGstbn:
         replace(s, operational_status=OperationalStatus.INACTIVE) if s.id == sensor_id else s
         for s in net.sensor_catalog
     )
-    return TemporalGstbn(
-        snapshots=_rebuild_snapshots(net, catalog),
-        sensor_catalog=catalog,
-        roi_registry=net.roi_registry,
-        strict_observations=net.strict_observations,
-        earth=net.earth,
-    )
+    actives = [s for s in catalog if s.is_active]
+    if not actives:
+        raise NoObserversError("removal would leave no active sensors")
+    active_ids = frozenset(s.id for s in actives)
+    snapshots = []
+    for snap in net.snapshots:
+        orphans = [net.rois_by_id[e.roi_id] for e in snap.edges if e.sensor_id == sensor_id]
+        contributing = None
+        if net.strict_observations:
+            contributing = {r.id: frozenset(r.snapshots[snap.timestamp]) for r in orphans}
+        relinked = build_edges(orphans, actives, net.earth, contributing_kinds=contributing)
+        kept = [e for e in snap.edges if e.sensor_id != sensor_id]
+        edges = tuple(sorted(kept + list(relinked), key=lambda e: e.roi_id))
+        snapshots.append(replace(snap, sensor_ids=active_ids, edges=edges))
+    return replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)

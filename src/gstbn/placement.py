@@ -6,24 +6,25 @@ cells) and the draw with the lowest resulting coverage wins.
 
 Determinism contract: trial i draws from a generator seeded by
 (seed, i), so any prefix of trials is reproducible regardless of how
-many trials follow or how many workers evaluate them; the winner is the
-lowest (score, trial_index) pair. Trial scores reuse each RoI's current
-nearest-sensor distance, so one trial costs one distance per RoI node
-instead of a network rebuild, and matches the rebuild bit for bit.
+many trials follow; the winner is the lowest (score, trial_index) pair.
+Trial scores reuse each RoI's current nearest-sensor distance, so one
+trial costs one distance per RoI node instead of a network rebuild, and
+matches the rebuild bit for bit. Trials are scored serially in
+(trials x RoIs) blocks; the `workers` argument is accepted for
+compatibility and ignored.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, StructuralError
 from .field import GridSpec
-from .geo import EarthModel, GeoCoord, great_circle_distance
-from .metrics import average_temporal_coverage
+from .geo import GeoCoord, haversine_km, lonlat_arrays, row_blocks
+from .metrics import average_temporal_coverage, coverage_sum
 from .network import TemporalGstbn, add_sensor
 
 __all__ = [
@@ -133,18 +134,21 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _TrialEvaluator:
-    """Everything a worker needs to draw and score one trial.
+    """Draws trial candidates and scores them in blocks.
 
-    `snaps` holds, per snapshot, (roi index, current edge weight) pairs in
-    roi-id order; a trial sums min(current weight, candidate distance)
-    in exactly the order a rebuilt network would sum its edge weights.
+    `roi_lon`/`roi_lat` hold the registry's coordinates. `snaps` holds, per
+    snapshot, the registry index and current edge weight of each RoI in
+    roi-id order. A candidate's score is min(current weight, candidate
+    distance) per RoI, summed with `coverage_sum` in exactly the order a
+    network rebuilt by `add_sensor` sums its edge weights.
     """
 
-    roi_coords: tuple[GeoCoord, ...]
-    snaps: tuple[tuple[tuple[int, float], ...], ...]
-    earth: EarthModel
+    roi_lon: np.ndarray
+    roi_lat: np.ndarray
+    snaps: tuple[tuple[np.ndarray, np.ndarray], ...]
+    radius_km: float
     domain: SearchDomain | None = None
     seed: int = 0
 
@@ -159,23 +163,38 @@ class _TrialEvaluator:
             raise StructuralError("network has no snapshots")
         index_of = {node.id: i for i, node in enumerate(net.roi_registry)}
         snaps = tuple(
-            tuple((index_of[e.roi_id], e.weight_km) for e in snap.edges)
+            (
+                np.array([index_of[e.roi_id] for e in snap.edges], dtype=np.intp),
+                np.array([e.weight_km for e in snap.edges], dtype=np.float64),
+            )
             for snap in net.snapshots
         )
+        roi_lon, roi_lat = lonlat_arrays(n.geolocation for n in net.roi_registry)
         return cls(
-            roi_coords=tuple(node.geolocation for node in net.roi_registry),
+            roi_lon=roi_lon,
+            roi_lat=roi_lat,
             snaps=snaps,
-            earth=net.earth,
+            radius_km=net.earth.radius_km,
             domain=domain,
             seed=seed,
         )
 
-    def score(self, candidate: GeoCoord) -> float:
-        dist = [
-            great_circle_distance(candidate, coord, self.earth) for coord in self.roi_coords
-        ]
-        total = sum(sum(min(w, dist[i]) for i, w in snap) for snap in self.snaps)
-        return total / len(self.snaps)
+    def scores(self, candidates: list[GeoCoord]) -> list[float]:
+        """Average temporal coverage after adding each candidate alone."""
+        lon, lat = lonlat_arrays(candidates)
+        out: list[float] = []
+        for rows in row_blocks(len(candidates), len(self.roi_lon)):
+            dist = haversine_km(
+                self.roi_lon, self.roi_lat, lon[rows, None], lat[rows, None], self.radius_km
+            )
+            # memoryview rows hand `coverage_sum` the same Python floats as
+            # a list would, without building one
+            per_snap = [
+                [coverage_sum(memoryview(row)) for row in np.minimum(w, dist[:, idx])]
+                for idx, w in self.snaps
+            ]
+            out.extend(coverage_sum(totals) / len(self.snaps) for totals in zip(*per_snap))
+        return out
 
     def draw(self, trial_index: int) -> GeoCoord:
         rng = np.random.default_rng([self.seed, trial_index])
@@ -192,31 +211,12 @@ class _TrialEvaluator:
             f"domain rejected {_MAX_REJECTS} consecutive draws; mask and box do not overlap"
         )
 
-    def run(self, trial_index: int) -> TrialRecord:
-        cand = self.draw(trial_index)
-        return TrialRecord(
-            trial_index=trial_index, lon=cand.lon, lat=cand.lat, score=self.score(cand)
-        )
-
-
-_WORKER_EVALUATOR: _TrialEvaluator | None = None
-
-
-def _init_worker(evaluator: _TrialEvaluator) -> None:
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = evaluator
-
-
-def _run_span(span: tuple[int, int]) -> list[TrialRecord]:
-    start, stop = span
-    return [_WORKER_EVALUATOR.run(t) for t in range(start, stop)]
-
 
 def candidate_score(net: TemporalGstbn, candidate: GeoCoord) -> float:
     """Average temporal coverage the network would have with `candidate`
     added, computed incrementally. Matches the full-rebuild value exactly.
     """
-    return _TrialEvaluator.from_net(net).score(candidate)
+    return _TrialEvaluator.from_net(net).scores([candidate])[0]
 
 
 def _check_common(trials: int, seed: int, workers: int) -> None:
@@ -240,22 +240,17 @@ def monte_carlo_place(
     """Best single placement over `trials` uniform draws.
 
     Returns (coordinate, average temporal coverage after adding it); ties
-    on score go to the earliest trial. Results are identical for any
-    worker count. Pass `trace` to collect every trial's record.
+    on score go to the earliest trial. `workers` is validated and ignored:
+    trials are scored serially in blocks. Pass `trace` to collect every
+    trial's record.
     """
     _check_common(trials, seed, workers)
     evaluator = _TrialEvaluator.from_net(net, domain, seed)
-    if workers == 1 or trials < 2 * workers:
-        records = [evaluator.run(t) for t in range(trials)]
-    else:
-        size = -(-trials // (workers * 4))
-        spans = [(s, min(s + size, trials)) for s in range(0, trials, size)]
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker, initargs=(evaluator,)
-        ) as pool:
-            chunks = list(pool.map(_run_span, spans))
-        records = [r for chunk in chunks for r in chunk]
-        records.sort(key=lambda r: r.trial_index)
+    candidates = [evaluator.draw(t) for t in range(trials)]
+    records = [
+        TrialRecord(trial_index=t, lon=c.lon, lat=c.lat, score=score)
+        for t, (c, score) in enumerate(zip(candidates, evaluator.scores(candidates)))
+    ]
     if trace is not None:
         trace.extend(records)
     best = min(records, key=lambda r: (r.score, r.trial_index))

@@ -339,7 +339,7 @@ def generate_scenario(spec: ScenarioSpec, out_dir) -> ScenarioFiles:
             snap = FieldSnapshot(timestamp=ts, variable=kind, grid=spec.grid, values=values)
             name = f"{kind.value}-{ts}.grid"
             path = out / name
-            path.write_text(format_grid_snapshot(snap))
+            path.write_text(format_grid_snapshot(snap), encoding="utf-8")
             grid_paths.append(path)
             grid_names.append(name)
 
@@ -353,7 +353,7 @@ def generate_scenario(spec: ScenarioSpec, out_dir) -> ScenarioFiles:
         "intervals": _manifest_intervals(spec, arrays),
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(dump_json(manifest))
+    manifest_path.write_text(dump_json(manifest), encoding="utf-8")
     return ScenarioFiles(
         grid_paths=tuple(grid_paths),
         catalog_path=catalog_path,

@@ -1,5 +1,7 @@
+import importlib
 import json
 from importlib.metadata import entry_points
+from pathlib import Path
 
 import pytest
 
@@ -312,5 +314,42 @@ class TestErrorsAndUsage:
         assert "gstbn: error:" in capsys.readouterr().err
 
     def test_console_script_registered(self):
-        (ep,) = entry_points(group="console_scripts", name="gstbn")
-        assert ep.load() is main
+        # the declaration an install turns into the `gstbn` command
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        text = pyproject.read_text(encoding="utf-8")
+        section = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        (target,) = [
+            value.strip().strip('"')
+            for key, _, value in (ln.partition("=") for ln in section.splitlines())
+            if key.strip() == "gstbn"
+        ]
+        assert target == "gstbn.cli:main"
+        module, _, attr = target.partition(":")
+        assert getattr(importlib.import_module(module), attr) is main
+        # and, where the distribution is installed, the registered entry point
+        installed = entry_points(group="console_scripts", name="gstbn")
+        if installed:
+            (ep,) = installed
+            assert ep.load() is main
+
+    @pytest.mark.parametrize("target", ["catalog", "grid"])
+    def test_non_utf8_input_is_domain_error(self, scenario_dir, tmp_path, capsys, target):
+        catalog = tmp_path / "sensors.csv"
+        catalog.write_bytes(scenario_dir.catalog_path.read_bytes())
+        grids = []
+        for p in scenario_dir.grid_paths:
+            grids.append(tmp_path / p.name)
+            grids[-1].write_bytes(p.read_bytes())
+        bad = catalog if target == "catalog" else grids[1]
+        lines = bad.read_bytes().split(b"\n")
+        lines[1] += b"\xff"
+        bad.write_bytes(b"\n".join(lines))
+        args = [
+            "score", "--sensors", str(catalog), "--grids", *map(str, grids),
+            "--out", str(tmp_path / "o.json"),
+        ]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gstbn: error:")
+        assert f"{bad}:2: not UTF-8" in err
+        assert "Traceback" not in err

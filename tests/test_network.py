@@ -409,3 +409,92 @@ class TestAddRemoveSensor:
                 got = [(e.roi_id, e.sensor_id, e.weight_km) for e in snap.edges]
                 rois = [net.rois_by_id[r] for r in sorted(snap.roi_ids)]
                 assert got == brute_force_edges(rois, net.active_sensors, net.earth)
+
+
+def rebuild(net, series):
+    """The network `build_temporal_gstbn` makes from `net`'s current catalog."""
+    return build_temporal_gstbn(series, net.sensor_catalog, strict_observations=net.strict_observations)
+
+
+def assert_same_network(got, want):
+    assert got.sensor_catalog == want.sensor_catalog
+    assert [r.id for r in got.roi_registry] == [r.id for r in want.roi_registry]
+    # GstbnEdge equality compares weight_km with float ==
+    assert got.snapshots == want.snapshots
+
+
+class TestIncrementalEditsMatchRebuild:
+    """add_sensor and remove_sensor edit only what changed; the result must
+    be the network a full rebuild on the edited catalog gives, edge for edge."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_random_edit_sequences(self, strict):
+        rng = np.random.default_rng(2024 + strict)
+        from dataclasses import replace
+
+        done = {"add": 0, "remove": 0}
+        for _ in range(12):
+            spec = random_scenario(rng)
+            series = scenario_field_series(spec)
+            catalog = scenario_sensor_nodes(spec)
+            if strict:
+                # give some sensors a single variable so eligibility matters;
+                # the first keeps both, so the initial build has observers
+                catalog = [
+                    replace(s, observations=frozenset({spec.variables[k % 2]}))
+                    if k and rng.random() < 0.6 else s
+                    for k, s in enumerate(catalog)
+                ]
+            net = build_temporal_gstbn(series, catalog, strict_observations=strict)
+            grid = spec.grid
+            for _ in range(6):
+                active = net.active_sensors
+                if len(active) >= 2 and rng.random() < 0.4:
+                    victim = active[int(rng.integers(0, len(active)))].id
+                    try:
+                        edited = remove_sensor(net, victim)
+                    except NoObserversError:
+                        # strict matching left some RoI without an observer
+                        catalog = tuple(
+                            replace(s, operational_status=OperationalStatus.INACTIVE)
+                            if s.id == victim else s
+                            for s in net.sensor_catalog
+                        )
+                        with pytest.raises(NoObserversError):
+                            build_temporal_gstbn(series, catalog, strict_observations=strict)
+                        continue
+                    done["remove"] += 1
+                else:
+                    coord = GeoCoord(
+                        float(rng.uniform(grid.lon0, grid.lon_at(grid.n_lon - 1))),
+                        float(rng.uniform(grid.lat0, grid.lat_at(grid.n_lat - 1))),
+                    )
+                    edited = add_sensor(net, coord)
+                    done["add"] += 1
+                assert_same_network(edited, rebuild(edited, series))
+                net = edited
+        assert done["add"] >= 30 and done["remove"] >= 10
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_sensor_added_on_an_existing_one_takes_no_roi(self, small_scenario, strict):
+        series = scenario_field_series(small_scenario)
+        net = build_temporal_gstbn(
+            series, scenario_sensor_nodes(small_scenario), strict_observations=strict
+        )
+        for existing in net.active_sensors:
+            grown = add_sensor(net, existing.geolocation)
+            new_id = grown.sensor_catalog[-1].id
+            # every tie stays with the lower, existing id
+            assert all(e.sensor_id != new_id for s in grown.snapshots for e in s.edges)
+            assert [s.edges for s in grown.snapshots] == [s.edges for s in net.snapshots]
+            assert_same_network(grown, rebuild(grown, series))
+
+    def test_removal_relinks_only_the_orphaned_rois(self, small_network):
+        net = small_network
+        victim = net.active_sensors[0].id
+        shrunk = remove_sensor(net, victim)
+        for before, after in zip(net.snapshots, shrunk.snapshots):
+            moved = {e.roi_id for e in before.edges if e.sensor_id == victim}
+            kept_before = [e for e in before.edges if e.roi_id not in moved]
+            kept_after = [e for e in after.edges if e.roi_id not in moved]
+            assert kept_before == kept_after

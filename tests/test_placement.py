@@ -85,6 +85,29 @@ class TestCandidateScore:
             assert candidate_score(net, c) == average_temporal_coverage(add_sensor(net, c))
 
 
+class TestBlockScores:
+    """monte_carlo_place scores trials in (trials x RoIs) blocks; each score
+    must equal the single-candidate score and the rebuilt network's."""
+
+    @pytest.mark.parametrize("block_pairs", [None, 50, 1])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_block_scores_match_single_and_rebuild(self, monkeypatch, block_pairs, strict):
+        if block_pairs is not None:
+            # force many small blocks, with a ragged last one
+            monkeypatch.setattr("gstbn.geo.BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(404)
+        for _ in range(3):
+            # large enough that a pairwise or reordered sum would differ
+            spec = random_scenario(rng, max_side=24, max_hotspots=4)
+            net = scenario_network(spec, strict=strict)
+            trace = []
+            monte_carlo_place(net, SearchDomain.from_grid(spec.grid), trials=13, seed=31, trace=trace)
+            for r in trace:
+                c = GeoCoord(r.lon, r.lat)
+                assert r.score == candidate_score(net, c)
+                assert r.score == average_temporal_coverage(add_sensor(net, c))
+
+
 class TestMonteCarloPlace:
     def test_deterministic_given_seed(self, small_network, domain):
         a = monte_carlo_place(small_network, domain, trials=50, seed=9)
