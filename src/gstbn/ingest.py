@@ -25,6 +25,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -106,12 +107,22 @@ def _parse_enum(enum_cls, token: str, path, line: int, field: str):
         raise ParseError(path, line, f"bad {field} {token!r}; expected one of: {allowed}") from None
 
 
+def _csv_rows(reader, path):
+    """The reader's rows, with a CSV syntax error (a bare carriage return in
+    an unquoted field, a field over the size limit) as a ParseError."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(path, reader.line_num, f"bad CSV: {exc}") from None
+
+
 def parse_sensor_catalog(path) -> list[SensorNode]:
     """Read a sensor catalog CSV; row order is preserved."""
     path = Path(path)
     reader = csv.reader(io.StringIO(read_utf8(path)))
+    rows = _csv_rows(reader, path)
     try:
-        header = next(reader)
+        header = next(rows)
     except StopIteration:
         raise ParseError(path, 1, "empty file, expected a header row") from None
     seen_cols = set()
@@ -128,7 +139,7 @@ def parse_sensor_catalog(path) -> list[SensorNode]:
 
     sensors: list[SensorNode] = []
     seen_ids: set[int] = set()
-    for row in reader:
+    for row in rows:
         line = reader.line_num
         if not row:
             continue
@@ -255,12 +266,45 @@ def parse_grid_snapshot(path) -> FieldSnapshot:
         raise ParseError(
             path, len(lines), f"expected {grid.n_lat} data rows, found {len(body)}"
         )
-    values = np.empty(grid.shape, dtype=np.float64)
+    values = _parse_rows_fast(body, grid.shape)
+    if values is None:
+        values = _parse_rows(body, grid.n_lon, path)
+    return FieldSnapshot(timestamp=timestamp, variable=variable, grid=grid, values=values)
+
+
+def _parse_rows_fast(body: list[str], shape: tuple[int, int]) -> np.ndarray | None:
+    """The body's values in one `np.loadtxt` call, or None when loadtxt
+    rejects it or its result is not a finite-or-NaN array of `shape`.
+
+    loadtxt splits on the same whitespace as `str.split` and converts each
+    field with the same correctly rounded decimal-to-double routine as
+    `float`, so an accepted body holds exactly the values `_parse_rows`
+    would return. loadtxt rejects what `float` alone takes (`1_0`,
+    non-ASCII digits) and skips blank lines; those bodies, and every
+    malformed one, go to `_parse_rows`, which decides and reports.
+    """
+    with warnings.catch_warnings():
+        # a warning (such as "input contained no data") also means: rescan
+        warnings.simplefilter("error")
+        try:
+            values = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    if values.shape != shape or np.isinf(values).any():
+        return None
+    return values
+
+
+def _parse_rows(body: list[str], n_lon: int, path) -> np.ndarray:
+    """The reference token loop: `float` on each `str.split` token, raising
+    ParseError with the line and column of the first bad row or value."""
+    rows = []
     for i, row_text in enumerate(body):
         tokens = row_text.split()
         line = 4 + i
-        if len(tokens) != grid.n_lon:
-            raise ParseError(path, line, f"expected {grid.n_lon} values, got {len(tokens)}")
+        if len(tokens) != n_lon:
+            raise ParseError(path, line, f"expected {n_lon} values, got {len(tokens)}")
+        row = []
         for j, token in enumerate(tokens):
             try:
                 v = float(token)
@@ -268,8 +312,9 @@ def parse_grid_snapshot(path) -> FieldSnapshot:
                 raise ParseError(path, line, f"bad value {token!r} in column {j + 1}") from None
             if math.isinf(v):
                 raise ParseError(path, line, f"non-finite value {token!r} in column {j + 1}")
-            values[i, j] = v
-    return FieldSnapshot(timestamp=timestamp, variable=variable, grid=grid, values=values)
+            row.append(v)
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
 
 
 def format_grid_snapshot(snap: FieldSnapshot) -> str:

@@ -17,7 +17,7 @@ compatibility and ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,6 +127,8 @@ class PlacementResult:
     trials_per_sensor: int
     seed: int
     baseline_coverage_km: float
+    # the input network with every placed sensor added, in order
+    network: TemporalGstbn | None = field(default=None, compare=False, repr=False)
 
 
 def derive_seed(seed: int, index: int) -> int:
@@ -271,7 +273,8 @@ def place_sequential(
 
     Placement k runs its own Monte Carlo search with a seed derived from
     (seed, k), against the network as updated by the previous winners.
-    Coverage never increases along the placed list.
+    Coverage never increases along the placed list. The result's `network`
+    is the input network with every winner added.
     """
     if n_sensors < 1:
         raise ParameterError(f"n_sensors must be at least 1, got {n_sensors}")
@@ -299,4 +302,5 @@ def place_sequential(
         trials_per_sensor=trials,
         seed=seed,
         baseline_coverage_km=baseline,
+        network=current,
     )

@@ -1,10 +1,13 @@
 import importlib
 import json
+import subprocess
+import sys
 from importlib.metadata import entry_points
 from pathlib import Path
 
 import pytest
 
+import gstbn
 from gstbn.cli import main
 from gstbn.geo import GeoCoord
 from gstbn.synth import Hotspot, ScenarioSpec, generate_scenario, scenario_spec_to_dict
@@ -332,24 +335,66 @@ class TestErrorsAndUsage:
             (ep,) = installed
             assert ep.load() is main
 
-    @pytest.mark.parametrize("target", ["catalog", "grid"])
-    def test_non_utf8_input_is_domain_error(self, scenario_dir, tmp_path, capsys, target):
+    @staticmethod
+    def copy_inputs(scenario_dir, tmp_path):
         catalog = tmp_path / "sensors.csv"
         catalog.write_bytes(scenario_dir.catalog_path.read_bytes())
         grids = []
         for p in scenario_dir.grid_paths:
             grids.append(tmp_path / p.name)
             grids[-1].write_bytes(p.read_bytes())
-        bad = catalog if target == "catalog" else grids[1]
-        lines = bad.read_bytes().split(b"\n")
-        lines[1] += b"\xff"
-        bad.write_bytes(b"\n".join(lines))
         args = [
             "score", "--sensors", str(catalog), "--grids", *map(str, grids),
             "--out", str(tmp_path / "o.json"),
         ]
+        return catalog, grids, args
+
+    @pytest.mark.parametrize("target", ["catalog", "grid"])
+    def test_non_utf8_input_is_domain_error(self, scenario_dir, tmp_path, capsys, target):
+        catalog, grids, args = self.copy_inputs(scenario_dir, tmp_path)
+        bad = catalog if target == "catalog" else grids[1]
+        lines = bad.read_bytes().split(b"\n")
+        lines[1] += b"\xff"
+        bad.write_bytes(b"\n".join(lines))
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("gstbn: error:")
         assert f"{bad}:2: not UTF-8" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, reason",
+        [
+            (b"a\rb", "new-line character seen in unquoted field"),
+            (b"x" * 131_073, "field larger than field limit"),
+        ],
+        ids=["bare-cr", "long-field"],
+    )
+    def test_csv_syntax_error_is_domain_error(
+        self, scenario_dir, tmp_path, capsys, field, reason
+    ):
+        catalog, _, args = self.copy_inputs(scenario_dir, tmp_path)
+        lines = catalog.read_bytes().split(b"\n")
+        cells = lines[1].split(b",")
+        cells[2] = field  # data_source
+        lines[1] = b",".join(cells)
+        catalog.write_bytes(b"\n".join(lines))
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gstbn: error: {catalog}:2: bad CSV: {reason}")
+        assert "Traceback" not in err
+
+    def test_blank_grid_body_reports_one_error_line(self, scenario_dir, tmp_path):
+        # a fresh process, so a warning printed under the default filters shows
+        _, grids, args = self.copy_inputs(scenario_dir, tmp_path)
+        header = grids[0].read_text(encoding="utf-8").splitlines()[:3]
+        grids[0].write_text("\n".join(header) + "\n" * 7, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "gstbn.cli", *args],
+            env={"PYTHONPATH": str(Path(gstbn.__file__).resolve().parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == f"gstbn: error: {grids[0]}:4: expected 6 values, got 0\n"

@@ -1,8 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gstbn.ingest
 from gstbn.errors import NotFoundError, ParseError
 from gstbn.field import FieldSnapshot, GridSpec, ObservationKind
 from gstbn.geo import GeoCoord
@@ -253,6 +257,169 @@ class TestGridParsing:
     def test_nan_case_insensitive(self, tmp_path):
         snap = parse_grid_snapshot_write(tmp_path, self.GOOD.replace("NaN", "nan"))
         assert not snap.valid[1, 1]
+
+
+def reference_grid_values(path, text, n_lat, n_lon):
+    """The grid body parsed token by token with `float`, independent of the
+    parser under test; raises the ParseError the parser must raise."""
+    lines = text.splitlines()
+    body = lines[3:]
+    if len(body) != n_lat:
+        raise ParseError(path, len(lines), f"expected {n_lat} data rows, found {len(body)}")
+    rows = []
+    for i, row_text in enumerate(body):
+        tokens = row_text.split()
+        if len(tokens) != n_lon:
+            raise ParseError(path, 4 + i, f"expected {n_lon} values, got {len(tokens)}")
+        row = []
+        for j, token in enumerate(tokens):
+            try:
+                v = float(token)
+            except ValueError:
+                raise ParseError(path, 4 + i, f"bad value {token!r} in column {j + 1}") from None
+            if math.isinf(v):
+                raise ParseError(path, 4 + i, f"non-finite value {token!r} in column {j + 1}")
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
+FINITE_TOKENS = ("1.5", "-0.0", "0", "7", "2.5E+3", "1e-320", "5e-324", "0.30000000000000004")
+NAN_TOKENS = ("NaN", "nan", "-nan", "+NaN")
+FLOAT_ONLY_TOKENS = ("1_0", "\u0661\u0662")  # float() takes them, np.loadtxt does not
+BAD_TOKENS = ("inf", "-Infinity", "1e500", "#", "1#2", "abc", "0x1", "1,5", "\x00")
+# in-row whitespace for str.split; splitlines() also breaks rows at the second group
+ROW_SEPARATORS = ("\t", "  ", "\x0c", "\x1f", "\xa0", "\u3000")
+LINE_BREAKS = ("\x0b", "\x1c", "\x85", "\r")
+
+
+@st.composite
+def grid_bodies(draw):
+    """(n_lat, n_lon, body text): mostly well-formed rows, with short and
+    long rows, blank lines, odd tokens and Unicode whitespace mixed in."""
+    n_lat = draw(st.integers(1, 4))
+    n_lon = draw(st.integers(1, 4))
+    token = st.sampled_from(
+        (FINITE_TOKENS + NAN_TOKENS) * 8 + FLOAT_ONLY_TOKENS * 4 + BAD_TOKENS * 2
+    )
+    sep = st.sampled_from((" ",) * 60 + ROW_SEPARATORS * 3 + LINE_BREAKS)
+    off_by_one = st.sampled_from([0] * 16 + [-1, 1])
+    rows = []
+    for _ in range(n_lat + draw(off_by_one)):
+        if draw(st.integers(0, 19)) == 0:
+            rows.append(draw(st.sampled_from(["", " ", "\t\xa0"])))
+            continue
+        width = n_lon + draw(off_by_one)
+        parts = [draw(sep) if draw(st.integers(0, 3)) == 0 else ""]
+        for j in range(width):
+            parts.append(draw(token))
+            parts.append(draw(sep) if j < width - 1 else "")
+        rows.append("".join(parts))
+    return n_lat, n_lon, "\n".join(rows) + draw(st.sampled_from(["\n"] * 8 + ["", "\n\n"]))
+
+
+def valid_grid_bytes():
+    snap = random_snapshot(np.random.default_rng(31))
+    return format_grid_snapshot(snap).encode("utf-8")
+
+
+def valid_catalog_bytes():
+    rng = np.random.default_rng(32)
+    sensors = [random_sensor(rng, sid) for sid in range(1, 6)]
+    return format_sensor_catalog(sensors).encode("utf-8")
+
+
+@st.composite
+def mutated(draw, original):
+    """`original` with a few byte ranges deleted, replaced or inserted."""
+    data = bytearray(original)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 8))
+        patch = draw(st.one_of(
+            st.binary(max_size=6),
+            st.sampled_from([b"\r", b"\n", b"\x00", b"\xff", b",", b"|", b'"', b" ", b"inf",
+                             b"\xc2\xa0", b"\xc2\x85", b"_", b"9" * 30, b"-"]),
+        ))
+        data[at:at + cut] = patch
+    return bytes(data)
+
+
+class TestParserFuzz:
+    """Bad input of any kind ends as a ParseError; the fast grid path
+    returns what the token loop would, bit for bit, or the loop's error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=grid_bodies())
+    def test_grid_body_matches_reference_loop(self, tmp_path_factory, case):
+        n_lat, n_lon, body = case
+        text = (
+            "GSTBN-GRID v1\nvariable=salinity timestamp=3\n"
+            f"nlat={n_lat} nlon={n_lon} lat0=1.0 dlat=0.5 lon0=2.0 dlon=0.5\n" + body
+        )
+        path = tmp_path_factory.getbasetemp() / "differential.grid"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = reference_grid_values(path, text, n_lat, n_lon)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_grid_snapshot(path)
+            assert str(got.value) == str(exc)
+            return
+        snap = parse_grid_snapshot(path)
+        ref = FieldSnapshot(timestamp=3, variable=snap.variable, grid=snap.grid, values=want)
+        assert snap.values.tobytes() == ref.values.tobytes()
+        assert np.array_equal(snap.valid, ref.valid)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=200), mutated(valid_grid_bytes())))
+    def test_any_grid_bytes_parse_or_raise_parse_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.grid"
+        path.write_bytes(data)
+        try:
+            parse_grid_snapshot(path)
+        except ParseError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=200), mutated(valid_catalog_bytes())))
+    def test_any_catalog_bytes_parse_or_raise_parse_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(data)
+        try:
+            parse_sensor_catalog(path)
+        except ParseError:
+            pass
+
+    def test_huge_declared_row_is_checked_before_allocating(self, tmp_path):
+        # 10**15 columns would need 8 PB; the short row must be reported instead
+        text = (
+            "GSTBN-GRID v1\nvariable=salinity timestamp=3\n"
+            "nlat=1 nlon=1000000000000000 lat0=1.0 dlat=0.5 lon0=2.0 dlon=1e-300\n"
+            "1.0 2.0\n"
+        )
+        with pytest.raises(ParseError, match="4: expected 1000000000000000 values, got 2"):
+            parse_grid_snapshot_write(tmp_path, text)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 5)])
+    def test_written_grids_never_need_the_token_loop(self, tmp_path, monkeypatch, shape):
+        def no_fallback(*args):
+            raise AssertionError("token loop ran on a well-formed grid")
+
+        monkeypatch.setattr(gstbn.ingest, "_parse_rows", no_fallback)
+        rng = np.random.default_rng(sum(shape))
+        values = rng.normal(0.0, 50.0, shape)
+        values[rng.random(shape) < 0.3] = np.nan
+        values.flat[0] = -0.0
+        snap = FieldSnapshot(
+            timestamp=9, variable=ObservationKind.CURRENT_U,
+            grid=make_grid(n_lat=shape[0], n_lon=shape[1]), values=values,
+        )
+        path = tmp_path / "fast.grid"
+        write_grid_snapshot(snap, path)
+        back = parse_grid_snapshot(path)
+        assert back == snap
+        assert back.values.tobytes() == snap.values.tobytes()
 
 
 class TestParseGridSeries:

@@ -248,6 +248,16 @@ class TestPlaceSequential:
         assert result.placed[1].coord == coord2
         assert result.placed[1].coverage_after_km == score2
 
+    def test_network_is_input_with_winners_added(self, small_network, domain):
+        result = place_sequential(small_network, domain, n_sensors=3, trials=20, seed=9)
+        chained = small_network
+        for placed in result.placed:
+            chained = add_sensor(chained, placed.coord)
+        assert result.network.sensor_catalog == chained.sensor_catalog
+        assert result.network.roi_registry == chained.roi_registry
+        assert result.network.snapshots == chained.snapshots
+        assert average_temporal_coverage(result.network) == result.placed[-1].coverage_after_km
+
     def test_traces_one_list_per_sensor(self, small_network, domain):
         traces = []
         place_sequential(
