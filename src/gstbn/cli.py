@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,26 +35,7 @@ from .network import TemporalGstbn, add_sensor, build_temporal_gstbn  # noqa: F4
 from .placement import SearchDomain, place_sequential
 from .synth import generate_scenario, scenario_spec_from_dict
 
-__all__ = ["CliConfig", "main"]
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    subcommand: str
-    out: Path
-    sensors: Path | None = None
-    grids: tuple[Path, ...] = ()
-    threshold: float = 0.5
-    trials: int = 1000
-    seed: int = 42
-    new_sensors: int = 1
-    strict_observation_matching: bool = False
-    unmasked_search: bool = False
-    remove: int = 1
-    threads: int = 1
-    bbox: tuple[float, float, float, float] | None = None
-    trace: Path | None = None
-    spec: Path | None = None
+__all__ = ["main"]
 
 
 def _positive_int(text: str) -> int:
@@ -160,27 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
-        subcommand=args.subcommand,
-        out=args.out,
-        sensors=getattr(args, "sensors", None),
-        grids=tuple(getattr(args, "grids", ()) or ()),
-        threshold=getattr(args, "threshold", 0.5),
-        trials=getattr(args, "trials", 1000),
-        seed=getattr(args, "seed", 42),
-        new_sensors=getattr(args, "new_sensors", 1),
-        strict_observation_matching=getattr(args, "strict_observations", False),
-        unmasked_search=getattr(args, "unmasked_search", False),
-        remove=getattr(args, "remove", 1),
-        threads=getattr(args, "threads", 1),
-        bbox=tuple(args.bbox) if getattr(args, "bbox", None) else None,
-        trace=getattr(args, "trace", None),
-        spec=getattr(args, "spec", None),
-    )
-
-
-def _expand_grid_paths(paths: tuple[Path, ...]) -> list[Path]:
+def _expand_grid_paths(paths: list[Path]) -> list[Path]:
     out: list[Path] = []
     for p in paths:
         if p.is_dir():
@@ -193,41 +154,31 @@ def _expand_grid_paths(paths: tuple[Path, ...]) -> list[Path]:
     return out
 
 
-def _load_network(cfg: CliConfig):
-    grid_paths = _expand_grid_paths(cfg.grids)
-    catalog = parse_sensor_catalog(cfg.sensors)
+def _load_network(args: argparse.Namespace):
+    grid_paths = _expand_grid_paths(args.grids)
+    catalog = parse_sensor_catalog(args.sensors)
     series = parse_grid_series(grid_paths)
     net = build_temporal_gstbn(
         series,
         catalog,
-        threshold=RoIThreshold(cfg.threshold),
-        strict_observations=cfg.strict_observation_matching,
+        threshold=RoIThreshold(args.threshold),
+        strict_observations=args.strict_observations,
     )
-    return net, series, [cfg.sensors, *grid_paths]
+    return net, series, [args.sensors, *grid_paths]
 
 
-def _search_domain(cfg: CliConfig, series) -> SearchDomain:
-    first = next(iter(series.values()))[0]
-    grid = first.grid
-    valid = None
-    if not cfg.unmasked_search:
-        valid = np.ones(grid.shape, dtype=bool)
-        for snaps in series.values():
-            for snap in snaps:
-                valid &= snap.valid
-        if valid.all():
-            valid = None
-    if cfg.bbox is not None:
-        lon_min, lon_max, lat_min, lat_max = cfg.bbox
-        return SearchDomain(
-            lon_min=lon_min,
-            lon_max=lon_max,
-            lat_min=lat_min,
-            lat_max=lat_max,
-            mask_grid=grid if valid is not None else None,
-            mask=valid,
+def _search_domain(args: argparse.Namespace, series) -> SearchDomain:
+    """The grid's footprint, masked to cells valid in every snapshot unless
+    --unmasked-search; --bbox replaces the box and keeps the mask."""
+    snaps = [s for kind in series.values() for s in kind]
+    valid = None if args.unmasked_search else np.logical_and.reduce([s.valid for s in snaps])
+    domain = SearchDomain.from_grid(snaps[0].grid, valid)
+    if args.bbox is not None:
+        lon_min, lon_max, lat_min, lat_max = args.bbox
+        domain = replace(
+            domain, lon_min=lon_min, lon_max=lon_max, lat_min=lat_min, lat_max=lat_max
         )
-    return SearchDomain.from_grid(grid, valid)
+    return domain
 
 
 def _write_snapshots(net: TemporalGstbn, out_dir: Path, prefix: str = "gstbn") -> None:
@@ -248,48 +199,48 @@ def _write_trace(path: Path, traces) -> None:
                 writer.writerow([k, r.trial_index, repr(r.lon), repr(r.lat), repr(r.score)])
 
 
-def _cmd_build(cfg: CliConfig) -> None:
-    net, _, _ = _load_network(cfg)
-    _write_snapshots(net, cfg.out)
+def _cmd_build(args: argparse.Namespace) -> None:
+    net, _, _ = _load_network(args)
+    _write_snapshots(net, args.out)
 
 
-def _cmd_score(cfg: CliConfig) -> None:
-    net, _, inputs = _load_network(cfg)
+def _cmd_score(args: argparse.Namespace) -> None:
+    net, _, inputs = _load_network(args)
     report = build_report(
         coverage_to_dict(coverage_report(net)),
         centrality_to_dict(degree_centrality(net)),
-        seed=cfg.seed,
+        seed=args.seed,
         input_paths=inputs,
     )
-    cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    cfg.out.write_text(dump_json(report), encoding="utf-8")
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_text(dump_json(report), encoding="utf-8")
 
 
-def _cmd_robustness(cfg: CliConfig) -> None:
-    net, _, inputs = _load_network(cfg)
-    rob = evaluate_robustness(net, cfg.remove)
+def _cmd_robustness(args: argparse.Namespace) -> None:
+    net, _, inputs = _load_network(args)
+    rob = evaluate_robustness(net, args.remove)
     report = build_report(
         coverage_to_dict(coverage_report(net)),
         centrality_to_dict(degree_centrality(net)),
         robustness=robustness_to_dict(rob),
-        seed=cfg.seed,
+        seed=args.seed,
         input_paths=inputs,
     )
-    cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    cfg.out.write_text(dump_json(report), encoding="utf-8")
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_text(dump_json(report), encoding="utf-8")
 
 
-def _cmd_optimize(cfg: CliConfig) -> None:
-    net, series, inputs = _load_network(cfg)
-    domain = _search_domain(cfg, series)
-    traces = [] if cfg.trace else None
+def _cmd_optimize(args: argparse.Namespace) -> None:
+    net, series, inputs = _load_network(args)
+    domain = _search_domain(args, series)
+    traces = [] if args.trace else None
     result = place_sequential(
         net,
         domain,
-        n_sensors=cfg.new_sensors,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        workers=cfg.threads,
+        n_sensors=args.new_sensors,
+        trials=args.trials,
+        seed=args.seed,
+        workers=args.threads,
         traces=traces,
     )
     final = result.network
@@ -297,27 +248,27 @@ def _cmd_optimize(cfg: CliConfig) -> None:
         coverage_to_dict(coverage_report(final)),
         centrality_to_dict(degree_centrality(final)),
         placement=placement_to_dict(result),
-        seed=cfg.seed,
+        seed=args.seed,
         input_paths=inputs,
     )
     # --out names the report file; the updated network's GeoJSON goes
     # next to it, prefixed by the report's stem so runs don't collide
-    cfg.out.parent.mkdir(parents=True, exist_ok=True)
-    cfg.out.write_text(dump_json(report), encoding="utf-8")
-    stem = cfg.out.name.removesuffix(".json") or cfg.out.name
-    _write_snapshots(final, cfg.out.parent, prefix=f"{stem}-gstbn")
-    if cfg.trace:
-        _write_trace(cfg.trace, traces)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_text(dump_json(report), encoding="utf-8")
+    stem = args.out.name.removesuffix(".json") or args.out.name
+    _write_snapshots(final, args.out.parent, prefix=f"{stem}-gstbn")
+    if args.trace:
+        _write_trace(args.trace, traces)
 
 
-def _cmd_synth(cfg: CliConfig) -> None:
-    text = read_utf8(cfg.spec)
+def _cmd_synth(args: argparse.Namespace) -> None:
+    text = read_utf8(args.spec)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(cfg.spec, exc.lineno, f"bad JSON: {exc.msg}") from exc
+        raise ParseError(args.spec, exc.lineno, f"bad JSON: {exc.msg}") from exc
     spec = scenario_spec_from_dict(doc)
-    generate_scenario(spec, cfg.out)
+    generate_scenario(spec, args.out)
 
 
 _COMMANDS = {
@@ -332,9 +283,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        _COMMANDS[cfg.subcommand](cfg)
+        _COMMANDS[args.subcommand](args)
     except GstbnError as exc:
         print(f"gstbn: error: {exc}", file=sys.stderr)
         return 1

@@ -191,6 +191,19 @@ class RoIEvent:
     residuals: Mapping[ObservationKind, float] = dc_field(default_factory=dict)
 
 
+def _check_finite(values, where, variable, interval, what) -> None:
+    """Raise if `values` is not finite in some cell where `where` holds.
+
+    A value that overflowed would otherwise reach the reports as Infinity.
+    """
+    bad = np.flatnonzero(where & ~np.isfinite(values))
+    if bad.size:
+        raise ParameterError(
+            f"{variable.value} {what} over interval {interval[0]}-{interval[1]} "
+            f"is not finite at cell {int(bad[0])}"
+        )
+
+
 def compute_residual_field(earlier: FieldSnapshot, later: FieldSnapshot) -> ResidualField:
     """Squared per-cell change between two snapshots of the same variable.
 
@@ -209,11 +222,14 @@ def compute_residual_field(earlier: FieldSnapshot, later: FieldSnapshot) -> Resi
             f"timestamps must increase, got {earlier.timestamp} then {later.timestamp}"
         )
     valid = earlier.valid & later.valid
-    diff = later.values - earlier.values
-    residuals = diff * diff
+    with np.errstate(over="ignore"):
+        diff = later.values - earlier.values
+        residuals = diff * diff
     residuals[~valid] = np.nan
+    interval = (earlier.timestamp, later.timestamp)
+    _check_finite(residuals, valid, earlier.variable, interval, "squared change")
     return ResidualField(
-        interval=(earlier.timestamp, later.timestamp),
+        interval=interval,
         variable=earlier.variable,
         grid=earlier.grid,
         residuals=residuals,
@@ -256,10 +272,12 @@ def extract_roi_events(
     contributions = []
     for rf in ordered:
         scale = 1.0 if scales is None else float(scales.get(rf.variable, 1.0))
-        scaled = rf.residuals * scale if scale != 1.0 else rf.residuals
-        keep = rf.valid & (scaled >= thr)
-        contrib = np.where(keep, scaled, 0.0)
-        total = total + contrib
+        with np.errstate(over="ignore"):
+            scaled = rf.residuals * scale if scale != 1.0 else rf.residuals
+            keep = rf.valid & (scaled >= thr)
+            contrib = np.where(keep, scaled, 0.0)
+            total = total + contrib
+        _check_finite(total, keep, rf.variable, interval, "RoI sum")
         contributions.append((rf.variable, contrib, keep))
 
     events: list[RoIEvent] = []

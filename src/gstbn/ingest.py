@@ -466,7 +466,10 @@ def robustness_to_dict(report: RobustnessReport) -> dict:
         "removed_sensor_ids": list(report.removed_sensor_ids),
         "coverage_before_km": report.coverage_before_km,
         "coverage_after_km": report.coverage_after_km,
-        "relative_increase": report.relative_increase,
+        # infinite when coverage rose from zero; JSON has no Infinity
+        "relative_increase": (
+            None if math.isinf(report.relative_increase) else report.relative_increase
+        ),
     }
 
 
@@ -515,4 +518,4 @@ def build_report(
 
 
 def dump_json(doc: Mapping) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"

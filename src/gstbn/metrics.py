@@ -79,8 +79,11 @@ def average_temporal_coverage(net: TemporalGstbn) -> float:
 
 
 def coverage_report(net: TemporalGstbn) -> CoverageReport:
+    if not net.snapshots:
+        raise StructuralError("network has no snapshots")
     per = tuple((s.timestamp, static_coverage(s)) for s in net.snapshots)
-    total = total_temporal_coverage(net)
+    # the same sum total_temporal_coverage takes, without redoing each snapshot's
+    total = coverage_sum(v for _, v in per)
     return CoverageReport(
         per_snapshot=per,
         total_km=total,

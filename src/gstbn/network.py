@@ -192,6 +192,22 @@ class TemporalGstbn:
     def rois_by_id(self) -> dict[int, RoIEventNode]:
         return {r.id: r for r in self.roi_registry}
 
+    @cached_property
+    def _registry_lonlat(self) -> tuple[np.ndarray, np.ndarray]:
+        return lonlat_arrays(n.geolocation for n in self.roi_registry)
+
+    @cached_property
+    def _edge_weights(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per snapshot, the registry index and weight of each edge, in roi-id order."""
+        index_of = {node.id: i for i, node in enumerate(self.roi_registry)}
+        return tuple(
+            (
+                np.array([index_of[e.roi_id] for e in snap.edges], dtype=np.intp),
+                np.array([e.weight_km for e in snap.edges], dtype=np.float64),
+            )
+            for snap in self.snapshots
+        )
+
     @property
     def active_sensors(self) -> list[SensorNode]:
         return [s for s in self.sensor_catalog if s.is_active]
@@ -371,15 +387,30 @@ def build_temporal_gstbn(
     )
 
 
+def _relaxed(net: TemporalGstbn, lon: np.ndarray, lat: np.ndarray):
+    """Per snapshot, each edge's weight after adding a sensor at each of the
+    given candidates: min(w, d) with d the candidate's distance to the
+    edge's RoI, as a (candidates x edges) array in roi-id order.
+
+    This is the one relax step: `add_sensor` takes its row 0 and trial
+    scoring sums every row. Distances are computed once per registry RoI;
+    the arrays are yielded one snapshot at a time.
+    """
+    r_lon, r_lat = net._registry_lonlat
+    dist = haversine_km(r_lon, r_lat, lon[:, None], lat[:, None], net.earth.radius_km)
+    for idx, w in net._edge_weights:
+        yield np.minimum(w, dist[:, idx])
+
+
 def add_sensor(net: TemporalGstbn, coord: GeoCoord) -> TemporalGstbn:
     """New network with a synthetic active sensor at `coord`.
 
     The sensor gets a fresh id above every catalog id and observes all
     variables, so it is eligible for every RoI even under strict
     matching. Each RoI moves to it only when it is strictly closer than
-    the current edge (w <- min(w, d_new)): its id is the highest, so a tie
-    stays with the existing sensor, exactly as a rebuild would decide. No
-    snapshot's coverage can increase.
+    the current edge (w <- min(w, d_new), see :func:`_relaxed`): its id is
+    the highest, so a tie stays with the existing sensor, exactly as a
+    rebuild would decide. No snapshot's coverage can increase.
     """
     fresh_id = max((s.id for s in net.sensor_catalog), default=0) + 1
     sensor = SensorNode(
@@ -395,12 +426,11 @@ def add_sensor(net: TemporalGstbn, coord: GeoCoord) -> TemporalGstbn:
     catalog = net.sensor_catalog + (sensor,)
     active_ids = frozenset(s.id for s in catalog if s.is_active)
     snapshots = []
-    for snap in net.snapshots:
-        lon, lat = lonlat_arrays(net.rois_by_id[e.roi_id].geolocation for e in snap.edges)
-        d_new = haversine_km(lon, lat, coord.lon, coord.lat, net.earth.radius_km).tolist()
+    lon, lat = lonlat_arrays([coord])
+    for snap, relaxed in zip(net.snapshots, _relaxed(net, lon, lat)):
         edges = tuple(
-            GstbnEdge(roi_id=e.roi_id, sensor_id=fresh_id, weight_km=d) if d < e.weight_km else e
-            for e, d in zip(snap.edges, d_new)
+            GstbnEdge(roi_id=e.roi_id, sensor_id=fresh_id, weight_km=w) if w < e.weight_km else e
+            for e, w in zip(snap.edges, relaxed[0].tolist())
         )
         snapshots.append(replace(snap, sensor_ids=active_ids, edges=edges))
     return replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)

@@ -7,11 +7,14 @@ cells) and the draw with the lowest resulting coverage wins.
 Determinism contract: trial i draws from a generator seeded by
 (seed, i), so any prefix of trials is reproducible regardless of how
 many trials follow; the winner is the lowest (score, trial_index) pair.
-Trial scores reuse each RoI's current nearest-sensor distance, so one
-trial costs one distance per RoI node instead of a network rebuild, and
-matches the rebuild bit for bit. Trials are scored serially in
-(trials x RoIs) blocks; the `workers` argument is accepted for
-compatibility and ignored.
+
+A trial's score is the coverage `add_sensor` would give the network:
+both take the same relax step (each edge weight w becomes min(w, d) for
+the candidate's distance d to its RoI), and the score sums the relaxed
+weights with `coverage_sum` in edge order, so the two agree by
+construction. One trial costs one distance per RoI node instead of a
+network rebuild. Trials are scored serially in (trials x RoIs) blocks;
+the `workers` argument is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import numpy as np
 
 from .errors import ParameterError, StructuralError
 from .field import GridSpec
-from .geo import GeoCoord, haversine_km, lonlat_arrays, row_blocks
+from .geo import GeoCoord, lonlat_arrays, row_blocks
 from .metrics import average_temporal_coverage, coverage_sum
-from .network import TemporalGstbn, add_sensor
+from .network import TemporalGstbn, _relaxed, add_sensor
 
 __all__ = [
     "SearchDomain",
@@ -136,89 +139,49 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True, eq=False)
-class _TrialEvaluator:
-    """Draws trial candidates and scores them in blocks.
+def _scores(net: TemporalGstbn, candidates: list[GeoCoord]) -> list[float]:
+    """Average temporal coverage after adding each candidate alone.
 
-    `roi_lon`/`roi_lat` hold the registry's coordinates. `snaps` holds, per
-    snapshot, the registry index and current edge weight of each RoI in
-    roi-id order. A candidate's score is min(current weight, candidate
-    distance) per RoI, summed with `coverage_sum` in exactly the order a
-    network rebuilt by `add_sensor` sums its edge weights.
+    Each snapshot's relaxed weights come from the relax step `add_sensor`
+    uses, and are summed with `coverage_sum` in the order the edited
+    network sums its edges, so a score equals that network's coverage.
     """
+    if not net.snapshots:
+        raise StructuralError("network has no snapshots")
+    lon, lat = lonlat_arrays(candidates)
+    out: list[float] = []
+    for rows in row_blocks(len(candidates), len(net.roi_registry)):
+        # memoryview rows hand `coverage_sum` the same Python floats as a
+        # list would, without building one
+        per_snap = [
+            [coverage_sum(memoryview(row)) for row in relaxed]
+            for relaxed in _relaxed(net, lon[rows], lat[rows])
+        ]
+        out.extend(coverage_sum(totals) / len(net.snapshots) for totals in zip(*per_snap))
+    return out
 
-    roi_lon: np.ndarray
-    roi_lat: np.ndarray
-    snaps: tuple[tuple[np.ndarray, np.ndarray], ...]
-    radius_km: float
-    domain: SearchDomain | None = None
-    seed: int = 0
 
-    @classmethod
-    def from_net(
-        cls,
-        net: TemporalGstbn,
-        domain: SearchDomain | None = None,
-        seed: int = 0,
-    ) -> "_TrialEvaluator":
-        if not net.snapshots:
-            raise StructuralError("network has no snapshots")
-        index_of = {node.id: i for i, node in enumerate(net.roi_registry)}
-        snaps = tuple(
-            (
-                np.array([index_of[e.roi_id] for e in snap.edges], dtype=np.intp),
-                np.array([e.weight_km for e in snap.edges], dtype=np.float64),
-            )
-            for snap in net.snapshots
-        )
-        roi_lon, roi_lat = lonlat_arrays(n.geolocation for n in net.roi_registry)
-        return cls(
-            roi_lon=roi_lon,
-            roi_lat=roi_lat,
-            snaps=snaps,
-            radius_km=net.earth.radius_km,
-            domain=domain,
-            seed=seed,
-        )
-
-    def scores(self, candidates: list[GeoCoord]) -> list[float]:
-        """Average temporal coverage after adding each candidate alone."""
-        lon, lat = lonlat_arrays(candidates)
-        out: list[float] = []
-        for rows in row_blocks(len(candidates), len(self.roi_lon)):
-            dist = haversine_km(
-                self.roi_lon, self.roi_lat, lon[rows, None], lat[rows, None], self.radius_km
-            )
-            # memoryview rows hand `coverage_sum` the same Python floats as
-            # a list would, without building one
-            per_snap = [
-                [coverage_sum(memoryview(row)) for row in np.minimum(w, dist[:, idx])]
-                for idx, w in self.snaps
-            ]
-            out.extend(coverage_sum(totals) / len(self.snaps) for totals in zip(*per_snap))
-        return out
-
-    def draw(self, trial_index: int) -> GeoCoord:
-        rng = np.random.default_rng([self.seed, trial_index])
-        dom = self.domain
-        for _ in range(_MAX_REJECTS):
-            lon = float(rng.uniform(dom.lon_min, dom.lon_max))
-            lat = float(rng.uniform(dom.lat_min, dom.lat_max))
-            if dom.mask is None:
-                return GeoCoord(lon, lat)
-            cell = dom.mask_grid.containing_cell(GeoCoord(lon, lat))
-            if cell is not None and dom.mask.flat[cell]:
-                return GeoCoord(lon, lat)
-        raise StructuralError(
-            f"domain rejected {_MAX_REJECTS} consecutive draws; mask and box do not overlap"
-        )
+def _draw(domain: SearchDomain, seed: int, trial_index: int) -> GeoCoord:
+    """Trial `trial_index`'s candidate, from a generator seeded by (seed, trial)."""
+    rng = np.random.default_rng([seed, trial_index])
+    for _ in range(_MAX_REJECTS):
+        lon = float(rng.uniform(domain.lon_min, domain.lon_max))
+        lat = float(rng.uniform(domain.lat_min, domain.lat_max))
+        if domain.mask is None:
+            return GeoCoord(lon, lat)
+        cell = domain.mask_grid.containing_cell(GeoCoord(lon, lat))
+        if cell is not None and domain.mask.flat[cell]:
+            return GeoCoord(lon, lat)
+    raise StructuralError(
+        f"domain rejected {_MAX_REJECTS} consecutive draws; mask and box do not overlap"
+    )
 
 
 def candidate_score(net: TemporalGstbn, candidate: GeoCoord) -> float:
     """Average temporal coverage the network would have with `candidate`
     added, computed incrementally. Matches the full-rebuild value exactly.
     """
-    return _TrialEvaluator.from_net(net).scores([candidate])[0]
+    return _scores(net, [candidate])[0]
 
 
 def _check_common(trials: int, seed: int, workers: int) -> None:
@@ -247,11 +210,10 @@ def monte_carlo_place(
     trial's record.
     """
     _check_common(trials, seed, workers)
-    evaluator = _TrialEvaluator.from_net(net, domain, seed)
-    candidates = [evaluator.draw(t) for t in range(trials)]
+    candidates = [_draw(domain, seed, t) for t in range(trials)]
     records = [
         TrialRecord(trial_index=t, lon=c.lon, lat=c.lat, score=score)
-        for t, (c, score) in enumerate(zip(candidates, evaluator.scores(candidates)))
+        for t, (c, score) in enumerate(zip(candidates, _scores(net, candidates)))
     ]
     if trace is not None:
         trace.extend(records)

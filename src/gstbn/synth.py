@@ -131,6 +131,17 @@ class ScenarioSpec:
                     f"hotspot amplitude {h.amplitude} too small: need amplitude^2 >= "
                     f"2*threshold = {2.0 * self.threshold}"
                 )
+        # the largest change a cell can see is every bump plus the noise span;
+        # its square, and the RoI sum across variables, must stay finite
+        worst_roi = 0.0
+        for kind in self.variables:
+            change = sum(h.amplitude for h in self.hotspots if h.variable is kind) + 2.0 * a
+            worst_roi += change * change
+            if not math.isfinite(worst_roi):
+                raise ParameterError(
+                    f"{kind.value} hotspot amplitudes too large: the squared change or "
+                    f"RoI sum of a cell would overflow"
+                )
 
 
 @dataclass(frozen=True)

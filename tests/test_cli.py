@@ -5,12 +5,21 @@ import sys
 from importlib.metadata import entry_points
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gstbn
 from gstbn.cli import main
 from gstbn.geo import GeoCoord
-from gstbn.synth import Hotspot, ScenarioSpec, generate_scenario, scenario_spec_to_dict
+from gstbn.field import FieldSnapshot, GridSpec, ObservationKind
+from gstbn.ingest import write_grid_snapshot, write_sensor_catalog
+from gstbn.synth import (
+    Hotspot,
+    ScenarioSpec,
+    generate_scenario,
+    scenario_sensor_nodes,
+    scenario_spec_to_dict,
+)
 from conftest import make_grid
 
 
@@ -46,6 +55,32 @@ def network_args(files):
     return ["--sensors", str(files.catalog_path), "--grids"] + [
         str(p) for p in files.grid_paths
     ]
+
+
+def run_fresh(args):
+    """The CLI in a fresh process, so a warning printed under the default
+    filters shows on stderr."""
+    return subprocess.run(
+        [sys.executable, "-m", "gstbn.cli", *args],
+        env={"PYTHONPATH": str(Path(gstbn.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def two_cell_inputs(directory, before, after):
+    """A 1x2 grid pair going from `before` to `after`, one sensor per cell centre."""
+    grid = GridSpec(n_lat=1, n_lon=2, lat0=25.0, d_lat=0.1, lon0=-90.0, d_lon=0.1)
+    directory.mkdir()
+    for t, values in ((0, before), (10, after)):
+        write_grid_snapshot(
+            FieldSnapshot(t, ObservationKind.TEMPERATURE, grid, np.array([values])),
+            directory / f"temperature-{t}.grid",
+        )
+    spec = ScenarioSpec(grid=grid, timestamps=(0, 10), sensors=(grid.cell_coord(0), grid.cell_coord(1)))
+    write_sensor_catalog(scenario_sensor_nodes(spec), directory / "sensors.csv")
+    return ["--sensors", str(directory / "sensors.csv"), "--grids", str(directory)]
 
 
 def read_all(directory):
@@ -385,16 +420,48 @@ class TestErrorsAndUsage:
         assert "Traceback" not in err
 
     def test_blank_grid_body_reports_one_error_line(self, scenario_dir, tmp_path):
-        # a fresh process, so a warning printed under the default filters shows
         _, grids, args = self.copy_inputs(scenario_dir, tmp_path)
         header = grids[0].read_text(encoding="utf-8").splitlines()[:3]
         grids[0].write_text("\n".join(header) + "\n" * 7, encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "gstbn.cli", *args],
-            env={"PYTHONPATH": str(Path(gstbn.__file__).resolve().parents[1])},
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        proc = run_fresh(args)
         assert proc.returncode == 1
         assert proc.stderr == f"gstbn: error: {grids[0]}:4: expected 6 values, got 0\n"
+
+
+class TestNonFiniteNumbers:
+    """Numbers past the float range end as one error line, and no report
+    holds a token that is not RFC 8259 JSON."""
+
+    def test_overflowing_grid_pair_reports_one_error_line(self, tmp_path):
+        args = two_cell_inputs(tmp_path / "in", [1e200, 0.0], [-1e200, 1.0])
+        proc = run_fresh(["build", *args, "--out", str(tmp_path / "net")])
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "gstbn: error: temperature squared change over interval 0-10 "
+            "is not finite at cell 0\n"
+        )
+        assert not (tmp_path / "net").exists()
+
+    def test_overflowing_synth_spec_reports_one_error_line(self, tmp_path):
+        doc = scenario_spec_to_dict(cli_spec())
+        doc["hotspots"][0]["amplitude"] = 1e200
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_fresh(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("gstbn: error: temperature hotspot amplitudes too large")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+    def test_infinite_relative_increase_is_null(self, tmp_path):
+        # every RoI sits on a sensor, so coverage goes from 0 to positive
+        args = two_cell_inputs(tmp_path / "in", [0.0, 0.0], [1.0, 1.0])
+        out = tmp_path / "report.json"
+        assert main(["robustness", *args, "--remove", "1", "--out", str(out)]) == 0
+
+        def refuse(token):
+            raise AssertionError(f"report holds {token}")
+
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
+        assert report["robustness"]["coverage_before_km"] == 0.0
+        assert report["robustness"]["coverage_after_km"] > 0.0
+        assert report["robustness"]["relative_increase"] is None

@@ -140,6 +140,15 @@ class TestComputeResidualField:
         with pytest.raises(OrderingError):
             compute_residual_field(snap(grid, 10, [[1.0]]), snap(grid, 10, [[1.0]]))
 
+    def test_overflowing_change_names_variable_interval_and_cell(self):
+        # 1e200 -> -1e200 squares past the float range; no warning may leak
+        grid = GridSpec(n_lat=1, n_lon=3, lat0=0.0, d_lat=1.0, lon0=0.0, d_lon=1.0)
+        with pytest.raises(ParameterError, match=r"^temperature squared change over "
+                           r"interval 0-10 is not finite at cell 2$"):
+            compute_residual_field(
+                snap(grid, 0, [[1.0, np.nan, 1e200]]), snap(grid, 10, [[2.0, 5.0, -1e200]])
+            )
+
     @given(delta=st.floats(min_value=1e-6, max_value=1e6,
                            allow_nan=False, allow_infinity=False))
     @settings(max_examples=100, deadline=None)
@@ -245,6 +254,20 @@ class TestExtractRoiEvents:
             [rf], RoIThreshold(0.5), scales={ObservationKind.TEMPERATURE: 2.0}
         )
         assert event.roi_value == 0.6 * 0.6 * 2.0
+
+    def test_overflowing_roi_sum_names_variable_interval_and_cell(self):
+        # each variable's residual is finite, their sum is not
+        grid = GridSpec(n_lat=1, n_lon=2, lat0=0.0, d_lat=1.0, lon0=0.0, d_lon=1.0)
+        fields = [
+            compute_residual_field(
+                snap(grid, 0, [[0.0, 0.0]], variable=kind),
+                snap(grid, 10, [[1.0, 1e154]], variable=kind),
+            )
+            for kind in (ObservationKind.TEMPERATURE, ObservationKind.SALINITY)
+        ]
+        with pytest.raises(ParameterError, match=r"^salinity RoI sum over interval 0-10 "
+                           r"is not finite at cell 1$"):
+            extract_roi_events(fields)
 
     def test_rejects_mixed_intervals(self):
         grid = GridSpec(n_lat=1, n_lon=1, lat0=0.0, d_lat=1.0, lon0=0.0, d_lon=1.0)

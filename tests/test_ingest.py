@@ -601,6 +601,11 @@ class TestReports:
         )
         assert dump_json(doc) == dump_json(json.loads(dump_json(doc)))
 
+    def test_dump_json_refuses_non_finite_numbers(self):
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError):
+                dump_json({"x": bad})
+
     def test_file_digest_is_sha256(self, tmp_path):
         f = tmp_path / "x"
         f.write_bytes(b"abc")

@@ -24,6 +24,8 @@ from gstbn.network import (
     remove_sensor,
 )
 from conftest import make_grid, random_scenario, scenario_network
+from gstbn.metrics import average_temporal_coverage
+from gstbn.placement import candidate_score
 from gstbn.synth import scenario_field_series, scenario_sensor_nodes
 from oracles import brute_force_edges
 
@@ -430,7 +432,15 @@ class TestIncrementalEditsMatchRebuild:
     @pytest.mark.parametrize("strict", [False, True])
     def test_random_edit_sequences(self, strict):
         rng = np.random.default_rng(2024 + strict)
+        # a separate stream for the scoring probes keeps the edit sequence fixed
+        probes = np.random.default_rng(7 + strict)
         from dataclasses import replace
+
+        def random_coord(gen, grid):
+            return GeoCoord(
+                float(gen.uniform(grid.lon0, grid.lon_at(grid.n_lon - 1))),
+                float(gen.uniform(grid.lat0, grid.lat_at(grid.n_lat - 1))),
+            )
 
         done = {"add": 0, "remove": 0}
         for _ in range(12):
@@ -448,6 +458,8 @@ class TestIncrementalEditsMatchRebuild:
             net = build_temporal_gstbn(series, catalog, strict_observations=strict)
             grid = spec.grid
             for _ in range(6):
+                # fills the cached arrays of `net`; the edit must not reuse them
+                candidate_score(net, random_coord(probes, grid))
                 active = net.active_sensors
                 if len(active) >= 2 and rng.random() < 0.4:
                     victim = active[int(rng.integers(0, len(active)))].id
@@ -465,13 +477,11 @@ class TestIncrementalEditsMatchRebuild:
                         continue
                     done["remove"] += 1
                 else:
-                    coord = GeoCoord(
-                        float(rng.uniform(grid.lon0, grid.lon_at(grid.n_lon - 1))),
-                        float(rng.uniform(grid.lat0, grid.lat_at(grid.n_lat - 1))),
-                    )
-                    edited = add_sensor(net, coord)
+                    edited = add_sensor(net, random_coord(rng, grid))
                     done["add"] += 1
                 assert_same_network(edited, rebuild(edited, series))
+                c = random_coord(probes, grid)
+                assert candidate_score(edited, c) == average_temporal_coverage(add_sensor(edited, c))
                 net = edited
         assert done["add"] >= 30 and done["remove"] >= 10
 

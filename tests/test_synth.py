@@ -61,6 +61,28 @@ class TestScenarioSpecValidation:
         with pytest.raises(ParameterError, match="noise"):
             basic_spec(background_noise_amplitude=0.5)
 
+    def test_overflowing_amplitudes_rejected(self):
+        kinds = (ObservationKind.TEMPERATURE, ObservationKind.SALINITY)
+
+        def hotspots(amplitude, variables):
+            return tuple(
+                Hotspot(
+                    center=GeoCoord(-91.0, 24.5),
+                    amplitude=amplitude,
+                    radius_deg=0.3,
+                    active_intervals=frozenset({0}),
+                    variable=kind,
+                )
+                for kind in variables
+            )
+
+        with pytest.raises(ParameterError, match="temperature hotspot amplitudes too large"):
+            basic_spec(hotspots=hotspots(1e200, kinds[:1]))
+        # 1e154 squared is finite; two such squares summed across variables are not
+        basic_spec(hotspots=hotspots(1e154, kinds[:1]), variables=kinds)
+        with pytest.raises(ParameterError, match="salinity hotspot amplitudes too large"):
+            basic_spec(hotspots=hotspots(1e154, kinds), variables=kinds)
+
     def test_zero_noise_allowed(self):
         basic_spec(background_noise_amplitude=0.0)
 
