@@ -65,6 +65,7 @@ from .placement import (
 )
 from .ingest import (
     export_geojson,
+    format_geojson,
     format_grid_snapshot,
     format_sensor_catalog,
     parse_grid_series,
@@ -151,6 +152,7 @@ __all__ = [
     "write_grid_snapshot",
     "parse_grid_series",
     "export_geojson",
+    "format_geojson",
     # synth
     "Hotspot",
     "ScenarioSpec",

@@ -22,7 +22,8 @@ from .ingest import (
     centrality_to_dict,
     coverage_to_dict,
     dump_json,
-    export_geojson,
+    export_geojson,  # noqa: F401  (bench/tracing.py patches gstbn.cli.export_geojson)
+    format_geojson,
     parse_grid_series,
     parse_sensor_catalog,
     placement_to_dict,
@@ -184,9 +185,8 @@ def _search_domain(args: argparse.Namespace, series) -> SearchDomain:
 def _write_snapshots(net: TemporalGstbn, out_dir: Path, prefix: str = "gstbn") -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for snap in net.snapshots:
-        doc = export_geojson(net, snap.timestamp)
         (out_dir / f"{prefix}-{snap.timestamp}.geojson").write_text(
-            dump_json(doc), encoding="utf-8"
+            format_geojson(net, snap.timestamp), encoding="utf-8"
         )
 
 

@@ -26,6 +26,7 @@ import io
 import json
 import math
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -53,6 +54,7 @@ __all__ = [
     "write_grid_snapshot",
     "parse_grid_series",
     "read_utf8",
+    "format_geojson",
     "export_geojson",
     "file_digest",
     "coverage_to_dict",
@@ -363,76 +365,159 @@ def parse_grid_series(paths: Iterable) -> dict[ObservationKind, list[FieldSnapsh
     return {k: series[k] for k in sorted(series, key=kind_sort_key)}
 
 
-def _point(coord: GeoCoord) -> dict:
-    return {"type": "Point", "coordinates": [coord.lon, coord.lat]}
+# One snapshot's features as `dump_json` lays them out: keys sorted, two-space
+# indent, each template already indented to a feature's depth in the collection.
+_SENSOR_FEATURE = """\
+    {
+      "geometry": {
+        "coordinates": [
+          %s,
+          %s
+        ],
+        "type": "Point"
+      },
+      "properties": {
+        "degree": %s,
+        "id": %s,
+        "membership": %s,
+        "node_type": "sensor",
+        "status": %s
+      },
+      "type": "Feature"
+    }"""
+
+_ROI_FEATURE = """\
+    {
+      "geometry": {
+        "coordinates": [
+          %s,
+          %s
+        ],
+        "type": "Point"
+      },
+      "properties": {
+        "id": %s,
+        "node_type": "roi",
+        "residuals": %s,
+        "roi_value": %s
+      },
+      "type": "Feature"
+    }"""
+
+_EDGE_FEATURE = """\
+    {
+      "geometry": {
+        "coordinates": [
+          [
+            %s,
+            %s
+          ],
+          [
+            %s,
+            %s
+          ]
+        ],
+        "type": "LineString"
+      },
+      "properties": {
+        "roi_id": %s,
+        "sensor_id": %s,
+        "weight_km": %s
+      },
+      "type": "Feature"
+    }"""
 
 
-def export_geojson(net: TemporalGstbn, timestamp: int) -> dict:
-    """One snapshot as a GeoJSON FeatureCollection.
+def _number(x) -> str:
+    """`x` as `json.dumps` writes a number: `float.__repr__` for a float
+    (numpy's float64 included), `int.__repr__` for an int, and ValueError
+    for a float that is not finite, as `allow_nan=False` gives."""
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return float.__repr__(x)
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return int.__repr__(x)
+
+
+def _node_text(coord: GeoCoord, node_id: int) -> tuple[str, str, str]:
+    return _number(coord.lon), _number(coord.lat), _number(node_id)
+
+
+def _residuals(payload: Mapping[ObservationKind, float]) -> str:
+    if not payload:
+        return "{}"
+    items = sorted((k.value, v) for k, v in payload.items())
+    body = ",\n".join(
+        f"          {encode_basestring_ascii(key)}: {_number(v)}" for key, v in items
+    )
+    return "{\n" + body + "\n        }"
+
+
+def format_geojson(net: TemporalGstbn, timestamp: int) -> str:
+    """One snapshot as GeoJSON FeatureCollection text, the bytes of
+    `dump_json` applied to the same collection.
 
     Sensor and RoI nodes become Point features, edges become LineStrings
     from RoI to sensor; coordinates are [lon, lat]. Features are ordered
-    sensors by id, then RoIs by id, then edges by roi id.
+    sensors by id, then RoIs by id, then edges by roi id. ValueError if a
+    number is not finite.
     """
     snap = net.snapshot_at(timestamp)
     degrees: dict[int, int] = {sid: 0 for sid in snap.sensor_ids}
     for e in snap.edges:
         degrees[e.sensor_id] += 1
 
-    features: list[dict] = []
+    # each node's coordinates and id are formatted once, then reused by its edges
+    sensor_text: dict[int, tuple[str, str, str]] = {}
+    roi_text: dict[int, tuple[str, str, str]] = {}
+    features: list[str] = []
     for sid in sorted(snap.sensor_ids):
         s = net.sensors_by_id[sid]
+        lon, lat, text_id = sensor_text[sid] = _node_text(s.geolocation, sid)
         features.append(
-            {
-                "type": "Feature",
-                "geometry": _point(s.geolocation),
-                "properties": {
-                    "node_type": "sensor",
-                    "id": sid,
-                    "membership": s.membership.value,
-                    "status": s.operational_status.value,
-                    "degree": degrees[sid],
-                },
-            }
+            _SENSOR_FEATURE
+            % (
+                lon,
+                lat,
+                _number(degrees[sid]),
+                text_id,
+                encode_basestring_ascii(s.membership.value),
+                encode_basestring_ascii(s.operational_status.value),
+            )
         )
     for rid in sorted(snap.roi_ids):
         node = net.rois_by_id[rid]
-        payload = node.snapshots[timestamp]
+        lon, lat, text_id = roi_text[rid] = _node_text(node.geolocation, rid)
         features.append(
-            {
-                "type": "Feature",
-                "geometry": _point(node.geolocation),
-                "properties": {
-                    "node_type": "roi",
-                    "id": rid,
-                    "roi_value": node.roi_value_at(timestamp),
-                    "residuals": {
-                        k.value: payload[k] for k in sorted(payload, key=kind_sort_key)
-                    },
-                },
-            }
+            _ROI_FEATURE
+            % (
+                lon,
+                lat,
+                text_id,
+                _residuals(node.snapshots[timestamp]),
+                _number(node.roi_value_at(timestamp)),
+            )
         )
     for e in snap.edges:
-        roi = net.rois_by_id[e.roi_id]
-        sensor = net.sensors_by_id[e.sensor_id]
+        roi_lon, roi_lat, roi_id = roi_text[e.roi_id]
+        sensor_lon, sensor_lat, sensor_id = sensor_text[e.sensor_id]
         features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "LineString",
-                    "coordinates": [
-                        [roi.geolocation.lon, roi.geolocation.lat],
-                        [sensor.geolocation.lon, sensor.geolocation.lat],
-                    ],
-                },
-                "properties": {
-                    "roi_id": e.roi_id,
-                    "sensor_id": e.sensor_id,
-                    "weight_km": e.weight_km,
-                },
-            }
+            _EDGE_FEATURE
+            % (roi_lon, roi_lat, sensor_lon, sensor_lat, roi_id, sensor_id, _number(e.weight_km))
         )
-    return {"type": "FeatureCollection", "features": features}
+    if not features:
+        return '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
+    return (
+        '{\n  "features": [\n'
+        + ",\n".join(features)
+        + '\n  ],\n  "type": "FeatureCollection"\n}\n'
+    )
+
+
+def export_geojson(net: TemporalGstbn, timestamp: int) -> dict:
+    """One snapshot as a GeoJSON FeatureCollection dict: the parse of
+    `format_geojson`, so the two cannot disagree."""
+    return json.loads(format_geojson(net, timestamp))
 
 
 def file_digest(path) -> str:

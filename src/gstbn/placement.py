@@ -46,13 +46,23 @@ __all__ = [
 _MAX_REJECTS = 100_000
 
 
+def _overlapping(start: float, step: float, n: int, lo: float, hi: float) -> np.ndarray:
+    """Which of `n` cells along one grid axis (centres `start + k*step`, each
+    box half a step either side) overlap the interval [lo, hi] over a
+    positive length."""
+    centres = start + np.arange(n) * step
+    return np.minimum(centres + step / 2.0, hi) > np.maximum(centres - step / 2.0, lo)
+
+
 @dataclass(frozen=True, eq=False)
 class SearchDomain:
     """Bounding box for candidate draws, with an optional cell mask.
 
     When a mask is present, a draw only counts if it falls in a cell
     marked True; rejected draws are redrawn and do not consume the trial
-    budget.
+    budget. A masked box must overlap some admissible cell over a positive
+    area, or construction raises ParameterError instead of every draw
+    being rejected.
     """
 
     lon_min: float
@@ -83,6 +93,14 @@ class SearchDomain:
                 )
             if not m.any():
                 raise StructuralError("mask admits no cells")
+            g = self.mask_grid
+            rows = _overlapping(g.lat0, g.d_lat, g.n_lat, self.lat_min, self.lat_max)
+            cols = _overlapping(g.lon0, g.d_lon, g.n_lon, self.lon_min, self.lon_max)
+            if not m[np.ix_(rows, cols)].any():
+                raise ParameterError(
+                    f"search box lon [{self.lon_min}, {self.lon_max}] lat "
+                    f"[{self.lat_min}, {self.lat_max}] overlaps no admissible cell"
+                )
             object.__setattr__(self, "mask", m)
 
     @classmethod

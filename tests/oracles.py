@@ -86,3 +86,53 @@ def naive_interval_analysis(snapshot_pairs, threshold):
             if value > 0.0:
                 rois[grid.cell_index(i, j)] = (value, contribs)
     return residual_grids, rois
+
+
+def geojson_document(net, timestamp):
+    """One snapshot's FeatureCollection as a dict tree, built feature by
+    feature; `dump_json` of it gives the canonical GeoJSON bytes, with
+    no template involved.
+    """
+    snap = net.snapshot_at(timestamp)
+    degrees = {sid: 0 for sid in snap.sensor_ids}
+    for e in snap.edges:
+        degrees[e.sensor_id] += 1
+
+    def point(coord):
+        return {"type": "Point", "coordinates": [coord.lon, coord.lat]}
+
+    features = []
+    for sid in sorted(snap.sensor_ids):
+        s = net.sensors_by_id[sid]
+        properties = {
+            "node_type": "sensor",
+            "id": sid,
+            "membership": s.membership.value,
+            "status": s.operational_status.value,
+            "degree": degrees[sid],
+        }
+        features.append(
+            {"type": "Feature", "geometry": point(s.geolocation), "properties": properties}
+        )
+    for rid in sorted(snap.roi_ids):
+        node = net.rois_by_id[rid]
+        payload = node.snapshots[timestamp]
+        properties = {
+            "node_type": "roi",
+            "id": rid,
+            "roi_value": node.roi_value_at(timestamp),
+            "residuals": {k.value: payload[k] for k in sorted(payload, key=kind_sort_key)},
+        }
+        features.append(
+            {"type": "Feature", "geometry": point(node.geolocation), "properties": properties}
+        )
+    for e in snap.edges:
+        roi = net.rois_by_id[e.roi_id].geolocation
+        sensor = net.sensors_by_id[e.sensor_id].geolocation
+        geometry = {
+            "type": "LineString",
+            "coordinates": [[roi.lon, roi.lat], [sensor.lon, sensor.lat]],
+        }
+        properties = {"roi_id": e.roi_id, "sensor_id": e.sensor_id, "weight_km": e.weight_km}
+        features.append({"type": "Feature", "geometry": geometry, "properties": properties})
+    return {"type": "FeatureCollection", "features": features}

@@ -12,7 +12,16 @@ import gstbn
 from gstbn.cli import main
 from gstbn.geo import GeoCoord
 from gstbn.field import FieldSnapshot, GridSpec, ObservationKind
-from gstbn.ingest import write_grid_snapshot, write_sensor_catalog
+from gstbn.ingest import (
+    dump_json,
+    export_geojson,
+    parse_grid_series,
+    parse_sensor_catalog,
+    write_grid_snapshot,
+    write_sensor_catalog,
+)
+from gstbn.network import build_temporal_gstbn
+from gstbn.placement import SearchDomain, place_sequential
 from gstbn.synth import (
     Hotspot,
     ScenarioSpec,
@@ -273,6 +282,57 @@ class TestOptimize:
         extra = ("--bbox", "-91.0", "-90.0", "80.0", "95.0")
         assert self.run(scenario_dir, out, extra) == 1
         assert "gstbn: error:" in capsys.readouterr().err
+
+    def test_masked_bbox_outside_grid_fails_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        # cell 1 is missing in both snapshots, so the default search is masked
+        args = two_cell_inputs(tmp_path / "in", [1.0, np.nan], [3.0, np.nan])
+
+        def no_draw(*args):
+            raise AssertionError("a candidate was drawn")
+
+        monkeypatch.setattr(gstbn.placement, "_draw", no_draw)
+        code = main([
+            "optimize", *args, "--bbox", "10", "20", "30", "40",
+            "--out", str(tmp_path / "run.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "gstbn: error: search box lon [10.0, 20.0] lat [30.0, 40.0] overlaps no admissible cell"
+        ]
+
+
+class TestGeojsonFiles:
+    """Every GeoJSON file a command writes is in canonical form and parses to
+    `export_geojson` of the network that command built."""
+
+    def check(self, directory, prefix, net):
+        paths = sorted(directory.glob("*.geojson"))
+        assert [p.name for p in paths] == sorted(
+            f"{prefix}-{s.timestamp}.geojson" for s in net.snapshots
+        )
+        for snap in net.snapshots:
+            text = (directory / f"{prefix}-{snap.timestamp}.geojson").read_text(encoding="utf-8")
+            assert text == dump_json(json.loads(text))
+            assert json.loads(text) == export_geojson(net, snap.timestamp)
+
+    def network(self, files, **kwargs):
+        series = parse_grid_series(files.grid_paths)
+        return build_temporal_gstbn(series, parse_sensor_catalog(files.catalog_path), **kwargs)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_build(self, scenario_dir, tmp_path, strict):
+        flags = ["--strict-observations"] if strict else []
+        out = tmp_path / "net"
+        assert main(["build", *network_args(scenario_dir), *flags, "--out", str(out)]) == 0
+        self.check(out, "gstbn", self.network(scenario_dir, strict_observations=strict))
+
+    def test_optimize(self, scenario_dir, tmp_path):
+        args = ["--trials", "40", "--new-sensors", "2", "--seed", "3"]
+        assert main(["optimize", *network_args(scenario_dir), *args,
+                     "--out", str(tmp_path / "run.json")]) == 0
+        domain = SearchDomain.from_grid(cli_spec().grid)
+        result = place_sequential(self.network(scenario_dir), domain, 2, 40, 3)
+        self.check(tmp_path, "run-gstbn", result.network)
 
 
 class TestSynthCommand:

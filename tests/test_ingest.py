@@ -17,6 +17,7 @@ from gstbn.ingest import (
     dump_json,
     export_geojson,
     file_digest,
+    format_geojson,
     format_grid_snapshot,
     format_sensor_catalog,
     parse_grid_series,
@@ -29,13 +30,18 @@ from gstbn.ingest import (
 )
 from gstbn.metrics import coverage_report, degree_centrality, evaluate_robustness
 from gstbn.network import (
+    GstbnEdge,
+    GstbnSnapshot,
     Membership,
     Mobility,
     OperationalStatus,
+    RoIEventNode,
     SensorNode,
+    TemporalGstbn,
 )
 from gstbn.placement import PlacedSensor, PlacementResult
 from conftest import make_grid
+from oracles import geojson_document
 
 
 def random_sensor(rng, sid):
@@ -558,6 +564,95 @@ class TestExportGeojson:
                 [roi.geolocation.lon, roi.geolocation.lat],
                 [sensor.geolocation.lon, sensor.geolocation.lat],
             ]
+
+
+# floats that reach the GeoJSON text: signed zeros, subnormals, values past
+# 1e16 (where repr switches to exponent form), and numpy float64 scalars
+_SPECIAL = st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-310])
+
+
+def _float_in(lo, hi, specials=_SPECIAL):
+    value = st.one_of(st.floats(lo, hi), specials)
+    return st.one_of(value, value.map(np.float64))
+
+
+_magnitudes = _float_in(
+    0.0, 1e307, st.one_of(_SPECIAL, st.sampled_from([1e16, 12345678901234567.0, 1e300]))
+)
+
+
+@st.composite
+def small_networks(draw):
+    """A network built directly from its parts: sensors of both memberships
+    and statuses (inactive ones stay out of every snapshot), RoIs with one to
+    four residuals (or none, which the network also accepts), snapshots with
+    and without RoIs, and zero-degree sensors."""
+
+    def coord():
+        return GeoCoord(draw(_float_in(-180.0, 180.0)), draw(_float_in(-90.0, 90.0)))
+
+    sensors = [
+        SensorNode(
+            id=sid,
+            membership=draw(st.sampled_from(list(Membership))),
+            data_source="src",
+            platform="buoy",
+            mobility=Mobility.STATIONARY,
+            geolocation=coord(),
+            operational_status=draw(st.sampled_from(list(OperationalStatus))),
+            observations=frozenset(ObservationKind),
+        )
+        for sid in draw(st.sets(st.integers(0, 50), max_size=4))
+    ]
+    active = sorted(s.id for s in sensors if s.is_active)
+    timestamps = sorted(draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=3)))
+    rois = [RoIEventNode(id=rid, geolocation=coord()) for rid in range(draw(st.integers(0, 5)))]
+    snapshots = []
+    for ts in timestamps:
+        members = sorted(draw(st.sets(st.integers(0, len(rois) - 1)))) if rois else []
+        edges = []
+        for rid in members:
+            kinds = draw(st.lists(st.sampled_from(list(ObservationKind)), max_size=4, unique=True))
+            rois[rid].snapshots[ts] = {k: draw(_magnitudes) for k in kinds}
+            if active:
+                edges.append(GstbnEdge(rid, draw(st.sampled_from(active)), draw(_magnitudes)))
+        snapshots.append(GstbnSnapshot(ts, frozenset(active), frozenset(members), tuple(edges)))
+    return TemporalGstbn(tuple(snapshots), tuple(sensors), tuple(rois))
+
+
+class TestFormatGeojson:
+    @settings(max_examples=300, deadline=None)
+    @given(net=small_networks())
+    def test_text_is_canonical_and_matches_the_dict_tree(self, net):
+        for snap in net.snapshots:
+            text = format_geojson(net, snap.timestamp)
+            # the stdlib encoder, an independent writer, lays the parse out the same way
+            assert text == dump_json(json.loads(text))
+            assert text == dump_json(geojson_document(net, snap.timestamp))
+            assert export_geojson(net, snap.timestamp) == json.loads(text)
+
+    def test_empty_collection(self):
+        net = TemporalGstbn((GstbnSnapshot(5, frozenset(), frozenset(), ()),), (), ())
+        text = format_geojson(net, 5)
+        assert text == '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
+        assert text == dump_json(geojson_document(net, 5))
+
+    def test_non_finite_numbers_raise(self, small_network):
+        ts = small_network.snapshots[0].timestamp
+        edge = small_network.snapshot_at(ts).edges[0]
+        for bad in (math.inf, -math.inf, math.nan):
+            object.__setattr__(edge, "weight_km", bad)
+            with pytest.raises(ValueError):
+                format_geojson(small_network, ts)
+        object.__setattr__(edge, "weight_km", 1.0)
+        payload = small_network.rois_by_id[edge.roi_id].snapshots[ts]
+        kind = next(iter(payload))
+        for bad in (math.inf, np.float64(math.nan)):
+            payload[kind] = bad
+            with pytest.raises(ValueError):
+                format_geojson(small_network, ts)
+            with pytest.raises(ValueError):
+                export_geojson(small_network, ts)
 
 
 class TestReports:

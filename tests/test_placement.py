@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from gstbn.metrics import average_temporal_coverage
 from gstbn.network import add_sensor
 from gstbn.placement import (
     SearchDomain,
+    _draw,
     candidate_score,
     derive_seed,
     monte_carlo_place,
@@ -50,6 +53,26 @@ class TestSearchDomain:
             SearchDomain(lon_min=10.0, lon_max=5.0, lat_min=0.0, lat_max=1.0)
         with pytest.raises(ParameterError):
             SearchDomain(lon_min=-300.0, lon_max=0.0, lat_min=0.0, lat_max=1.0)
+
+    def test_masked_box_must_overlap_an_admissible_cell(self):
+        # only cell (0, 0) is admissible: lon [19.5, 20.5] x lat [9.5, 10.5]
+        grid = GridSpec(n_lat=2, n_lon=3, lat0=10.0, d_lat=1.0, lon0=20.0, d_lon=1.0)
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[0, 0] = True
+        full = SearchDomain.from_grid(grid, mask)
+        touching = (
+            {"lon_min": 20.5},  # shares the cell's east edge
+            {"lat_min": 10.5},  # shares its north edge
+            {"lon_min": 20.5, "lat_min": 10.5},  # shares its corner
+            {"lon_min": 30.0, "lon_max": 40.0},  # lies beyond the grid
+        )
+        for bounds in touching:
+            with pytest.raises(ParameterError, match="overlaps no admissible cell"):
+                replace(full, **bounds)
+        for bounds in ({"lon_min": 20.25}, {"lat_min": 9.0, "lat_max": 9.75}):
+            partial = replace(full, **bounds)
+            coord = _draw(partial, 5, 0)
+            assert grid.containing_cell(coord) == 0
 
 
 class TestCandidateScore:
