@@ -26,6 +26,7 @@ import io
 import json
 import math
 import warnings
+from collections import Counter
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -463,9 +464,8 @@ def format_geojson(net: TemporalGstbn, timestamp: int) -> str:
     number is not finite.
     """
     snap = net.snapshot_at(timestamp)
-    degrees: dict[int, int] = {sid: 0 for sid in snap.sensor_ids}
-    for e in snap.edges:
-        degrees[e.sensor_id] += 1
+    roi_ids, linked = snap.roi_id.tolist(), snap.sensor_id.tolist()
+    degrees = Counter(linked)
 
     # each node's coordinates and id are formatted once, then reused by its edges
     sensor_text: dict[int, tuple[str, str, str]] = {}
@@ -485,7 +485,7 @@ def format_geojson(net: TemporalGstbn, timestamp: int) -> str:
                 encode_basestring_ascii(s.operational_status.value),
             )
         )
-    for rid in sorted(snap.roi_ids):
+    for rid in roi_ids:
         node = net.rois_by_id[rid]
         lon, lat, text_id = roi_text[rid] = _node_text(node.geolocation, rid)
         features.append(
@@ -498,12 +498,12 @@ def format_geojson(net: TemporalGstbn, timestamp: int) -> str:
                 _number(node.roi_value_at(timestamp)),
             )
         )
-    for e in snap.edges:
-        roi_lon, roi_lat, roi_id = roi_text[e.roi_id]
-        sensor_lon, sensor_lat, sensor_id = sensor_text[e.sensor_id]
+    for rid, sid, weight_km in zip(roi_ids, linked, snap.weight_km.tolist()):
+        roi_lon, roi_lat, roi_id = roi_text[rid]
+        sensor_lon, sensor_lat, sensor_id = sensor_text[sid]
         features.append(
             _EDGE_FEATURE
-            % (roi_lon, roi_lat, sensor_lon, sensor_lat, roi_id, sensor_id, _number(e.weight_km))
+            % (roi_lon, roi_lat, sensor_lon, sensor_lat, roi_id, sensor_id, _number(weight_km))
         )
     if not features:
         return '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ParameterError, StructuralError
 from .network import GstbnSnapshot, TemporalGstbn, remove_sensor
@@ -52,38 +54,42 @@ class RobustnessReport:
     relative_increase: float
 
 
-def coverage_sum(values: Iterable[float]) -> float:
-    """The one reduction behind every coverage figure: the builtin `sum`,
-    left to right. Edge weights go in roi-id order and snapshot sums in
-    time order, so a trial score and a rebuilt network's coverage add the
-    same floats in the same order and agree exactly.
+def coverage_sum(values: np.ndarray | Sequence[float]) -> float | list[float]:
+    """The one reduction behind every coverage figure: a float64 sum along
+    the last axis, left to right from +0.0. A 1-D input gives a float, a
+    2-D input the list of its row sums.
+
+    Edge weights go in roi-id order and snapshot sums in time order, so a
+    trial score and a rebuilt network's coverage add the same floats in the
+    same order and agree exactly. `np.cumsum` adds sequentially; `np.sum`
+    adds pairwise, and builtin `sum` is compensated from Python 3.12 on.
     """
-    return sum(values)
+    a = np.asarray(values, dtype=np.float64)
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1]).tolist()
+    return (0.0 + np.cumsum(a, axis=-1)[..., -1]).tolist()
 
 
 def static_coverage(snapshot: GstbnSnapshot) -> float:
     """Sum of edge weights in one snapshot, in km. Zero when no RoIs fired."""
-    return coverage_sum(e.weight_km for e in snapshot.edges)
+    return coverage_sum(snapshot.weight_km)
 
 
 def total_temporal_coverage(net: TemporalGstbn) -> float:
     """Static coverage summed over all snapshots."""
-    if not net.snapshots:
-        raise StructuralError("network has no snapshots")
-    return coverage_sum(static_coverage(s) for s in net.snapshots)
+    return coverage_report(net).total_km
 
 
 def average_temporal_coverage(net: TemporalGstbn) -> float:
     """Total temporal coverage divided by the snapshot count."""
-    return total_temporal_coverage(net) / len(net.snapshots)
+    return coverage_report(net).average_km
 
 
 def coverage_report(net: TemporalGstbn) -> CoverageReport:
     if not net.snapshots:
         raise StructuralError("network has no snapshots")
     per = tuple((s.timestamp, static_coverage(s)) for s in net.snapshots)
-    # the same sum total_temporal_coverage takes, without redoing each snapshot's
-    total = coverage_sum(v for _, v in per)
+    total = coverage_sum([v for _, v in per])
     return CoverageReport(
         per_snapshot=per,
         total_km=total,
@@ -101,16 +107,13 @@ def degree_centrality(net: TemporalGstbn) -> CentralityReport:
     if not net.snapshots:
         raise StructuralError("network has no snapshots")
     static: dict[int, dict[int, int]] = {}
-    overall: dict[int, int] = {
-        sid: 0 for sid in sorted(net.snapshots[0].sensor_ids)
-    }
     for snap in net.snapshots:
-        degrees = {sid: 0 for sid in sorted(snap.sensor_ids)}
-        for e in snap.edges:
-            degrees[e.sensor_id] += 1
-        static[snap.timestamp] = degrees
-        for sid, d in degrees.items():
-            overall[sid] += d
+        counts = Counter(snap.sensor_id.tolist())
+        static[snap.timestamp] = {sid: counts[sid] for sid in sorted(snap.sensor_ids)}
+    overall = {
+        sid: sum(degrees[sid] for degrees in static.values())
+        for sid in sorted(net.snapshots[0].sensor_ids)
+    }
     distribution = dict(sorted(Counter(overall.values()).items()))
     return CentralityReport(
         static_per_snapshot=static, overall=overall, distribution=distribution

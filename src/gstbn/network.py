@@ -117,8 +117,14 @@ class RoIEventNode:
                     )
 
     def roi_value_at(self, timestamp: int) -> float:
+        """The residuals added left to right in kind order, as
+        `extract_roi_events` adds them (builtin `sum` compensates from
+        Python 3.12 on)."""
         payload = self.snapshots[timestamp]
-        return sum(payload[k] for k in sorted(payload, key=kind_sort_key))
+        total = 0.0
+        for kind in sorted(payload, key=kind_sort_key):
+            total += payload[kind]
+        return total
 
 
 @dataclass(frozen=True)
@@ -128,30 +134,57 @@ class GstbnEdge:
     weight_km: float
 
 
-@dataclass(frozen=True)
+_EDGE_ARRAYS = (("roi_id", np.int64), ("sensor_id", np.int64), ("weight_km", np.float64))
+
+
+@dataclass(frozen=True, eq=False)
 class GstbnSnapshot:
-    """The bipartite graph for one interval, keyed by the interval end."""
+    """The bipartite graph for one interval, keyed by the interval end.
+
+    Row k links RoI `roi_id[k]` to sensor `sensor_id[k]`, `weight_km[k]`
+    away: one row per RoI that fired, in increasing roi id. The arrays
+    are read-only copies, so a snapshot cannot change after its checks.
+    """
 
     timestamp: int
     sensor_ids: frozenset[int]
-    roi_ids: frozenset[int]
-    edges: tuple[GstbnEdge, ...]
+    roi_id: np.ndarray
+    sensor_id: np.ndarray
+    weight_km: np.ndarray
 
     def __post_init__(self):
-        seen_rois = []
-        for e in self.edges:
-            if e.roi_id not in self.roi_ids:
-                raise StructuralError(f"edge references unknown roi {e.roi_id}")
-            if e.sensor_id not in self.sensor_ids:
-                raise StructuralError(f"edge references unknown sensor {e.sensor_id}")
-            if not (math.isfinite(e.weight_km) and e.weight_km >= 0.0):
-                raise StructuralError(f"edge weight {e.weight_km} is not a distance")
-            seen_rois.append(e.roi_id)
-        if self.sensor_ids:
-            if len(seen_rois) != len(self.roi_ids) or set(seen_rois) != self.roi_ids:
-                raise StructuralError("every roi must link to exactly one sensor")
-        if seen_rois != sorted(seen_rois):
-            raise StructuralError("edges must be sorted by roi id")
+        for name, dtype in _EDGE_ARRAYS:
+            a = np.array(getattr(self, name), dtype=dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        shape = self.roi_id.shape
+        if len(shape) != 1 or not shape == self.sensor_id.shape == self.weight_km.shape:
+            raise StructuralError("roi_id, sensor_id and weight_km must be 1-D and of one length")
+        if (np.diff(self.roi_id) <= 0).any():
+            raise StructuralError("edges must be sorted by roi id, one per roi")
+        unknown = set(np.unique(self.sensor_id).tolist()) - self.sensor_ids
+        if unknown:
+            raise StructuralError(f"edge references unknown sensor {min(unknown)}")
+        bad = ~(np.isfinite(self.weight_km) & (self.weight_km >= 0.0))
+        if bad.any():
+            raise StructuralError(f"edge weight {self.weight_km[bad][0]} is not a distance")
+
+    def __eq__(self, other):
+        if not isinstance(other, GstbnSnapshot):
+            return NotImplemented
+        return (self.timestamp, self.sensor_ids) == (other.timestamp, other.sensor_ids) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name, _ in _EDGE_ARRAYS
+        )
+
+    @cached_property
+    def roi_ids(self) -> frozenset[int]:
+        return frozenset(self.roi_id.tolist())
+
+    @cached_property
+    def edges(self) -> tuple[GstbnEdge, ...]:
+        """The rows as edge objects, built on first read from the arrays."""
+        rows = zip(self.roi_id.tolist(), self.sensor_id.tolist(), self.weight_km.tolist())
+        return tuple(GstbnEdge(*row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -171,18 +204,13 @@ class TemporalGstbn:
         ids = [s.id for s in self.sensor_catalog]
         if len(set(ids)) != len(ids):
             raise StructuralError("duplicate sensor ids in catalog")
-        rids = [r.id for r in self.roi_registry]
-        if len(set(rids)) != len(rids):
-            raise StructuralError("duplicate roi ids in registry")
         active = frozenset(s.id for s in self.sensor_catalog if s.is_active)
-        known_rois = set(rids)
         for snap in self.snapshots:
             if snap.sensor_ids != active:
                 raise StructuralError(
                     f"snapshot {snap.timestamp} sensor set differs from the active catalog"
                 )
-            if not snap.roi_ids <= known_rois:
-                raise StructuralError(f"snapshot {snap.timestamp} references unregistered rois")
+        self._registry_rows  # raises on an unregistered roi
 
     @cached_property
     def sensors_by_id(self) -> dict[int, SensorNode]:
@@ -197,16 +225,21 @@ class TemporalGstbn:
         return lonlat_arrays(n.geolocation for n in self.roi_registry)
 
     @cached_property
-    def _edge_weights(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per snapshot, the registry index and weight of each edge, in roi-id order."""
-        index_of = {node.id: i for i, node in enumerate(self.roi_registry)}
-        return tuple(
-            (
-                np.array([index_of[e.roi_id] for e in snap.edges], dtype=np.intp),
-                np.array([e.weight_km for e in snap.edges], dtype=np.float64),
-            )
-            for snap in self.snapshots
-        )
+    def _registry_rows(self) -> tuple[np.ndarray, ...]:
+        """Per snapshot, the registry position of each edge's RoI."""
+        ids = np.array([r.id for r in self.roi_registry], dtype=np.int64)
+        order = np.argsort(ids)
+        ids = ids[order]
+        if (np.diff(ids) == 0).any():
+            raise StructuralError("duplicate roi ids in registry")
+        rows = []
+        for snap in self.snapshots:
+            # roi_id increases, so only its last entry can fall past the end
+            pos = np.searchsorted(ids, snap.roi_id)
+            if len(pos) and (pos[-1] == len(ids) or (ids[pos] != snap.roi_id).any()):
+                raise StructuralError(f"snapshot {snap.timestamp} references unregistered rois")
+            rows.append(order[pos])
+        return tuple(rows)
 
     @property
     def active_sensors(self) -> list[SensorNode]:
@@ -221,7 +254,7 @@ class TemporalGstbn:
 
 def _nearest(
     rois: Sequence[RoIEventNode], sensors: Sequence[SensorNode], earth: EarthModel
-) -> tuple[list[int], list[float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """(sensor id, distance km) of the nearest sensor for each RoI.
 
     Sensors are sorted by id and `argmin` returns the first minimum, so
@@ -237,7 +270,7 @@ def _nearest(
         block = haversine_km(r_lon[rows, None], r_lat[rows, None], s_lon, s_lat, earth.radius_km)
         best[rows] = block.argmin(axis=1)
         dist[rows] = block.min(axis=1)
-    return [ordered[i].id for i in best.tolist()], dist.tolist()
+    return np.array([s.id for s in ordered], dtype=np.int64)[best], dist
 
 
 def build_edges(
@@ -245,28 +278,31 @@ def build_edges(
     sensors: Sequence[SensorNode],
     earth: EarthModel = EARTH,
     contributing_kinds: Mapping[int, frozenset[ObservationKind]] | None = None,
-) -> tuple[GstbnEdge, ...]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Link every RoI to its nearest sensor; ties go to the lower sensor id.
 
     With `contributing_kinds` (roi id -> the variables that fired there),
     each RoI only considers sensors observing at least one of its
-    variables; without it any sensor qualifies. The returned edges are
+    variables; without it any sensor qualifies. Returns the edges as the
+    arrays (roi_id, sensor_id, weight_km) of a :class:`GstbnSnapshot`,
     sorted by roi id. An empty sensor list raises, even with no RoIs:
     a network without observers is a caller error, not an empty result.
     """
     if not sensors:
         raise NoObserversError("no active sensors to link against")
 
+    rois = list(rois)
     if contributing_kinds is None:
-        groups: dict[frozenset[ObservationKind] | None, list[RoIEventNode]] = {None: list(rois)}
+        groups: dict[frozenset[ObservationKind] | None, list[int]] = {None: list(range(len(rois)))}
     else:
         groups = {}
-        for roi in rois:
-            kinds = frozenset(contributing_kinds[roi.id])
-            groups.setdefault(kinds, []).append(roi)
+        for k, roi in enumerate(rois):
+            groups.setdefault(frozenset(contributing_kinds[roi.id]), []).append(k)
 
-    edges: list[GstbnEdge] = []
-    for kinds, members in groups.items():
+    roi_id = np.array([r.id for r in rois], dtype=np.int64)
+    sensor_id = np.empty(len(rois), dtype=np.int64)
+    weight_km = np.empty(len(rois), dtype=np.float64)
+    for kinds, rows in groups.items():
         if kinds is None:
             eligible: Sequence[SensorNode] = sensors
         else:
@@ -274,13 +310,9 @@ def build_edges(
             if not eligible:
                 names = ",".join(sorted(k.value for k in kinds))
                 raise NoObserversError(f"no active sensor observes any of: {names}")
-        ids, dists = _nearest(members, eligible, earth)
-        edges.extend(
-            GstbnEdge(roi_id=roi.id, sensor_id=sid, weight_km=d)
-            for roi, sid, d in zip(members, ids, dists)
-        )
-    edges.sort(key=lambda e: e.roi_id)
-    return tuple(edges)
+        sensor_id[rows], weight_km[rows] = _nearest([rois[k] for k in rows], eligible, earth)
+    order = np.argsort(roi_id, kind="stable")
+    return roi_id[order], sensor_id[order], weight_km[order]
 
 
 def _series_intervals(
@@ -368,14 +400,7 @@ def build_temporal_gstbn(
                 node.id: frozenset(node.snapshots[t_end]) for node in interval_rois
             }
         edges = build_edges(interval_rois, actives, earth, contributing_kinds=contributing)
-        snapshots.append(
-            GstbnSnapshot(
-                timestamp=t_end,
-                sensor_ids=active_ids,
-                roi_ids=frozenset(n.id for n in interval_rois),
-                edges=edges,
-            )
-        )
+        snapshots.append(GstbnSnapshot(t_end, active_ids, *edges))
 
     registry = tuple(sorted(by_cell.values(), key=lambda n: n.id))
     return TemporalGstbn(
@@ -398,8 +423,8 @@ def _relaxed(net: TemporalGstbn, lon: np.ndarray, lat: np.ndarray):
     """
     r_lon, r_lat = net._registry_lonlat
     dist = haversine_km(r_lon, r_lat, lon[:, None], lat[:, None], net.earth.radius_km)
-    for idx, w in net._edge_weights:
-        yield np.minimum(w, dist[:, idx])
+    for snap, rows in zip(net.snapshots, net._registry_rows):
+        yield np.minimum(snap.weight_km, dist[:, rows])
 
 
 def add_sensor(net: TemporalGstbn, coord: GeoCoord) -> TemporalGstbn:
@@ -428,11 +453,9 @@ def add_sensor(net: TemporalGstbn, coord: GeoCoord) -> TemporalGstbn:
     snapshots = []
     lon, lat = lonlat_arrays([coord])
     for snap, relaxed in zip(net.snapshots, _relaxed(net, lon, lat)):
-        edges = tuple(
-            GstbnEdge(roi_id=e.roi_id, sensor_id=fresh_id, weight_km=w) if w < e.weight_km else e
-            for e, w in zip(snap.edges, relaxed[0].tolist())
-        )
-        snapshots.append(replace(snap, sensor_ids=active_ids, edges=edges))
+        weights = relaxed[0]
+        linked = np.where(weights < snap.weight_km, fresh_id, snap.sensor_id)
+        snapshots.append(replace(snap, sensor_ids=active_ids, sensor_id=linked, weight_km=weights))
     return replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)
 
 
@@ -459,12 +482,13 @@ def remove_sensor(net: TemporalGstbn, sensor_id: int) -> TemporalGstbn:
     active_ids = frozenset(s.id for s in actives)
     snapshots = []
     for snap in net.snapshots:
-        orphans = [net.rois_by_id[e.roi_id] for e in snap.edges if e.sensor_id == sensor_id]
+        served = snap.sensor_id == sensor_id
+        orphans = [net.rois_by_id[rid] for rid in snap.roi_id[served].tolist()]
         contributing = None
         if net.strict_observations:
             contributing = {r.id: frozenset(r.snapshots[snap.timestamp]) for r in orphans}
-        relinked = build_edges(orphans, actives, net.earth, contributing_kinds=contributing)
-        kept = [e for e in snap.edges if e.sensor_id != sensor_id]
-        edges = tuple(sorted(kept + list(relinked), key=lambda e: e.roi_id))
-        snapshots.append(replace(snap, sensor_ids=active_ids, edges=edges))
+        linked, weights = snap.sensor_id.copy(), snap.weight_km.copy()
+        # the orphans are in roi-id order, the order build_edges returns them in
+        _, linked[served], weights[served] = build_edges(orphans, actives, net.earth, contributing)
+        snapshots.append(replace(snap, sensor_ids=active_ids, sensor_id=linked, weight_km=weights))
     return replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)

@@ -169,13 +169,9 @@ def _scores(net: TemporalGstbn, candidates: list[GeoCoord]) -> list[float]:
     lon, lat = lonlat_arrays(candidates)
     out: list[float] = []
     for rows in row_blocks(len(candidates), len(net.roi_registry)):
-        # memoryview rows hand `coverage_sum` the same Python floats as a
-        # list would, without building one
-        per_snap = [
-            [coverage_sum(memoryview(row)) for row in relaxed]
-            for relaxed in _relaxed(net, lon[rows], lat[rows])
-        ]
-        out.extend(coverage_sum(totals) / len(net.snapshots) for totals in zip(*per_snap))
+        # (snapshots x candidates) static coverages, summed over snapshots per candidate
+        per_snap = [coverage_sum(relaxed) for relaxed in _relaxed(net, lon[rows], lat[rows])]
+        out.extend(total / len(net.snapshots) for total in coverage_sum(np.transpose(per_snap)))
     return out
 
 

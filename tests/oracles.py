@@ -30,6 +30,15 @@ def reference_distance_km(lon1, lat1, lon2, lat2, radius_km=6371.0090667) -> flo
     return float(mp.atan2(num, den) * mp.mpf(radius_km))
 
 
+def sequential_sum(values) -> float:
+    """Left-to-right float sum from +0.0, one addition at a time: the
+    order builtin `sum` used before Python 3.12 made it compensated."""
+    acc = 0.0
+    for x in values:
+        acc += x
+    return acc
+
+
 def brute_force_edges(rois, sensors, earth):
     """Nearest-sensor assignment as an explicit double loop.
 

@@ -30,7 +30,6 @@ from gstbn.ingest import (
 )
 from gstbn.metrics import coverage_report, degree_centrality, evaluate_robustness
 from gstbn.network import (
-    GstbnEdge,
     GstbnSnapshot,
     Membership,
     Mobility,
@@ -586,7 +585,8 @@ def small_networks(draw):
     """A network built directly from its parts: sensors of both memberships
     and statuses (inactive ones stay out of every snapshot), RoIs with one to
     four residuals (or none, which the network also accepts), snapshots with
-    and without RoIs, and zero-degree sensors."""
+    and without RoIs, and zero-degree sensors. RoIs fire only where some
+    sensor is active, since every RoI in a snapshot has an edge."""
 
     def coord():
         return GeoCoord(draw(_float_in(-180.0, 180.0)), draw(_float_in(-90.0, 90.0)))
@@ -609,14 +609,14 @@ def small_networks(draw):
     rois = [RoIEventNode(id=rid, geolocation=coord()) for rid in range(draw(st.integers(0, 5)))]
     snapshots = []
     for ts in timestamps:
-        members = sorted(draw(st.sets(st.integers(0, len(rois) - 1)))) if rois else []
-        edges = []
+        members = sorted(draw(st.sets(st.integers(0, len(rois) - 1)))) if rois and active else []
+        linked, weights = [], []
         for rid in members:
             kinds = draw(st.lists(st.sampled_from(list(ObservationKind)), max_size=4, unique=True))
             rois[rid].snapshots[ts] = {k: draw(_magnitudes) for k in kinds}
-            if active:
-                edges.append(GstbnEdge(rid, draw(st.sampled_from(active)), draw(_magnitudes)))
-        snapshots.append(GstbnSnapshot(ts, frozenset(active), frozenset(members), tuple(edges)))
+            linked.append(draw(st.sampled_from(active)))
+            weights.append(draw(_magnitudes))
+        snapshots.append(GstbnSnapshot(ts, frozenset(active), members, linked, weights))
     return TemporalGstbn(tuple(snapshots), tuple(sensors), tuple(rois))
 
 
@@ -632,20 +632,23 @@ class TestFormatGeojson:
             assert export_geojson(net, snap.timestamp) == json.loads(text)
 
     def test_empty_collection(self):
-        net = TemporalGstbn((GstbnSnapshot(5, frozenset(), frozenset(), ()),), (), ())
+        net = TemporalGstbn((GstbnSnapshot(5, frozenset(), (), (), ()),), (), ())
         text = format_geojson(net, 5)
         assert text == '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
         assert text == dump_json(geojson_document(net, 5))
 
     def test_non_finite_numbers_raise(self, small_network):
         ts = small_network.snapshots[0].timestamp
-        edge = small_network.snapshot_at(ts).edges[0]
+        snap = small_network.snapshot_at(ts)
+        weights = snap.weight_km.copy()
+        # the checks in GstbnSnapshot keep a bad weight out, so poke one in past them
+        object.__setattr__(snap, "weight_km", weights)
         for bad in (math.inf, -math.inf, math.nan):
-            object.__setattr__(edge, "weight_km", bad)
+            weights[0] = bad
             with pytest.raises(ValueError):
                 format_geojson(small_network, ts)
-        object.__setattr__(edge, "weight_km", 1.0)
-        payload = small_network.rois_by_id[edge.roi_id].snapshots[ts]
+        weights[0] = 1.0
+        payload = small_network.rois_by_id[int(snap.roi_id[0])].snapshots[ts]
         kind = next(iter(payload))
         for bad in (math.inf, np.float64(math.nan)):
             payload[kind] = bad

@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gstbn.errors import ParameterError, StructuralError
 from gstbn.field import FieldSnapshot, ObservationKind
@@ -10,6 +13,7 @@ from gstbn.geo import GeoCoord
 from gstbn.metrics import (
     average_temporal_coverage,
     coverage_report,
+    coverage_sum,
     degree_centrality,
     evaluate_robustness,
     static_coverage,
@@ -22,20 +26,49 @@ from gstbn.network import (
 )
 from gstbn.synth import Hotspot, ScenarioSpec, scenario_sensor_nodes
 from conftest import make_grid, random_scenario, scenario_network
+from oracles import sequential_sum
+
+# signed zeros, subnormals and magnitudes far apart, where the order and
+# the method of a float sum show in the result
+_summands = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16]),
+    st.floats(-1e300, 1e300),
+    st.floats(-1.0, 1.0),
+)
+
+
+def same_float(a, b):
+    return math.copysign(1.0, a) == math.copysign(1.0, b) and a == b
 
 
 class TestCoverage:
+    @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=40),
+                  elements=_summands))
+    @example(np.zeros(0))
+    @example(np.zeros((3, 0)))
+    @example(np.array([-0.0]))
+    @example(np.array([-0.0, -0.0]))
+    @example(np.array([[1e16, 1.0, -1e16], [5e-324, -0.0, 5e-324]]))
+    def test_coverage_sum_adds_left_to_right(self, values):
+        got = coverage_sum(values)
+        if values.ndim == 1:
+            assert same_float(got, sequential_sum(values.tolist()))
+        else:
+            assert len(got) == len(values)
+            for total, row in zip(got, values.tolist()):
+                assert same_float(total, sequential_sum(row))
+
     def test_static_coverage_sums_edge_weights(self, small_network):
         for snap in small_network.snapshots:
-            assert static_coverage(snap) == sum(e.weight_km for e in snap.edges)
+            assert static_coverage(snap) == sequential_sum(e.weight_km for e in snap.edges)
 
     def test_empty_snapshot_scores_zero(self, small_network):
-        snap = replace(small_network.snapshots[0], roi_ids=frozenset(), edges=())
+        snap = replace(small_network.snapshots[0], roi_id=(), sensor_id=(), weight_km=())
         assert static_coverage(snap) == 0.0
 
     def test_total_is_sum_of_statics(self, small_network):
         total = total_temporal_coverage(small_network)
-        assert total == sum(static_coverage(s) for s in small_network.snapshots)
+        assert total == sequential_sum(static_coverage(s) for s in small_network.snapshots)
 
     def test_average_times_count_equals_total(self):
         rng = np.random.default_rng(17)

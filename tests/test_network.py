@@ -18,6 +18,7 @@ from gstbn.network import (
     OperationalStatus,
     RoIEventNode,
     SensorNode,
+    TemporalGstbn,
     add_sensor,
     build_edges,
     build_temporal_gstbn,
@@ -48,6 +49,11 @@ def roi(rid, lon, lat, snapshots=None):
     return RoIEventNode(id=rid, geolocation=GeoCoord(lon, lat), snapshots=snapshots or {})
 
 
+def edge_rows(arrays):
+    """(roi id, sensor id, weight km) triples of `build_edges` arrays."""
+    return list(zip(*(a.tolist() for a in arrays)))
+
+
 class TestSensorNode:
     def test_active_sensor_needs_observations(self):
         with pytest.raises(ParameterError):
@@ -73,29 +79,26 @@ class TestBuildEdges:
             build_edges([], [])
 
     def test_no_rois_gives_no_edges(self):
-        assert build_edges([], [sensor(1, 0.0, 0.0)]) == ()
+        assert edge_rows(build_edges([], [sensor(1, 0.0, 0.0)])) == []
 
     def test_single_pair(self):
         edges = build_edges([roi(1, -90.07, 29.95)], [sensor(5, -82.46, 27.95)])
-        assert len(edges) == 1
-        e = edges[0]
-        assert (e.roi_id, e.sensor_id) == (1, 5)
-        assert e.weight_km == great_circle_distance(
-            GeoCoord(-90.07, 29.95), GeoCoord(-82.46, 27.95)
-        )
+        assert edge_rows(edges) == [
+            (1, 5, great_circle_distance(GeoCoord(-90.07, 29.95), GeoCoord(-82.46, 27.95)))
+        ]
 
     def test_tie_breaks_to_lowest_sensor_id(self):
         # sensors at (0,1) and (1,0) are equidistant from (0,0) by symmetry
-        edges = build_edges(
+        _, sensor_id, _ = build_edges(
             [roi(1, 0.0, 0.0)], [sensor(7, 0.0, 1.0), sensor(3, 1.0, 0.0)]
         )
-        assert edges[0].sensor_id == 3
+        assert sensor_id.tolist() == [3]
 
     def test_co_located_sensors_tie_break(self):
-        edges = build_edges(
+        _, sensor_id, _ = build_edges(
             [roi(1, 10.0, 10.0)], [sensor(9, 11.0, 11.0), sensor(4, 11.0, 11.0)]
         )
-        assert edges[0].sensor_id == 4
+        assert sensor_id.tolist() == [4]
 
     def test_matches_brute_force_small_and_large_sensor_sets(self):
         rng = np.random.default_rng(77)
@@ -114,7 +117,7 @@ class TestBuildEdges:
             if n_sensors >= 2 and trial % 3 == 0:
                 dupe = sensors[0].geolocation
                 sensors.append(sensor(1001, dupe.lon, dupe.lat))
-            got = [(e.roi_id, e.sensor_id, e.weight_km) for e in build_edges(rois, sensors)]
+            got = edge_rows(build_edges(rois, sensors))
             want = brute_force_edges(rois, sensors, EARTH)
             assert got == want
 
@@ -123,9 +126,9 @@ class TestBuildEdges:
         salt_only = sensor(2, 5.0, 0.0, observations=frozenset({ObservationKind.SALINITY}))
         r = roi(1, 0.0, 0.0)
         contributing = {1: frozenset({ObservationKind.SALINITY})}
-        edges = build_edges([r], [temp_only, salt_only], contributing_kinds=contributing)
+        _, sensor_id, _ = build_edges([r], [temp_only, salt_only], contributing_kinds=contributing)
         # the nearer sensor does not observe salinity, so the far one wins
-        assert edges[0].sensor_id == 2
+        assert sensor_id.tolist() == [2]
 
     def test_strict_matching_with_no_eligible_sensor_raises(self):
         temp_only = sensor(1, 0.1, 0.0, observations=frozenset({ObservationKind.TEMPERATURE}))
@@ -137,38 +140,67 @@ class TestBuildEdges:
         rng = np.random.default_rng(3)
         rois = [roi(int(r), float(rng.uniform(-10, 10)), float(rng.uniform(-10, 10)))
                 for r in rng.choice(500, size=30, replace=False)]
-        edges = build_edges(rois, [sensor(1, 0.0, 0.0), sensor(2, 5.0, 5.0)])
-        ids = [e.roi_id for e in edges]
+        roi_id, _, _ = build_edges(rois, [sensor(1, 0.0, 0.0), sensor(2, 5.0, 5.0)])
+        ids = roi_id.tolist()
         assert ids == sorted(ids)
 
 
 class TestGstbnSnapshot:
-    def test_rejects_roi_without_edge(self):
+    @pytest.mark.parametrize(
+        "roi_id, sensor_id, weight_km",
+        [
+            pytest.param([1, 2], [1], [10.0, 10.0], id="mismatched-lengths"),
+            pytest.param([2, 1], [1, 1], [10.0, 10.0], id="unsorted-roi-id"),
+            pytest.param([1, 1], [1, 1], [10.0, 10.0], id="duplicate-roi-id"),
+            pytest.param([1], [2], [10.0], id="unknown-sensor"),
+            pytest.param([1], [1], [-1.0], id="negative-weight"),
+            pytest.param([1], [1], [float("nan")], id="nan-weight"),
+        ],
+    )
+    def test_rejects_malformed_rows(self, roi_id, sensor_id, weight_km):
         with pytest.raises(StructuralError):
-            GstbnSnapshot(
-                timestamp=0,
-                sensor_ids=frozenset({1}),
-                roi_ids=frozenset({1, 2}),
-                edges=(GstbnEdge(1, 1, 10.0),),
-            )
+            GstbnSnapshot(0, frozenset({1}), roi_id, sensor_id, weight_km)
 
-    def test_rejects_edge_to_unknown_sensor(self):
-        with pytest.raises(StructuralError):
-            GstbnSnapshot(
-                timestamp=0,
-                sensor_ids=frozenset({1}),
-                roi_ids=frozenset({1}),
-                edges=(GstbnEdge(1, 2, 10.0),),
-            )
+    def test_arrays_are_read_only_copies(self):
+        weights = np.array([10.0, 20.0])
+        snap = GstbnSnapshot(0, frozenset({1, 2}), [3, 5], [2, 1], weights)
+        weights[0] = -1.0
+        assert snap.weight_km.tolist() == [10.0, 20.0]
+        for a in (snap.roi_id, snap.sensor_id, snap.weight_km):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
-    def test_rejects_negative_weight(self):
+    def test_views_match_the_arrays(self):
+        snap = GstbnSnapshot(0, frozenset({1, 2}), [3, 5], [2, 1], [10.0, 20.0])
+        assert snap.roi_ids == frozenset({3, 5})
+        assert snap.edges == (GstbnEdge(3, 2, 10.0), GstbnEdge(5, 1, 20.0))
+
+
+class TestTemporalGstbn:
+    @pytest.mark.parametrize(
+        "registry_ids, snapshot_ids",
+        [
+            pytest.param([1, 3], [2], id="gap-in-registry"),
+            pytest.param([1, 3], [3, 4], id="past-largest-id"),
+            pytest.param([], [1], id="empty-registry"),
+            pytest.param([3, 1, 3], [], id="duplicate-registry-id"),
+        ],
+    )
+    def test_rejects_rois_outside_the_registry(self, registry_ids, snapshot_ids):
+        n = len(snapshot_ids)
+        snap = GstbnSnapshot(0, frozenset({1}), snapshot_ids, [1] * n, [1.0] * n)
+        registry = tuple(roi(r, 0.0, 0.0) for r in registry_ids)
         with pytest.raises(StructuralError):
-            GstbnSnapshot(
-                timestamp=0,
-                sensor_ids=frozenset({1}),
-                roi_ids=frozenset({1}),
-                edges=(GstbnEdge(1, 1, -1.0),),
-            )
+            TemporalGstbn((snap,), (sensor(1, 0.0, 0.0),), registry)
+
+    def test_registry_out_of_id_order_relaxes_the_right_rois(self):
+        far, near = roi(3, 10.0, 0.0), roi(1, 1.0, 0.0)
+        home = sensor(1, 0.0, 0.0)
+        weights = [great_circle_distance(r.geolocation, home.geolocation) for r in (near, far)]
+        snap = GstbnSnapshot(0, frozenset({1}), [1, 3], [1, 1], weights)
+        net = TemporalGstbn((snap,), (home,), (far, near))
+        grown = add_sensor(net, far.geolocation)
+        assert grown.snapshots[0].edges == (GstbnEdge(1, 1, weights[0]), GstbnEdge(3, 2, 0.0))
 
 
 def zero_field_series(grid, timestamps):
