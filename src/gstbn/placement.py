@@ -4,9 +4,10 @@ The objective is average temporal coverage: candidates are drawn
 uniformly over a bounding box (optionally masked to admissible grid
 cells) and the draw with the lowest resulting coverage wins.
 
-Determinism contract: trial i draws from a generator seeded by
-(seed, i), so any prefix of trials is reproducible regardless of how
-many trials follow; the winner is the lowest (score, trial_index) pair.
+Determinism contract: placement k draws from `default_rng(derive_seed(seed,
+k))` and trial t uses its t-th triple of uniforms, so any prefix of trials
+is reproducible regardless of how many trials follow; the winner is the
+lowest (score, trial_index) pair.
 
 A trial's score is the coverage `add_sensor` would give the network:
 both take the same relax step (each edge weight w becomes min(w, d) for
@@ -41,28 +42,22 @@ __all__ = [
     "place_sequential",
 ]
 
-# A draw streak this long without hitting an admissible cell means the
-# mask and bounding box do not overlap in any practical sense.
-_MAX_REJECTS = 100_000
-
-
-def _overlapping(start: float, step: float, n: int, lo: float, hi: float) -> np.ndarray:
-    """Which of `n` cells along one grid axis (centres `start + k*step`, each
-    box half a step either side) overlap the interval [lo, hi] over a
-    positive length."""
+def _clipped_edges(start: float, step: float, n: int, lo: float, hi: float):
+    """Low and high edges of `n` cells along one grid axis (centres
+    `start + k*step`, each box half a step either side), clipped to
+    [lo, hi]."""
     centres = start + np.arange(n) * step
-    return np.minimum(centres + step / 2.0, hi) > np.maximum(centres - step / 2.0, lo)
+    return np.maximum(centres - step / 2.0, lo), np.minimum(centres + step / 2.0, hi)
 
 
 @dataclass(frozen=True, eq=False)
 class SearchDomain:
     """Bounding box for candidate draws, with an optional cell mask.
 
-    When a mask is present, a draw only counts if it falls in a cell
-    marked True; rejected draws are redrawn and do not consume the trial
-    budget. A masked box must overlap some admissible cell over a positive
-    area, or construction raises ParameterError instead of every draw
-    being rejected.
+    Draws land uniformly in a table of rectangles built once: the box, or
+    each admissible cell's box clipped to it, so no draw is rejected. A
+    masked box must overlap some admissible cell over a positive area, or
+    construction raises ParameterError.
     """
 
     lon_min: float
@@ -85,6 +80,8 @@ class SearchDomain:
             raise ParameterError(str(exc)) from None
         if (self.mask is None) != (self.mask_grid is None):
             raise StructuralError("mask and mask_grid must be given together")
+        lo = np.array([[self.lon_min, self.lat_min]])
+        hi = np.array([[self.lon_max, self.lat_max]])
         if self.mask is not None:
             m = np.asarray(self.mask, dtype=bool)
             if m.shape != self.mask_grid.shape:
@@ -94,14 +91,21 @@ class SearchDomain:
             if not m.any():
                 raise StructuralError("mask admits no cells")
             g = self.mask_grid
-            rows = _overlapping(g.lat0, g.d_lat, g.n_lat, self.lat_min, self.lat_max)
-            cols = _overlapping(g.lon0, g.d_lon, g.n_lon, self.lon_min, self.lon_max)
-            if not m[np.ix_(rows, cols)].any():
+            lat_lo, lat_hi = _clipped_edges(g.lat0, g.d_lat, g.n_lat, self.lat_min, self.lat_max)
+            lon_lo, lon_hi = _clipped_edges(g.lon0, g.d_lon, g.n_lon, self.lon_min, self.lon_max)
+            i, j = np.nonzero(m)
+            lo = np.column_stack([lon_lo[j], lat_lo[i]])
+            hi = np.column_stack([lon_hi[j], lat_hi[i]])
+            keep = (hi > lo).all(axis=1)
+            if not keep.any():
                 raise ParameterError(
                     f"search box lon [{self.lon_min}, {self.lon_max}] lat "
                     f"[{self.lat_min}, {self.lat_max}] overlaps no admissible cell"
                 )
             object.__setattr__(self, "mask", m)
+            lo, hi = lo[keep], hi[keep]
+        # cumulative areas in degrees², then (lon, lat) low and high corners
+        object.__setattr__(self, "_table", (np.cumsum(np.prod(hi - lo, axis=1)), lo, hi))
 
     @classmethod
     def from_grid(cls, grid: GridSpec, valid: np.ndarray | None = None) -> "SearchDomain":
@@ -157,7 +161,7 @@ def derive_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1, np.uint64)[0])
 
 
-def _scores(net: TemporalGstbn, candidates: list[GeoCoord]) -> list[float]:
+def _scores(net: TemporalGstbn, lon: np.ndarray, lat: np.ndarray) -> list[float]:
     """Average temporal coverage after adding each candidate alone.
 
     Each snapshot's relaxed weights come from the relax step `add_sensor`
@@ -166,36 +170,30 @@ def _scores(net: TemporalGstbn, candidates: list[GeoCoord]) -> list[float]:
     """
     if not net.snapshots:
         raise StructuralError("network has no snapshots")
-    lon, lat = lonlat_arrays(candidates)
     out: list[float] = []
-    for rows in row_blocks(len(candidates), len(net.roi_registry)):
+    for rows in row_blocks(len(lon), len(net.roi_registry)):
         # (snapshots x candidates) static coverages, summed over snapshots per candidate
         per_snap = [coverage_sum(relaxed) for relaxed in _relaxed(net, lon[rows], lat[rows])]
         out.extend(total / len(net.snapshots) for total in coverage_sum(np.transpose(per_snap)))
     return out
 
 
-def _draw(domain: SearchDomain, seed: int, trial_index: int) -> GeoCoord:
-    """Trial `trial_index`'s candidate, from a generator seeded by (seed, trial)."""
-    rng = np.random.default_rng([seed, trial_index])
-    for _ in range(_MAX_REJECTS):
-        lon = float(rng.uniform(domain.lon_min, domain.lon_max))
-        lat = float(rng.uniform(domain.lat_min, domain.lat_max))
-        if domain.mask is None:
-            return GeoCoord(lon, lat)
-        cell = domain.mask_grid.containing_cell(GeoCoord(lon, lat))
-        if cell is not None and domain.mask.flat[cell]:
-            return GeoCoord(lon, lat)
-    raise StructuralError(
-        f"domain rejected {_MAX_REJECTS} consecutive draws; mask and box do not overlap"
-    )
+def _draw(domain: SearchDomain, seed: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lon, lat) arrays of `trials` candidates from one generator seeded by
+    `seed`: trial t's first uniform picks a rectangle of the domain's table
+    with probability proportional to its area, the other two a point in it."""
+    cum, lo, hi = domain._table
+    u = np.random.default_rng(seed).random((trials, 3))
+    k = np.minimum(np.searchsorted(cum, u[:, 0] * cum[-1], side="right"), len(cum) - 1)
+    lon, lat = np.minimum(lo[k] + u[:, 1:] * (hi[k] - lo[k]), hi[k]).T.copy()
+    return lon, lat
 
 
 def candidate_score(net: TemporalGstbn, candidate: GeoCoord) -> float:
     """Average temporal coverage the network would have with `candidate`
     added, computed incrementally. Matches the full-rebuild value exactly.
     """
-    return _scores(net, [candidate])[0]
+    return _scores(net, *lonlat_arrays([candidate]))[0]
 
 
 def _check_common(trials: int, seed: int, workers: int) -> None:
@@ -224,15 +222,13 @@ def monte_carlo_place(
     trial's record.
     """
     _check_common(trials, seed, workers)
-    candidates = [_draw(domain, seed, t) for t in range(trials)]
-    records = [
-        TrialRecord(trial_index=t, lon=c.lon, lat=c.lat, score=score)
-        for t, (c, score) in enumerate(zip(candidates, _scores(net, candidates)))
-    ]
+    lon, lat = _draw(domain, seed, trials)
+    scores = _scores(net, lon, lat)
+    lon, lat = lon.tolist(), lat.tolist()
     if trace is not None:
-        trace.extend(records)
-    best = min(records, key=lambda r: (r.score, r.trial_index))
-    return GeoCoord(best.lon, best.lat), best.score
+        trace.extend(map(TrialRecord, range(trials), lon, lat, scores))
+    best = int(np.argmin(scores))  # the first of equal scores: the earliest trial
+    return GeoCoord(lon[best], lat[best]), scores[best]
 
 
 def place_sequential(

@@ -301,6 +301,21 @@ class TestOptimize:
         ]
 
 
+    def test_masked_sliver_bbox_places_every_trial(self, tmp_path):
+        # cell 1 is missing in both snapshots, so only cell 0, lon
+        # [-90.05, -89.95], is admissible; the box overlaps it by 1e-7 deg,
+        # 1e-6 of the box's area
+        args = two_cell_inputs(tmp_path / "in", [1.0, np.nan], [3.0, np.nan])
+        out = tmp_path / "run.json"
+        code = main([
+            "optimize", *args, "--trials", "5", "--bbox", "-89.9500001", "-89.85", "24.95", "25.05",
+            "--out", str(out),
+        ])
+        assert code == 0
+        placed = json.loads(out.read_text())["placement"]["placed"][0]
+        assert -89.9500001 <= placed["lon"] <= -89.95
+
+
 class TestGeojsonFiles:
     """Every GeoJSON file a command writes is in canonical form and parses to
     `export_geojson` of the network that command built."""

@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +24,15 @@ from conftest import make_grid, random_scenario, scenario_network
 @pytest.fixture
 def domain(small_scenario):
     return SearchDomain.from_grid(small_scenario.grid)
+
+
+@pytest.fixture
+def masked(small_scenario):
+    """The grid's footprint with every other cell admissible: one table row
+    per admissible cell."""
+    grid = small_scenario.grid
+    i, j = np.indices(grid.shape)
+    return SearchDomain.from_grid(grid, (i + j) % 2 == 0)
 
 
 class TestSearchDomain:
@@ -71,8 +82,32 @@ class TestSearchDomain:
                 replace(full, **bounds)
         for bounds in ({"lon_min": 20.25}, {"lat_min": 9.0, "lat_max": 9.75}):
             partial = replace(full, **bounds)
-            coord = _draw(partial, 5, 0)
-            assert grid.containing_cell(coord) == 0
+            lon, lat = _draw(partial, 5, 1)
+            assert grid.containing_cell(GeoCoord(float(lon[0]), float(lat[0]))) == 0
+
+    def test_draws_are_uniform_over_the_admissible_region(self):
+        # unit cells centred on lon 20..22, lat 10..11; the box cuts through
+        # every admissible cell
+        grid = GridSpec(n_lat=2, n_lon=3, lat0=10.0, d_lat=1.0, lon0=20.0, d_lon=1.0)
+        mask = np.array([[True, False, True], [True, True, False]])
+        box = {"lon_min": 19.8, "lon_max": 22.1, "lat_min": 9.9, "lat_max": 11.2}
+        n = 20_000
+        lon, lat = _draw(SearchDomain(mask_grid=grid, mask=mask, **box), 12, n)
+        counts = Counter()
+        for x, y in zip(lon.tolist(), lat.tolist()):
+            assert box["lon_min"] <= x <= box["lon_max"]
+            assert box["lat_min"] <= y <= box["lat_max"]
+            counts[grid.containing_cell(GeoCoord(x, y))] += 1
+        overlap = {
+            grid.cell_index(i, j): (min(20.5 + j, box["lon_max"]) - max(19.5 + j, box["lon_min"]))
+            * (min(10.5 + i, box["lat_max"]) - max(9.5 + i, box["lat_min"]))
+            for i, j in zip(*np.nonzero(mask))
+        }
+        assert set(counts) <= set(overlap)  # no draw off the grid or in a masked cell
+        total = sum(overlap.values())
+        for cell, area in overlap.items():
+            p = area / total
+            assert abs(counts[cell] - n * p) <= 5 * math.sqrt(n * p * (1 - p))
 
 
 class TestCandidateScore:
@@ -142,12 +177,13 @@ class TestMonteCarloPlace:
         b = monte_carlo_place(small_network, domain, trials=20, seed=2)
         assert a != b  # astronomically unlikely to collide
 
-    def test_trial_prefix_is_stable(self, small_network, domain):
+    def test_trial_prefix_is_stable(self, small_network, domain, masked):
         # the first T1 draws are the same whatever the total budget is
-        t1, t2 = [], []
-        monte_carlo_place(small_network, domain, trials=20, seed=5, trace=t1)
-        monte_carlo_place(small_network, domain, trials=60, seed=5, trace=t2)
-        assert t2[:20] == t1
+        for d in (domain, masked):
+            t1, t2 = [], []
+            monte_carlo_place(small_network, d, trials=20, seed=5, trace=t1)
+            monte_carlo_place(small_network, d, trials=60, seed=5, trace=t2)
+            assert t2[:20] == t1
 
     def test_more_trials_never_hurt(self, small_network, domain):
         _, s1 = monte_carlo_place(small_network, domain, trials=20, seed=5)
@@ -175,7 +211,7 @@ class TestMonteCarloPlace:
             assert domain.lon_min <= r.lon <= domain.lon_max
             assert domain.lat_min <= r.lat <= domain.lat_max
 
-    def test_mask_rejection_preserves_budget(self, small_scenario, small_network):
+    def test_single_admissible_cell_keeps_budget(self, small_scenario, small_network):
         grid = small_scenario.grid
         mask = np.zeros(grid.shape, dtype=bool)
         mask[0, 0] = True  # only one admissible cell
@@ -186,6 +222,23 @@ class TestMonteCarloPlace:
         for r in trace:
             cell = grid.containing_cell(GeoCoord(r.lon, r.lat))
             assert cell == 0
+
+    def test_sliver_overlap_draws_every_trial(self, small_scenario, small_network):
+        # only cell 0, lon [-92.25, -91.75] x lat [23.75, 24.25], is admissible,
+        # and the box overlaps it by a sliver: 1e-6 of the box's area
+        grid = small_scenario.grid
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[0, 0] = True
+        box = {"lon_min": -91.75 - 3e-5, "lon_max": -88.0, "lat_min": 23.75, "lat_max": 27.75}
+        trace = []
+        sliver = SearchDomain(mask_grid=grid, mask=mask, **box)
+        monte_carlo_place(small_network, sliver, trials=50, seed=21, trace=trace)
+        assert len(trace) == 50
+        for r in trace:
+            assert box["lon_min"] <= r.lon <= box["lon_max"]
+            assert box["lat_min"] <= r.lat <= box["lat_max"]
+            assert -92.25 <= r.lon <= -91.75 and 23.75 <= r.lat <= 24.25
+            assert grid.containing_cell(GeoCoord(r.lon, r.lat)) == 0
 
     def test_parallel_equals_serial(self, small_network, domain):
         serial_trace, parallel_trace = [], []
