@@ -280,18 +280,23 @@ def extract_roi_events(
         _check_finite(total, keep, rf.variable, interval, "RoI sum")
         contributions.append((rf.variable, contrib, keep))
 
+    # one gather per array; the centres are computed as GridSpec.cell_coord does
+    flat = np.flatnonzero(total > 0.0)
+    i, j = np.divmod(flat, grid.n_lon)
+    lons = (grid.lon0 + j * grid.d_lon).tolist()
+    lats = (grid.lat0 + i * grid.d_lat).tolist()
+    per_kind = [
+        (var, contrib.ravel()[flat].tolist(), keep.ravel()[flat].tolist())
+        for var, contrib, keep in contributions
+    ]
     events: list[RoIEvent] = []
-    for flat in np.flatnonzero(total > 0.0):
-        idx = int(flat)
-        i, j = divmod(idx, grid.n_lon)
-        per_var = {
-            var: float(contrib[i, j]) for var, contrib, keep in contributions if keep[i, j]
-        }
+    for n, (idx, value) in enumerate(zip(flat.tolist(), total.ravel()[flat].tolist())):
+        per_var = {var: values[n] for var, values, kept in per_kind if kept[n]}
         events.append(
             RoIEvent(
                 cell_index=idx,
-                coord=grid.cell_coord(idx),
-                roi_value=float(total[i, j]),
+                coord=GeoCoord(lons[n], lats[n]),
+                roi_value=value,
                 residuals=per_var,
             )
         )

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -225,6 +225,24 @@ class TemporalGstbn:
         return lonlat_arrays(n.geolocation for n in self.roi_registry)
 
     @cached_property
+    def _edge_rows(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per snapshot, (edge position, edge weight) of each registry RoI:
+        (-1, -inf) where the RoI did not fire, so no distance is below it."""
+        out = []
+        for snap, rows in zip(self.snapshots, self._registry_rows):
+            pos = np.full(len(self.roi_registry), -1, dtype=np.intp)
+            weight = np.full(len(self.roi_registry), -np.inf)
+            pos[rows] = np.arange(len(rows))
+            weight[rows] = snap.weight_km
+            out.append((pos, weight))
+        return tuple(out)
+
+    @cached_property
+    def _tiles(self) -> "_Tiles":
+        """The registry RoIs in tiles, with the bound that prunes `_relaxed`."""
+        return _tile_table(*self._registry_lonlat, self._edge_rows, self.earth)
+
+    @cached_property
     def _registry_rows(self) -> tuple[np.ndarray, ...]:
         """Per snapshot, the registry position of each edge's RoI."""
         ids = np.array([r.id for r in self.roi_registry], dtype=np.int64)
@@ -412,19 +430,119 @@ def build_temporal_gstbn(
     )
 
 
-def _relaxed(net: TemporalGstbn, lon: np.ndarray, lat: np.ndarray):
-    """Per snapshot, each edge's weight after adding a sensor at each of the
-    given candidates: min(w, d) with d the candidate's distance to the
-    edge's RoI, as a (candidates x edges) array in roi-id order.
+# RoIs per occupied tile that `_tile_keys` aims for: smaller tiles cost
+# more bound checks per candidate, bigger ones more distances per survivor.
+_TILE_ROIS = 16
 
-    This is the one relax step: `add_sensor` takes its row 0 and trial
-    scoring sums every row. Distances are computed once per registry RoI;
-    the arrays are yielded one snapshot at a time.
+
+class _Tiles(NamedTuple):
+    """Registry RoIs bucketed into lat/lon tiles, for pruning the relax step.
+
+    Tile k holds the registry rows `order[start[k] : start[k] + count[k]]`,
+    all within `radius[k]` km of its centre (`lon[k]`, `lat[k]`). A
+    candidate farther than `reach[k]` km from the centre cannot bring any
+    of their edges closer, in any snapshot.
     """
+
+    order: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    lon: np.ndarray
+    lat: np.ndarray
+    radius: np.ndarray
+    reach: np.ndarray
+
+
+def _tile_keys(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
+    """Tile key of each point: square tiles laid over the points' bounding
+    box, shrunk by factors of sqrt(2) from the box's span until the
+    occupied tiles hold at most _TILE_ROIS points on average."""
+    keys = np.zeros(len(lon), dtype=np.int64)
+    if len(lon) <= _TILE_ROIS:
+        return keys
+    span = max(np.ptp(lon), np.ptp(lat))
+    # at most 2**30 tiles a side, where keys still fit int64, however many points coincide
+    for k in range(1, 61):
+        n = math.ceil(2.0 ** (k / 2))
+        side = span / n
+        if side == 0.0:
+            break
+        i = np.minimum((lat - lat.min()) // side, n).astype(np.int64)
+        j = np.minimum((lon - lon.min()) // side, n).astype(np.int64)
+        keys = i * (n + 1) + j
+        if len(lon) <= _TILE_ROIS * len(np.unique(keys)):
+            break
+    return keys
+
+
+def _tile_table(lon, lat, edge_rows, earth: EarthModel) -> _Tiles:
+    """The tiles of the registry RoIs at (`lon`, `lat`) and, per tile, the
+    reach beyond which a candidate relaxes none of their edges.
+
+    The radius bounds the distance from a tile's centre (the middle of its
+    RoIs' lat/lon box) to any point of the box: a meridian arc of half the
+    latitude extent, then a parallel arc of half the longitude extent at
+    the box latitude nearest the equator, where parallels are longest. The
+    geodesic is no longer than that path. By the triangle inequality a
+    candidate more than radius + the tile's largest weight from the
+    centre is at least that weight from every RoI in the tile.
+
+    The slack, 1e-6 earth radii, absorbs rounding in `haversine_km`: its
+    error stays below 1e-7 earth radii even next to the antipode, where
+    arcsin is steepest, so a pruned RoI's computed distance is never below
+    its edge weight.
+    """
+    keys = _tile_keys(lon, lat)
+    order = np.argsort(keys, kind="stable")
+    _, start, count = np.unique(keys[order], return_index=True, return_counts=True)
+    largest = np.full(len(order), -np.inf)
+    for _, weight in edge_rows:
+        largest = np.maximum(largest, weight)
+    largest = np.maximum.reduceat(largest[order], start)
+    lon_lo, lon_hi = np.minimum.reduceat(lon[order], start), np.maximum.reduceat(lon[order], start)
+    lat_lo, lat_hi = np.minimum.reduceat(lat[order], start), np.maximum.reduceat(lat[order], start)
+    equatorward = np.where(lat_lo * lat_hi <= 0.0, 0.0, np.minimum(abs(lat_lo), abs(lat_hi)))
+    radius = earth.radius_km * (
+        np.radians(lat_hi - lat_lo) / 2.0
+        + np.cos(np.radians(equatorward)) * np.radians(lon_hi - lon_lo) / 2.0
+    )
+    return _Tiles(
+        order=order,
+        start=start,
+        count=count,
+        lon=(lon_lo + lon_hi) / 2.0,
+        lat=(lat_lo + lat_hi) / 2.0,
+        radius=radius,
+        reach=largest + radius + 1e-6 * earth.radius_km,
+    )
+
+
+def _relaxed(net: TemporalGstbn, lon: np.ndarray, lat: np.ndarray):
+    """Per snapshot, the edges a sensor added at each of the given
+    candidates would take over, as arrays (trial, pos, d): candidate
+    `trial` is d km from the RoI of edge `pos`, strictly less than the
+    edge's weight w. Every other edge keeps w = min(w, d).
+
+    This is the one relax step: `add_sensor` applies it to one candidate
+    and trial scoring to many. Distances are computed only for the RoIs of
+    the tiles `_tile_table` cannot rule out, by `haversine_km` on the same
+    coordinates in the same argument order as a dense (candidates x RoIs)
+    block, so each d is the value that block would hold. Rows come in
+    increasing trial order.
+    """
+    tiles, radius_km = net._tiles, net.earth.radius_km
+    near = haversine_km(tiles.lon, tiles.lat, lon[:, None], lat[:, None], radius_km)
+    trial, tile = np.nonzero(near <= tiles.reach)
+    count = tiles.count[tile]
+    trial = np.repeat(trial, count)
+    # the registry rows of each surviving tile, one run per (trial, tile) pair
+    offset = np.repeat(tiles.start[tile] - (np.cumsum(count) - count), count)
+    row = tiles.order[offset + np.arange(len(trial))]
     r_lon, r_lat = net._registry_lonlat
-    dist = haversine_km(r_lon, r_lat, lon[:, None], lat[:, None], net.earth.radius_km)
-    for snap, rows in zip(net.snapshots, net._registry_rows):
-        yield np.minimum(snap.weight_km, dist[:, rows])
+    dist = haversine_km(r_lon[row], r_lat[row], lon[trial], lat[trial], radius_km)
+    for pos, weight in net._edge_rows:
+        closer = dist < weight[row]
+        yield trial[closer], pos[row[closer]], dist[closer]
 
 
 def add_sensor(net: TemporalGstbn, coord: GeoCoord) -> TemporalGstbn:
@@ -452,9 +570,9 @@ def add_sensor(net: TemporalGstbn, coord: GeoCoord) -> TemporalGstbn:
     active_ids = frozenset(s.id for s in catalog if s.is_active)
     snapshots = []
     lon, lat = lonlat_arrays([coord])
-    for snap, relaxed in zip(net.snapshots, _relaxed(net, lon, lat)):
-        weights = relaxed[0]
-        linked = np.where(weights < snap.weight_km, fresh_id, snap.sensor_id)
+    for snap, (_, pos, dist) in zip(net.snapshots, _relaxed(net, lon, lat)):
+        weights, linked = snap.weight_km.copy(), snap.sensor_id.copy()
+        weights[pos], linked[pos] = dist, fresh_id
         snapshots.append(replace(snap, sensor_ids=active_ids, sensor_id=linked, weight_km=weights))
     return replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)
 

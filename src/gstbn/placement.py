@@ -13,9 +13,11 @@ A trial's score is the coverage `add_sensor` would give the network:
 both take the same relax step (each edge weight w becomes min(w, d) for
 the candidate's distance d to its RoI), and the score sums the relaxed
 weights with `coverage_sum` in edge order, so the two agree by
-construction. One trial costs one distance per RoI node instead of a
-network rebuild. Trials are scored serially in (trials x RoIs) blocks;
-the `workers` argument is accepted for compatibility and ignored.
+construction. The relax step prunes by RoI tile, so one trial costs one
+distance per tile plus one per RoI of the tiles it may relax, instead of
+one per RoI node or a network rebuild. Trials are scored serially in
+blocks of at most BLOCK_PAIRS (trial, RoI) pairs; the `workers` argument
+is accepted for compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -164,17 +166,33 @@ def derive_seed(seed: int, index: int) -> int:
 def _scores(net: TemporalGstbn, lon: np.ndarray, lat: np.ndarray) -> list[float]:
     """Average temporal coverage after adding each candidate alone.
 
-    Each snapshot's relaxed weights come from the relax step `add_sensor`
-    uses, and are summed with `coverage_sum` in the order the edited
-    network sums its edges, so a score equals that network's coverage.
+    Each snapshot's changed edges come from the relax step `add_sensor`
+    uses. A candidate that changes none keeps the snapshot's own coverage;
+    for the others the weights with the changes scattered in are summed
+    with `coverage_sum` in the order the edited network sums its edges, so
+    a score equals that network's coverage. A candidate costs one distance
+    per RoI tile plus one per RoI of the tiles it may relax, not one per
+    RoI. Candidates go in blocks of at most BLOCK_PAIRS (candidate, RoI)
+    pairs, which bounds every temporary.
     """
     if not net.snapshots:
         raise StructuralError("network has no snapshots")
+    base = [coverage_sum(snap.weight_km) for snap in net.snapshots]
     out: list[float] = []
     for rows in row_blocks(len(lon), len(net.roi_registry)):
+        n = rows.stop - rows.start
         # (snapshots x candidates) static coverages, summed over snapshots per candidate
-        per_snap = [coverage_sum(relaxed) for relaxed in _relaxed(net, lon[rows], lat[rows])]
-        out.extend(total / len(net.snapshots) for total in coverage_sum(np.transpose(per_snap)))
+        per_snap = np.empty((len(net.snapshots), n))
+        changes = _relaxed(net, lon[rows], lat[rows])
+        for k, (snap, (trial, pos, dist)) in enumerate(zip(net.snapshots, changes)):
+            changed = np.zeros(n, dtype=bool)
+            changed[trial] = True
+            # one row of weights per candidate that changes any, in trial order
+            relaxed = np.repeat(snap.weight_km[None], np.count_nonzero(changed), axis=0)
+            relaxed[np.cumsum(changed)[trial] - 1, pos] = dist
+            per_snap[k] = base[k]
+            per_snap[k, changed] = coverage_sum(relaxed)
+        out.extend(total / len(net.snapshots) for total in coverage_sum(per_snap.T))
     return out
 
 

@@ -59,6 +59,25 @@ def brute_force_edges(rois, sensors, earth):
     return edges
 
 
+def dense_relaxed(net, candidates):
+    """Per snapshot, per candidate, every edge weight after adding a sensor
+    at the candidate: min(w, d) with d the candidate's distance to the
+    edge's RoI, as a plain double loop over candidates and edges, with no
+    pruning and no arrays.
+    """
+    out = []
+    for snap in net.snapshots:
+        rows = []
+        for c in candidates:
+            row = []
+            for e in snap.edges:
+                d = great_circle_distance(net.rois_by_id[e.roi_id].geolocation, c, net.earth)
+                row.append(min(e.weight_km, d))
+            rows.append(row)
+        out.append(rows)
+    return out
+
+
 def naive_interval_analysis(snapshot_pairs, threshold):
     """Residuals and RoI cells for one interval, cell by cell.
 

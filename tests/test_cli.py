@@ -1,6 +1,7 @@
 import importlib
 import json
 import subprocess
+from dataclasses import replace
 import sys
 from importlib.metadata import entry_points
 from pathlib import Path
@@ -9,8 +10,9 @@ import numpy as np
 import pytest
 
 import gstbn
+from gstbn import network
 from gstbn.cli import main
-from gstbn.geo import GeoCoord
+from gstbn.geo import GeoCoord, haversine_km
 from gstbn.field import FieldSnapshot, GridSpec, ObservationKind
 from gstbn.ingest import (
     dump_json,
@@ -26,6 +28,7 @@ from gstbn.synth import (
     Hotspot,
     ScenarioSpec,
     generate_scenario,
+    scenario_field_series,
     scenario_sensor_nodes,
     scenario_spec_to_dict,
 )
@@ -314,6 +317,90 @@ class TestOptimize:
         assert code == 0
         placed = json.loads(out.read_text())["placement"]["placed"][0]
         assert -89.9500001 <= placed["lon"] <= -89.95
+
+
+@pytest.fixture(scope="module")
+def tiled_dir(tmp_path_factory):
+    """A 16x16 scenario with five hotspots over both variables, a NaN land
+    block (so the default search is masked) and single-variable sensors (so
+    strict matching links differently): its RoIs fill several tiles."""
+    out = tmp_path_factory.mktemp("tiled")
+    grid = make_grid(n_lat=16, n_lon=16)
+    kinds = (ObservationKind.TEMPERATURE, ObservationKind.SALINITY)
+    spec = ScenarioSpec(
+        grid=grid,
+        timestamps=(0, 100, 200, 300),
+        hotspots=tuple(
+            Hotspot(
+                center=grid.cell_coord(grid.cell_index(i, j)),
+                amplitude=2.0,
+                radius_deg=0.8,
+                active_intervals=frozenset({k % 3, (k + 1) % 3}),
+                variable=kinds[k % 2],
+            )
+            for k, (i, j) in enumerate([(2, 3), (3, 12), (8, 8), (13, 2), (12, 13)])
+        ),
+        sensors=tuple(
+            GeoCoord(lon, lat) for lon in (-91.5, -89.0, -86.5) for lat in (24.5, 27.0, 29.5)
+        ),
+        variables=kinds,
+        background=10.0,
+        background_noise_amplitude=0.2,
+        seed=9,
+    )
+    for snaps in scenario_field_series(spec).values():
+        for snap in snaps:
+            snap.values[10:, 5:9] = np.nan
+            snap.valid[10:, 5:9] = False
+            write_grid_snapshot(snap, out / f"{snap.variable.value}-{snap.timestamp}.grid")
+    sensors = scenario_sensor_nodes(spec)
+    for k in (2, 4):
+        sensors[k] = replace(sensors[k], observations=frozenset({ObservationKind.SALINITY}))
+    write_sensor_catalog(sensors, out / "sensors.csv")
+    return out
+
+
+class TestPrunedScoring:
+    """Trial scoring computes distances only for the tiles whose bound
+    keeps them; with the bound off, every tile kept, optimize writes the
+    same report, trace and GeoJSON bytes."""
+
+    def run(self, tiled_dir, out, extra):
+        assert main([
+            "optimize", "--sensors", str(tiled_dir / "sensors.csv"), "--grids", str(tiled_dir),
+            "--trials", "150", "--new-sensors", "2", "--seed", "4",
+            "--trace", str(out / "trace.csv"), "--out", str(out / "run.json"), *extra,
+        ]) == 0
+        return read_all(out)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [(), ("--bbox", "-90.5", "-86", "25", "30"), ("--unmasked-search",),
+         ("--strict-observations",)],
+        ids=["masked", "bbox", "unmasked", "strict"],
+    )
+    def test_bound_off_gives_the_same_bytes(self, tiled_dir, tmp_path, monkeypatch, extra):
+        (tmp_path / "pruned").mkdir()
+        (tmp_path / "full").mkdir()
+        pruned = self.run(tiled_dir, tmp_path / "pruned", extra)
+
+        # the comparison means something: the bound rules out a good share
+        # of the (candidate, tile) pairs of the first placement's trials
+        series = parse_grid_series(sorted(tiled_dir.glob("*.grid")))
+        tiles = build_temporal_gstbn(series, parse_sensor_catalog(tiled_dir / "sensors.csv"))._tiles
+        rows = [line.split(",") for line in pruned["trace.csv"].decode().splitlines()[1:151]]
+        lon, lat = np.array([[float(r[2]), float(r[3])] for r in rows]).T
+        near = haversine_km(tiles.lon, tiles.lat, lon[:, None], lat[:, None])
+        assert len(tiles.start) > 1 and (near > tiles.reach).mean() > 0.25
+
+        tile_table = network._tile_table
+
+        def unbounded(*args):
+            tiles = tile_table(*args)
+            return tiles._replace(reach=np.full_like(tiles.reach, np.inf))
+
+        monkeypatch.setattr(network, "_tile_table", unbounded)
+        assert self.run(tiled_dir, tmp_path / "full", extra) == pruned
 
 
 class TestGeojsonFiles:

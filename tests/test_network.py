@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gstbn.errors import (
     NoObserversError,
@@ -9,7 +13,8 @@ from gstbn.errors import (
     StructuralError,
 )
 from gstbn.field import FieldSnapshot, ObservationKind
-from gstbn.geo import EARTH, GeoCoord, great_circle_distance
+from gstbn import network
+from gstbn.geo import EARTH, GeoCoord, great_circle_distance, haversine_km, lonlat_arrays
 from gstbn.network import (
     GstbnEdge,
     GstbnSnapshot,
@@ -28,7 +33,7 @@ from conftest import make_grid, random_scenario, scenario_network
 from gstbn.metrics import average_temporal_coverage
 from gstbn.placement import candidate_score
 from gstbn.synth import scenario_field_series, scenario_sensor_nodes
-from oracles import brute_force_edges
+from oracles import brute_force_edges, dense_relaxed
 
 
 def sensor(sid, lon, lat, status=OperationalStatus.ACTIVE,
@@ -540,3 +545,100 @@ class TestIncrementalEditsMatchRebuild:
             kept_before = [e for e in before.edges if e.roi_id not in moved]
             kept_after = [e for e in after.edges if e.roi_id not in moved]
             assert kept_before == kept_after
+
+
+lons = st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 180.0, -179.99, 179.99]))
+lats = st.one_of(st.floats(-90.0, 90.0), st.sampled_from([-90.0, 90.0, -89.99, 89.99]))
+KINDS = (ObservationKind.TEMPERATURE, ObservationKind.SALINITY)
+
+
+@st.composite
+def near(draw, centres):
+    """A point at one of `centres`, or scattered around it at one of a few
+    spreads, so tiles hold several RoIs, one, or coincident ones."""
+    lon, lat = draw(st.sampled_from(centres))
+    spread = draw(st.sampled_from([0.0, 0.01, 0.5, 5.0]))
+    dlon, dlat = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    return min(180.0, max(-180.0, lon + spread * dlon)), min(90.0, max(-90.0, lat + spread * dlat))
+
+
+@st.composite
+def networks(draw):
+    """Networks with RoIs clustered around a few centres (the poles and the
+    antimeridian among them), 1-4 sensors, 0-3 snapshots that may be empty,
+    plain or strict matching."""
+    centres = draw(st.lists(st.tuples(lons, lats), min_size=1, max_size=4))
+    strict = draw(st.booleans())
+    coords = draw(st.lists(near(centres), max_size=40))
+    sensors = [sensor(1, *draw(near(centres)))]  # observes every kind, so strict links all
+    for sid in range(2, draw(st.integers(1, 4)) + 1):
+        kinds = draw(st.sets(st.sampled_from(KINDS), min_size=1))
+        sensors.append(sensor(sid, *draw(near(centres)), observations=frozenset(kinds)))
+    times = range(100, 100 * (draw(st.integers(0, 3)) + 1), 100)
+    rois = []
+    for rid, (lon, lat) in enumerate(coords, start=1):
+        fired = {t: draw(st.sets(st.sampled_from(KINDS))) for t in times}
+        rois.append(roi(rid, lon, lat, {t: dict.fromkeys(ks, 1.0) for t, ks in fired.items() if ks}))
+    snapshots = []
+    for t in times:
+        fired = [node for node in rois if t in node.snapshots]
+        kinds = {node.id: frozenset(node.snapshots[t]) for node in fired} if strict else None
+        edges = build_edges(fired, sensors, EARTH, contributing_kinds=kinds)
+        snapshots.append(GstbnSnapshot(t, frozenset(s.id for s in sensors), *edges))
+    net = TemporalGstbn(tuple(snapshots), tuple(sensors), tuple(rois), strict_observations=strict)
+    return net, centres
+
+
+class TestSparseRelaxStep:
+    """`_relaxed` computes distances only where its tile bound cannot rule a
+    change out; expanded to full rows it must equal the unpruned oracle
+    bit for bit, and name exactly the edges a candidate brings strictly
+    closer."""
+
+    @given(data=st.data(), tile_rois=st.sampled_from([1, 2, 16]))
+    @settings(max_examples=150, deadline=None)
+    def test_expanded_rows_equal_the_dense_oracle(self, data, tile_rois):
+        with mock.patch.object(network, "_TILE_ROIS", tile_rois):
+            net, centres = data.draw(networks())
+            # candidates anywhere, on an RoI (d == 0) and on a sensor (d == w ties)
+            on_nodes = [r.geolocation for r in net.roi_registry]
+            on_nodes += [s.geolocation for s in net.sensor_catalog]
+            candidates = data.draw(st.lists(
+                st.one_of(
+                    st.builds(GeoCoord, lons, lats),
+                    near(centres).map(lambda p: GeoCoord(*p)),
+                    st.sampled_from(on_nodes),
+                ),
+                min_size=1,
+                max_size=8,
+            ))
+            lon, lat = lonlat_arrays(candidates)
+            sparse = list(network._relaxed(net, lon, lat))
+        want = dense_relaxed(net, candidates)
+        assert len(sparse) == len(want) == len(net.snapshots)
+        for snap, (trial, pos, dist), rows in zip(net.snapshots, sparse, want):
+            got = np.repeat(snap.weight_km[None], len(candidates), axis=0)
+            got[trial, pos] = dist
+            assert got.tolist() == rows
+            closer = {(t, k) for t, row in enumerate(rows) for k, w in enumerate(row)
+                      if w < snap.weight_km[k]}
+            assert set(zip(trial.tolist(), pos.tolist())) == closer
+            assert len(trial) == len(closer) and (np.diff(trial) >= 0).all()
+
+    @given(data=st.data(), tile_rois=st.sampled_from([1, 2, 16]))
+    @settings(max_examples=150, deadline=None)
+    def test_tiles_partition_the_registry_within_their_radius(self, data, tile_rois):
+        with mock.patch.object(network, "_TILE_ROIS", tile_rois):
+            net, _ = data.draw(networks())
+            tiles = net._tiles
+        assert sorted(tiles.order.tolist()) == list(range(len(net.roi_registry)))
+        r_lon, r_lat = net._registry_lonlat
+        largest = {}
+        for e in (e for snap in net.snapshots for e in snap.edges):
+            largest[e.roi_id] = max(largest.get(e.roi_id, -np.inf), e.weight_km)
+        for k, (start, count) in enumerate(zip(tiles.start, tiles.count)):
+            rows = tiles.order[start : start + count]
+            d = haversine_km(tiles.lon[k], tiles.lat[k], r_lon[rows], r_lat[rows])
+            assert (d <= tiles.radius[k] + 1e-6).all()  # 1 mm for rounding
+            heaviest = max(largest.get(net.roi_registry[r].id, -np.inf) for r in rows.tolist())
+            assert tiles.reach[k] >= tiles.radius[k] + heaviest

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -7,12 +8,13 @@ import pytest
 
 from gstbn.errors import ParameterError, StructuralError
 from gstbn.field import GridSpec
-from gstbn.geo import GeoCoord
+from gstbn.geo import BLOCK_PAIRS, GeoCoord
 from gstbn.metrics import average_temporal_coverage
 from gstbn.network import add_sensor
 from gstbn.placement import (
     SearchDomain,
     _draw,
+    _scores,
     candidate_score,
     derive_seed,
     monte_carlo_place,
@@ -164,6 +166,29 @@ class TestBlockScores:
                 c = GeoCoord(r.lon, r.lat)
                 assert r.score == candidate_score(net, c)
                 assert r.score == average_temporal_coverage(add_sensor(net, c))
+
+
+class TestScoresMemory:
+    def test_peak_does_not_grow_with_the_trial_count(self):
+        """Trials are scored in blocks of at most BLOCK_PAIRS (trial, RoI)
+        pairs, so 8x the trials may add to the peak only the outputs: a list
+        slot, a float and over-allocation, 64 bytes per trial at most."""
+        spec = random_scenario(np.random.default_rng(505), max_side=24, max_hotspots=4)
+        net = scenario_network(spec)
+        domain = SearchDomain.from_grid(spec.grid)
+        base = 4 * (BLOCK_PAIRS // len(net.roi_registry))
+        _scores(net, *_draw(domain, 1, 1))  # builds the network's cached tables
+
+        def peak(trials):
+            lon, lat = _draw(domain, 2, trials)
+            tracemalloc.start()
+            try:
+                _scores(net, lon, lat)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8 * base) <= 1.25 * peak(base) + 64 * 8 * base
 
 
 class TestMonteCarloPlace:
