@@ -204,30 +204,29 @@ def _cmd_build(args: argparse.Namespace) -> None:
     _write_snapshots(net, args.out)
 
 
-def _cmd_score(args: argparse.Namespace) -> None:
-    net, _, inputs = _load_network(args)
+def _write_report(args: argparse.Namespace, net: TemporalGstbn, inputs, **sections) -> None:
+    """The coverage and centrality of `net`, plus the named `sections`
+    (robustness, placement), as the JSON report at --out."""
     report = build_report(
         coverage_to_dict(coverage_report(net)),
         centrality_to_dict(degree_centrality(net)),
         seed=args.seed,
         input_paths=inputs,
+        **sections,
     )
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(dump_json(report), encoding="utf-8")
+
+
+def _cmd_score(args: argparse.Namespace) -> None:
+    net, _, inputs = _load_network(args)
+    _write_report(args, net, inputs)
 
 
 def _cmd_robustness(args: argparse.Namespace) -> None:
     net, _, inputs = _load_network(args)
     rob = evaluate_robustness(net, args.remove)
-    report = build_report(
-        coverage_to_dict(coverage_report(net)),
-        centrality_to_dict(degree_centrality(net)),
-        robustness=robustness_to_dict(rob),
-        seed=args.seed,
-        input_paths=inputs,
-    )
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(dump_json(report), encoding="utf-8")
+    _write_report(args, net, inputs, robustness=robustness_to_dict(rob))
 
 
 def _cmd_optimize(args: argparse.Namespace) -> None:
@@ -243,20 +242,11 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
         workers=args.threads,
         traces=traces,
     )
-    final = result.network
-    report = build_report(
-        coverage_to_dict(coverage_report(final)),
-        centrality_to_dict(degree_centrality(final)),
-        placement=placement_to_dict(result),
-        seed=args.seed,
-        input_paths=inputs,
-    )
+    _write_report(args, result.network, inputs, placement=placement_to_dict(result))
     # --out names the report file; the updated network's GeoJSON goes
     # next to it, prefixed by the report's stem so runs don't collide
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(dump_json(report), encoding="utf-8")
     stem = args.out.name.removesuffix(".json") or args.out.name
-    _write_snapshots(final, args.out.parent, prefix=f"{stem}-gstbn")
+    _write_snapshots(result.network, args.out.parent, prefix=f"{stem}-gstbn")
     if args.trace:
         _write_trace(args.trace, traces)
 

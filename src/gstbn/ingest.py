@@ -471,15 +471,14 @@ def format_geojson(net: TemporalGstbn, timestamp: int) -> str:
     sensor_text: dict[int, tuple[str, str, str]] = {}
     roi_text: dict[int, tuple[str, str, str]] = {}
     features: list[str] = []
-    for sid in sorted(snap.sensor_ids):
-        s = net.sensors_by_id[sid]
-        lon, lat, text_id = sensor_text[sid] = _node_text(s.geolocation, sid)
+    for s in sorted(net.active_sensors, key=lambda s: s.id):
+        lon, lat, text_id = sensor_text[s.id] = _node_text(s.geolocation, s.id)
         features.append(
             _SENSOR_FEATURE
             % (
                 lon,
                 lat,
-                _number(degrees[sid]),
+                _number(degrees[s.id]),
                 text_id,
                 encode_basestring_ascii(s.membership.value),
                 encode_basestring_ascii(s.operational_status.value),

@@ -106,14 +106,12 @@ def degree_centrality(net: TemporalGstbn) -> CentralityReport:
     """
     if not net.snapshots:
         raise StructuralError("network has no snapshots")
+    active = sorted(s.id for s in net.active_sensors)
     static: dict[int, dict[int, int]] = {}
     for snap in net.snapshots:
         counts = Counter(snap.sensor_id.tolist())
-        static[snap.timestamp] = {sid: counts[sid] for sid in sorted(snap.sensor_ids)}
-    overall = {
-        sid: sum(degrees[sid] for degrees in static.values())
-        for sid in sorted(net.snapshots[0].sensor_ids)
-    }
+        static[snap.timestamp] = {sid: counts[sid] for sid in active}
+    overall = {sid: sum(degrees[sid] for degrees in static.values()) for sid in active}
     distribution = dict(sorted(Counter(overall.values()).items()))
     return CentralityReport(
         static_per_snapshot=static, overall=overall, distribution=distribution

@@ -86,8 +86,8 @@ class SensorNode:
 
     def __post_init__(self):
         object.__setattr__(self, "observations", frozenset(self.observations))
-        if self.id < 0:
-            raise ParameterError(f"sensor id must be non-negative, got {self.id}")
+        if not 0 <= self.id < 2**63:  # ids go into int64 arrays
+            raise ParameterError(f"sensor id must be in [0, 2**63-1], got {self.id}")
         if self.is_active and not self.observations:
             raise ParameterError(f"active sensor {self.id} observes nothing")
 
@@ -109,6 +109,8 @@ class RoIEventNode:
     snapshots: dict[int, dict[ObservationKind, float]] = dc_field(default_factory=dict)
 
     def __post_init__(self):
+        if not 0 <= self.id < 2**63:  # ids go into int64 arrays
+            raise ParameterError(f"roi id must be in [0, 2**63-1], got {self.id}")
         for ts, payload in self.snapshots.items():
             for kind, value in payload.items():
                 if not (math.isfinite(value) and value >= 0.0):
@@ -143,11 +145,11 @@ class GstbnSnapshot:
 
     Row k links RoI `roi_id[k]` to sensor `sensor_id[k]`, `weight_km[k]`
     away: one row per RoI that fired, in increasing roi id. The arrays
-    are read-only copies, so a snapshot cannot change after its checks.
+    are read-only copies, so a snapshot cannot change after its checks;
+    :class:`TemporalGstbn` checks which sensors and RoIs the ids name.
     """
 
     timestamp: int
-    sensor_ids: frozenset[int]
     roi_id: np.ndarray
     sensor_id: np.ndarray
     weight_km: np.ndarray
@@ -162,9 +164,6 @@ class GstbnSnapshot:
             raise StructuralError("roi_id, sensor_id and weight_km must be 1-D and of one length")
         if (np.diff(self.roi_id) <= 0).any():
             raise StructuralError("edges must be sorted by roi id, one per roi")
-        unknown = set(np.unique(self.sensor_id).tolist()) - self.sensor_ids
-        if unknown:
-            raise StructuralError(f"edge references unknown sensor {min(unknown)}")
         bad = ~(np.isfinite(self.weight_km) & (self.weight_km >= 0.0))
         if bad.any():
             raise StructuralError(f"edge weight {self.weight_km[bad][0]} is not a distance")
@@ -172,7 +171,7 @@ class GstbnSnapshot:
     def __eq__(self, other):
         if not isinstance(other, GstbnSnapshot):
             return NotImplemented
-        return (self.timestamp, self.sensor_ids) == (other.timestamp, other.sensor_ids) and all(
+        return self.timestamp == other.timestamp and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name, _ in _EDGE_ARRAYS
         )
 
@@ -189,7 +188,11 @@ class GstbnSnapshot:
 
 @dataclass(frozen=True)
 class TemporalGstbn:
-    """Ordered snapshot sequence plus the node sets they reference."""
+    """Ordered snapshot sequence plus the node sets they reference.
+
+    Every edge goes to an active catalog sensor, and each snapshot links
+    exactly the registry RoIs with a payload at its timestamp.
+    """
 
     snapshots: tuple[GstbnSnapshot, ...]
     sensor_catalog: tuple[SensorNode, ...]
@@ -201,16 +204,23 @@ class TemporalGstbn:
         times = [s.timestamp for s in self.snapshots]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise OrderingError(f"snapshot timestamps must strictly increase, got {times}")
-        ids = [s.id for s in self.sensor_catalog]
-        if len(set(ids)) != len(ids):
+        if len(self.sensors_by_id) != len(self.sensor_catalog):
             raise StructuralError("duplicate sensor ids in catalog")
-        active = frozenset(s.id for s in self.sensor_catalog if s.is_active)
+        if len(self.rois_by_id) != len(self.roi_registry):
+            raise StructuralError("duplicate roi ids in registry")
+        active = {s.id for s in self.active_sensors}
+        fired: dict[int, list[int]] = {}
+        for node in self.roi_registry:
+            for ts in node.snapshots:
+                fired.setdefault(ts, []).append(node.id)
         for snap in self.snapshots:
-            if snap.sensor_ids != active:
+            stray = set(np.unique(snap.sensor_id).tolist()) - active
+            if stray:
                 raise StructuralError(
-                    f"snapshot {snap.timestamp} sensor set differs from the active catalog"
+                    f"snapshot {snap.timestamp} links sensor {min(stray)}, not active in the catalog"
                 )
-        self._registry_rows  # raises on an unregistered roi
+            if not np.array_equal(snap.roi_id, sorted(fired.get(snap.timestamp, ()))):
+                raise StructuralError(f"snapshot {snap.timestamp} rois differ from its payloads")
 
     @cached_property
     def sensors_by_id(self) -> dict[int, SensorNode]:
@@ -228,10 +238,14 @@ class TemporalGstbn:
     def _edge_rows(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per snapshot, (edge position, edge weight) of each registry RoI:
         (-1, -inf) where the RoI did not fire, so no distance is below it."""
+        ids = np.array([r.id for r in self.roi_registry], dtype=np.int64)
+        order = np.argsort(ids)
         out = []
-        for snap, rows in zip(self.snapshots, self._registry_rows):
-            pos = np.full(len(self.roi_registry), -1, dtype=np.intp)
-            weight = np.full(len(self.roi_registry), -np.inf)
+        for snap in self.snapshots:
+            # every edge's roi is registered, as __post_init__ checked
+            rows = order[np.searchsorted(ids[order], snap.roi_id)]
+            pos = np.full(len(ids), -1, dtype=np.intp)
+            weight = np.full(len(ids), -np.inf)
             pos[rows] = np.arange(len(rows))
             weight[rows] = snap.weight_km
             out.append((pos, weight))
@@ -241,23 +255,6 @@ class TemporalGstbn:
     def _tiles(self) -> "_Tiles":
         """The registry RoIs in tiles, with the bound that prunes `_relaxed`."""
         return _tile_table(*self._registry_lonlat, self._edge_rows, self.earth)
-
-    @cached_property
-    def _registry_rows(self) -> tuple[np.ndarray, ...]:
-        """Per snapshot, the registry position of each edge's RoI."""
-        ids = np.array([r.id for r in self.roi_registry], dtype=np.int64)
-        order = np.argsort(ids)
-        ids = ids[order]
-        if (np.diff(ids) == 0).any():
-            raise StructuralError("duplicate roi ids in registry")
-        rows = []
-        for snap in self.snapshots:
-            # roi_id increases, so only its last entry can fall past the end
-            pos = np.searchsorted(ids, snap.roi_id)
-            if len(pos) and (pos[-1] == len(ids) or (ids[pos] != snap.roi_id).any()):
-                raise StructuralError(f"snapshot {snap.timestamp} references unregistered rois")
-            rows.append(order[pos])
-        return tuple(rows)
 
     @property
     def active_sensors(self) -> list[SensorNode]:
@@ -366,6 +363,12 @@ def _series_intervals(
     return timestamps, ordered
 
 
+def _fired_kinds(rois: Sequence[RoIEventNode], timestamp: int) -> dict[int, frozenset]:
+    """Roi id -> the variables that fired there at `timestamp`: the
+    `contributing_kinds` of strict matching."""
+    return {r.id: frozenset(r.snapshots[timestamp]) for r in rois}
+
+
 def build_temporal_gstbn(
     series: Mapping[ObservationKind, Sequence[FieldSnapshot]],
     catalog: Sequence[SensorNode],
@@ -396,7 +399,6 @@ def build_temporal_gstbn(
     by_cell: dict[int, RoIEventNode] = {}
     next_roi_id = 1
     snapshots: list[GstbnSnapshot] = []
-    active_ids = frozenset(s.id for s in actives)
     for k in range(len(timestamps) - 1):
         t_end = timestamps[k + 1]
         residual_fields = [
@@ -412,13 +414,9 @@ def build_temporal_gstbn(
                 by_cell[event.cell_index] = node
             node.snapshots[t_end] = dict(event.residuals)
             interval_rois.append(node)
-        contributing = None
-        if strict_observations:
-            contributing = {
-                node.id: frozenset(node.snapshots[t_end]) for node in interval_rois
-            }
-        edges = build_edges(interval_rois, actives, earth, contributing_kinds=contributing)
-        snapshots.append(GstbnSnapshot(t_end, active_ids, *edges))
+        kinds = _fired_kinds(interval_rois, t_end) if strict_observations else None
+        edges = build_edges(interval_rois, actives, earth, contributing_kinds=kinds)
+        snapshots.append(GstbnSnapshot(t_end, *edges))
 
     registry = tuple(sorted(by_cell.values(), key=lambda n: n.id))
     return TemporalGstbn(
@@ -545,6 +543,18 @@ def _relaxed(net: TemporalGstbn, lon: np.ndarray, lat: np.ndarray):
         yield trial[closer], pos[row[closer]], dist[closer]
 
 
+def _relinked(net: TemporalGstbn, catalog: tuple[SensorNode, ...], changes) -> TemporalGstbn:
+    """`net` under `catalog`, the one way to edit a network: per snapshot,
+    `changes` gives `(rows, sensor_id, weight_km)`, and the edges at `rows`
+    (positions or a mask) now go to `sensor_id`, `weight_km` km away."""
+    snapshots = []
+    for snap, (rows, sensor_id, weight_km) in zip(net.snapshots, changes):
+        linked, weights = snap.sensor_id.copy(), snap.weight_km.copy()
+        linked[rows], weights[rows] = sensor_id, weight_km
+        snapshots.append(replace(snap, sensor_id=linked, weight_km=weights))
+    return replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)
+
+
 def add_sensor(net: TemporalGstbn, coord: GeoCoord) -> TemporalGstbn:
     """New network with a synthetic active sensor at `coord`.
 
@@ -566,15 +576,9 @@ def add_sensor(net: TemporalGstbn, coord: GeoCoord) -> TemporalGstbn:
         operational_status=OperationalStatus.ACTIVE,
         observations=frozenset(ObservationKind),
     )
-    catalog = net.sensor_catalog + (sensor,)
-    active_ids = frozenset(s.id for s in catalog if s.is_active)
-    snapshots = []
     lon, lat = lonlat_arrays([coord])
-    for snap, (_, pos, dist) in zip(net.snapshots, _relaxed(net, lon, lat)):
-        weights, linked = snap.weight_km.copy(), snap.sensor_id.copy()
-        weights[pos], linked[pos] = dist, fresh_id
-        snapshots.append(replace(snap, sensor_ids=active_ids, sensor_id=linked, weight_km=weights))
-    return replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)
+    changes = ((pos, fresh_id, dist) for _, pos, dist in _relaxed(net, lon, lat))
+    return _relinked(net, net.sensor_catalog + (sensor,), changes)
 
 
 def remove_sensor(net: TemporalGstbn, sensor_id: int) -> TemporalGstbn:
@@ -597,16 +601,12 @@ def remove_sensor(net: TemporalGstbn, sensor_id: int) -> TemporalGstbn:
     actives = [s for s in catalog if s.is_active]
     if not actives:
         raise NoObserversError("removal would leave no active sensors")
-    active_ids = frozenset(s.id for s in actives)
-    snapshots = []
+    changes = []
     for snap in net.snapshots:
         served = snap.sensor_id == sensor_id
         orphans = [net.rois_by_id[rid] for rid in snap.roi_id[served].tolist()]
-        contributing = None
-        if net.strict_observations:
-            contributing = {r.id: frozenset(r.snapshots[snap.timestamp]) for r in orphans}
-        linked, weights = snap.sensor_id.copy(), snap.weight_km.copy()
+        kinds = _fired_kinds(orphans, snap.timestamp) if net.strict_observations else None
         # the orphans are in roi-id order, the order build_edges returns them in
-        _, linked[served], weights[served] = build_edges(orphans, actives, net.earth, contributing)
-        snapshots.append(replace(snap, sensor_ids=active_ids, sensor_id=linked, weight_km=weights))
-    return replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)
+        _, linked, weights = build_edges(orphans, actives, net.earth, kinds)
+        changes.append((served, linked, weights))
+    return _relinked(net, catalog, changes)

@@ -122,7 +122,8 @@ def geojson_document(net, timestamp):
     no template involved.
     """
     snap = net.snapshot_at(timestamp)
-    degrees = {sid: 0 for sid in snap.sensor_ids}
+    active = sorted(s.id for s in net.active_sensors)
+    degrees = {sid: 0 for sid in active}
     for e in snap.edges:
         degrees[e.sensor_id] += 1
 
@@ -130,7 +131,7 @@ def geojson_document(net, timestamp):
         return {"type": "Point", "coordinates": [coord.lon, coord.lat]}
 
     features = []
-    for sid in sorted(snap.sensor_ids):
+    for sid in active:
         s = net.sensors_by_id[sid]
         properties = {
             "node_type": "sensor",

@@ -1,11 +1,14 @@
 """The benchmark's smoke mode, run from the test suite.
 
-`bench/tests` has its own conftest and is collected on its own; this test
-only runs `bench/run.py --smoke` in a scratch directory that links to the
-checkout's `src` and `bench`, so the package names the benchmark calls
-(and patches when tracing) stay guarded by the main suite.
+`bench/tests` has its own conftest and is collected on its own; these tests
+run `bench/run.py --smoke` in a scratch directory that links to the
+checkout's `src` and `bench`, and check that every name the tracer patches
+still exists, so the package names the benchmark calls (and patches when
+tracing) stay guarded by the main suite.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -34,3 +37,18 @@ def test_benchmark_smoke_mode_is_correct(tmp_path, trace):
     final = json.loads(proc.stdout.splitlines()[-1])
     assert final["correct"] is True, proc.stdout[-4000:]
     assert final["failed"] == 0
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    # the tracer skips a missing name, so a rename would silently drop its span
+    for module_name, attr, _ in load_tracing().PATCHES:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (
+            f"{module_name}.{attr}"
+        )

@@ -627,3 +627,31 @@ class TestNonFiniteNumbers:
         assert report["robustness"]["coverage_before_km"] == 0.0
         assert report["robustness"]["coverage_after_km"] > 0.0
         assert report["robustness"]["relative_increase"] is None
+
+
+class TestInt64Ids:
+    """Sensor ids go into int64 arrays, so one outside that range ends as
+    one error line, whether the catalog holds it or placement would mint it."""
+
+    @staticmethod
+    def catalog_with_last_id(scenario_dir, tmp_path, sid):
+        lines = scenario_dir.catalog_path.read_text(encoding="utf-8").splitlines()
+        lines[-1] = f"{sid},{lines[-1].partition(',')[2]}"
+        catalog = tmp_path / "sensors.csv"
+        catalog.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        args = ["--sensors", str(catalog), "--grids", *map(str, scenario_dir.grid_paths)]
+        return catalog, len(lines), args
+
+    def test_catalog_id_past_int64(self, scenario_dir, tmp_path):
+        catalog, line, args = self.catalog_with_last_id(scenario_dir, tmp_path, 2**63)
+        proc = run_fresh(["score", *args, "--out", str(tmp_path / "o.json")])
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"gstbn: error: {catalog}:{line}: sensor id must be in [0, 2**63-1], got {2**63}\n"
+        )
+
+    def test_fresh_id_past_int64(self, scenario_dir, tmp_path):
+        _, _, args = self.catalog_with_last_id(scenario_dir, tmp_path, 2**63 - 1)
+        proc = run_fresh(["optimize", *args, "--trials", "5", "--out", str(tmp_path / "o.json")])
+        assert proc.returncode == 1
+        assert proc.stderr == f"gstbn: error: sensor id must be in [0, 2**63-1], got {2**63}\n"

@@ -492,10 +492,11 @@ class TestExportGeojson:
         rois = [f for f in feats if f["properties"].get("node_type") == "roi"]
         edges = [f for f in feats if "node_type" not in f["properties"]]
         snap = small_network.snapshot_at(ts)
-        assert len(sensors) == len(snap.sensor_ids)
+        active = sorted(s.id for s in small_network.active_sensors)
+        assert len(sensors) == len(active)
         assert len(rois) == len(snap.roi_ids)
         assert len(edges) == len(snap.edges)
-        assert [f["properties"]["id"] for f in sensors] == sorted(snap.sensor_ids)
+        assert [f["properties"]["id"] for f in sensors] == active
         assert [f["properties"]["id"] for f in rois] == sorted(snap.roi_ids)
         assert [f["properties"]["roi_id"] for f in edges] == [e.roi_id for e in snap.edges]
 
@@ -524,7 +525,7 @@ class TestExportGeojson:
             for f in doc["features"]
             if f["properties"].get("node_type") == "sensor"
         }
-        manual = {sid: 0 for sid in snap.sensor_ids}
+        manual = {s.id: 0 for s in small_network.active_sensors}
         for e in snap.edges:
             manual[e.sensor_id] += 1
         assert degs == manual
@@ -616,7 +617,7 @@ def small_networks(draw):
             rois[rid].snapshots[ts] = {k: draw(_magnitudes) for k in kinds}
             linked.append(draw(st.sampled_from(active)))
             weights.append(draw(_magnitudes))
-        snapshots.append(GstbnSnapshot(ts, frozenset(active), members, linked, weights))
+        snapshots.append(GstbnSnapshot(ts, members, linked, weights))
     return TemporalGstbn(tuple(snapshots), tuple(sensors), tuple(rois))
 
 
@@ -632,7 +633,7 @@ class TestFormatGeojson:
             assert export_geojson(net, snap.timestamp) == json.loads(text)
 
     def test_empty_collection(self):
-        net = TemporalGstbn((GstbnSnapshot(5, frozenset(), (), (), ()),), (), ())
+        net = TemporalGstbn((GstbnSnapshot(5, (), (), ()),), (), ())
         text = format_geojson(net, 5)
         assert text == '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
         assert text == dump_json(geojson_document(net, 5))

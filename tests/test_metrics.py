@@ -102,7 +102,7 @@ class TestDegreeCentrality:
     def test_degrees_match_edge_tallies(self, small_network):
         rep = degree_centrality(small_network)
         for snap in small_network.snapshots:
-            manual = {sid: 0 for sid in snap.sensor_ids}
+            manual = {s.id: 0 for s in small_network.active_sensors}
             for e in snap.edges:
                 manual[e.sensor_id] += 1
             assert rep.static_per_snapshot[snap.timestamp] == manual

@@ -74,6 +74,14 @@ class TestSensorNode:
         assert OperationalStatus("inactive") is OperationalStatus.INACTIVE
 
 
+@pytest.mark.parametrize("node", [sensor, roi])
+def test_node_ids_must_fit_int64(node):
+    assert node(2**63 - 1, 0.0, 0.0).id == 2**63 - 1
+    for bad in (-1, 2**63):
+        with pytest.raises(ParameterError):
+            node(bad, 0.0, 0.0)
+
+
 class TestBuildEdges:
     def test_empty_sensor_list_raises(self):
         with pytest.raises(NoObserversError):
@@ -157,18 +165,17 @@ class TestGstbnSnapshot:
             pytest.param([1, 2], [1], [10.0, 10.0], id="mismatched-lengths"),
             pytest.param([2, 1], [1, 1], [10.0, 10.0], id="unsorted-roi-id"),
             pytest.param([1, 1], [1, 1], [10.0, 10.0], id="duplicate-roi-id"),
-            pytest.param([1], [2], [10.0], id="unknown-sensor"),
             pytest.param([1], [1], [-1.0], id="negative-weight"),
             pytest.param([1], [1], [float("nan")], id="nan-weight"),
         ],
     )
     def test_rejects_malformed_rows(self, roi_id, sensor_id, weight_km):
         with pytest.raises(StructuralError):
-            GstbnSnapshot(0, frozenset({1}), roi_id, sensor_id, weight_km)
+            GstbnSnapshot(0, roi_id, sensor_id, weight_km)
 
     def test_arrays_are_read_only_copies(self):
         weights = np.array([10.0, 20.0])
-        snap = GstbnSnapshot(0, frozenset({1, 2}), [3, 5], [2, 1], weights)
+        snap = GstbnSnapshot(0, [3, 5], [2, 1], weights)
         weights[0] = -1.0
         assert snap.weight_km.tolist() == [10.0, 20.0]
         for a in (snap.roi_id, snap.sensor_id, snap.weight_km):
@@ -176,33 +183,51 @@ class TestGstbnSnapshot:
                 a[0] = 0
 
     def test_views_match_the_arrays(self):
-        snap = GstbnSnapshot(0, frozenset({1, 2}), [3, 5], [2, 1], [10.0, 20.0])
+        snap = GstbnSnapshot(0, [3, 5], [2, 1], [10.0, 20.0])
         assert snap.roi_ids == frozenset({3, 5})
         assert snap.edges == (GstbnEdge(3, 2, 10.0), GstbnEdge(5, 1, 20.0))
 
 
+def one_snapshot_network(registry, roi_id, sensor_id):
+    """A network with one snapshot at t=0 linking `roi_id` to `sensor_id`;
+    `registry` lists (roi id, timestamps with a payload). Sensor 1 is
+    active, sensor 2 inactive."""
+    snap = GstbnSnapshot(0, roi_id, sensor_id, [1.0] * len(roi_id))
+    rois = tuple(roi(rid, 0.0, 0.0, {t: {} for t in times}) for rid, times in registry)
+    catalog = (sensor(1, 0.0, 0.0), sensor(2, 1.0, 0.0, status=OperationalStatus.INACTIVE))
+    return TemporalGstbn((snap,), catalog, rois)
+
+
 class TestTemporalGstbn:
     @pytest.mark.parametrize(
-        "registry_ids, snapshot_ids",
+        "registry, roi_id",
         [
-            pytest.param([1, 3], [2], id="gap-in-registry"),
-            pytest.param([1, 3], [3, 4], id="past-largest-id"),
+            pytest.param([(1, [0]), (3, [0])], [2], id="gap-in-registry"),
+            pytest.param([(1, [0]), (3, [0])], [3, 4], id="past-largest-id"),
             pytest.param([], [1], id="empty-registry"),
-            pytest.param([3, 1, 3], [], id="duplicate-registry-id"),
+            pytest.param([(3, []), (1, []), (3, [])], [], id="duplicate-registry-id"),
+            pytest.param([(1, [0]), (3, [5])], [1, 3], id="edge-without-payload"),
+            pytest.param([(1, [0]), (3, [0])], [1], id="payload-without-edge"),
         ],
     )
-    def test_rejects_rois_outside_the_registry(self, registry_ids, snapshot_ids):
-        n = len(snapshot_ids)
-        snap = GstbnSnapshot(0, frozenset({1}), snapshot_ids, [1] * n, [1.0] * n)
-        registry = tuple(roi(r, 0.0, 0.0) for r in registry_ids)
+    def test_rejects_rois_outside_the_registry(self, registry, roi_id):
         with pytest.raises(StructuralError):
-            TemporalGstbn((snap,), (sensor(1, 0.0, 0.0),), registry)
+            one_snapshot_network(registry, roi_id, [1] * len(roi_id))
+
+    @pytest.mark.parametrize("sensor_id", [2, 7], ids=["inactive-sensor", "unknown-sensor"])
+    def test_rejects_edges_to_sensors_not_active(self, sensor_id):
+        with pytest.raises(StructuralError):
+            one_snapshot_network([(1, [0])], [1], [sensor_id])
+
+    def test_accepts_a_consistent_network(self):
+        net = one_snapshot_network([(3, [0]), (1, [0]), (2, [])], [1, 3], [1, 1])
+        assert net.snapshots[0].roi_ids == frozenset({1, 3})
 
     def test_registry_out_of_id_order_relaxes_the_right_rois(self):
-        far, near = roi(3, 10.0, 0.0), roi(1, 1.0, 0.0)
+        far, near = roi(3, 10.0, 0.0, {0: {}}), roi(1, 1.0, 0.0, {0: {}})
         home = sensor(1, 0.0, 0.0)
         weights = [great_circle_distance(r.geolocation, home.geolocation) for r in (near, far)]
-        snap = GstbnSnapshot(0, frozenset({1}), [1, 3], [1, 1], weights)
+        snap = GstbnSnapshot(0, [1, 3], [1, 1], weights)
         net = TemporalGstbn((snap,), (home,), (far, near))
         grown = add_sensor(net, far.geolocation)
         assert grown.snapshots[0].edges == (GstbnEdge(1, 1, weights[0]), GstbnEdge(3, 2, 0.0))
@@ -248,11 +273,12 @@ class TestBuildTemporalGstbn:
         assert ids == list(range(1, len(ids) + 1))
 
     def test_bipartite_edges_and_roi_degree_one(self, small_network):
+        active = {s.id for s in small_network.active_sensors}
         for snap in small_network.snapshots:
             seen = set()
             for e in snap.edges:
                 assert e.roi_id in snap.roi_ids
-                assert e.sensor_id in snap.sensor_ids
+                assert e.sensor_id in active
                 assert e.roi_id not in seen
                 seen.add(e.roi_id)
             assert seen == set(snap.roi_ids)
@@ -292,8 +318,8 @@ class TestBuildTemporalGstbn:
         catalog[1] = replace(catalog[1], operational_status=OperationalStatus.INACTIVE)
         net = build_temporal_gstbn(scenario_field_series(small_scenario), catalog)
         sid = catalog[1].id
+        assert sid not in {s.id for s in net.active_sensors}
         for snap in net.snapshots:
-            assert sid not in snap.sensor_ids
             assert all(e.sensor_id != sid for e in snap.edges)
         # still in the catalog for reporting
         assert net.sensors_by_id[sid].operational_status is OperationalStatus.INACTIVE
@@ -411,7 +437,15 @@ class TestAddRemoveSensor:
         assert net2.sensors_by_id[victim].operational_status is OperationalStatus.INACTIVE
         assert len(net2.sensor_catalog) == len(small_network.sensor_catalog)
         for snap in net2.snapshots:
-            assert victim not in snap.sensor_ids
+            assert (snap.sensor_id != victim).all()
+
+    def test_fresh_id_past_int64_raises(self, small_network):
+        from dataclasses import replace
+
+        top = sensor(2**63 - 1, 0.0, 0.0, status=OperationalStatus.INACTIVE)
+        net = replace(small_network, sensor_catalog=small_network.sensor_catalog + (top,))
+        with pytest.raises(ParameterError):
+            add_sensor(net, GeoCoord(-90.0, 26.0))
 
     def test_remove_unknown_sensor_raises(self, small_network):
         with pytest.raises(NotFoundError):
@@ -584,7 +618,7 @@ def networks(draw):
         fired = [node for node in rois if t in node.snapshots]
         kinds = {node.id: frozenset(node.snapshots[t]) for node in fired} if strict else None
         edges = build_edges(fired, sensors, EARTH, contributing_kinds=kinds)
-        snapshots.append(GstbnSnapshot(t, frozenset(s.id for s in sensors), *edges))
+        snapshots.append(GstbnSnapshot(t, *edges))
     net = TemporalGstbn(tuple(snapshots), tuple(sensors), tuple(rois), strict_observations=strict)
     return net, centres
 
