@@ -23,7 +23,7 @@ from .field import (
     GridSpec,
     ObservationKind,
     ResidualField,
-    RoIEvent,
+    RoIEvents,
     RoIThreshold,
     compute_residual_field,
     extract_roi_events,
@@ -35,6 +35,7 @@ from .network import (
     Mobility,
     OperationalStatus,
     RoIEventNode,
+    RoITable,
     SensorNode,
     TemporalGstbn,
     add_sensor,
@@ -107,7 +108,7 @@ __all__ = [
     "FieldSnapshot",
     "ResidualField",
     "RoIThreshold",
-    "RoIEvent",
+    "RoIEvents",
     "DEFAULT_ROI_THRESHOLD",
     "compute_residual_field",
     "extract_roi_events",
@@ -117,6 +118,7 @@ __all__ = [
     "OperationalStatus",
     "SensorNode",
     "RoIEventNode",
+    "RoITable",
     "GstbnEdge",
     "GstbnSnapshot",
     "TemporalGstbn",

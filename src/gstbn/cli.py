@@ -155,17 +155,20 @@ def _expand_grid_paths(paths: list[Path]) -> list[Path]:
     return out
 
 
-def _load_network(args: argparse.Namespace):
+def _load_network(args: argparse.Namespace, hash_inputs: bool = False):
+    """The network, the grid series and, with `hash_inputs`, each input's
+    sha256 by path, taken from the bytes the parsers read."""
+    digests: dict[str, str] | None = {} if hash_inputs else None
     grid_paths = _expand_grid_paths(args.grids)
-    catalog = parse_sensor_catalog(args.sensors)
-    series = parse_grid_series(grid_paths)
+    catalog = parse_sensor_catalog(args.sensors, digests)
+    series = parse_grid_series(grid_paths, digests)
     net = build_temporal_gstbn(
         series,
         catalog,
         threshold=RoIThreshold(args.threshold),
         strict_observations=args.strict_observations,
     )
-    return net, series, [args.sensors, *grid_paths]
+    return net, series, digests
 
 
 def _search_domain(args: argparse.Namespace, series) -> SearchDomain:
@@ -211,7 +214,7 @@ def _write_report(args: argparse.Namespace, net: TemporalGstbn, inputs, **sectio
         coverage_to_dict(coverage_report(net)),
         centrality_to_dict(degree_centrality(net)),
         seed=args.seed,
-        input_paths=inputs,
+        inputs=inputs,
         **sections,
     )
     args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -219,18 +222,18 @@ def _write_report(args: argparse.Namespace, net: TemporalGstbn, inputs, **sectio
 
 
 def _cmd_score(args: argparse.Namespace) -> None:
-    net, _, inputs = _load_network(args)
+    net, _, inputs = _load_network(args, hash_inputs=True)
     _write_report(args, net, inputs)
 
 
 def _cmd_robustness(args: argparse.Namespace) -> None:
-    net, _, inputs = _load_network(args)
+    net, _, inputs = _load_network(args, hash_inputs=True)
     rob = evaluate_robustness(net, args.remove)
     _write_report(args, net, inputs, robustness=robustness_to_dict(rob))
 
 
 def _cmd_optimize(args: argparse.Namespace) -> None:
-    net, series, inputs = _load_network(args)
+    net, series, inputs = _load_network(args, hash_inputs=True)
     domain = _search_domain(args, series)
     traces = [] if args.trace else None
     result = place_sequential(

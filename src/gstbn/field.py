@@ -10,7 +10,7 @@ positive RoI value become observable events.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -25,7 +25,7 @@ __all__ = [
     "FieldSnapshot",
     "ResidualField",
     "RoIThreshold",
-    "RoIEvent",
+    "RoIEvents",
     "DEFAULT_ROI_THRESHOLD",
     "compute_residual_field",
     "extract_roi_events",
@@ -181,14 +181,21 @@ class RoIThreshold:
 DEFAULT_ROI_THRESHOLD = RoIThreshold()
 
 
-@dataclass(frozen=True)
-class RoIEvent:
-    """A grid cell whose thresholded residual sum is positive for one interval."""
+@dataclass(frozen=True, eq=False)
+class RoIEvents:
+    """One interval's RoI events as columns, a row per firing cell in cell
+    order. `residual` has a column per :class:`ObservationKind` in
+    `kind_sort_key` order, NaN where the kind did not count; `value` is
+    the row's sum. `len()` is the event count."""
 
-    cell_index: int
-    coord: GeoCoord
-    roi_value: float
-    residuals: Mapping[ObservationKind, float] = dc_field(default_factory=dict)
+    cell: np.ndarray
+    lon: np.ndarray
+    lat: np.ndarray
+    residual: np.ndarray
+    value: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.cell)
 
 
 def _check_finite(values, where, variable, interval, what) -> None:
@@ -241,7 +248,7 @@ def extract_roi_events(
     residual_fields: Sequence[ResidualField],
     threshold: RoIThreshold = DEFAULT_ROI_THRESHOLD,
     scales: Mapping[ObservationKind, float] | None = None,
-) -> list[RoIEvent]:
+) -> RoIEvents:
     """RoI events for one interval from that interval's residual fields.
 
     Each variable contributes its (optionally scaled) residual where it
@@ -269,35 +276,21 @@ def extract_roi_events(
     ordered = sorted(residual_fields, key=lambda rf: kind_sort_key(rf.variable))
     thr = threshold.value
     total = np.zeros(grid.shape, dtype=np.float64)
-    contributions = []
+    counted = []
     for rf in ordered:
         scale = 1.0 if scales is None else float(scales.get(rf.variable, 1.0))
         with np.errstate(over="ignore"):
             scaled = rf.residuals * scale if scale != 1.0 else rf.residuals
             keep = rf.valid & (scaled >= thr)
-            contrib = np.where(keep, scaled, 0.0)
-            total = total + contrib
+            total = total + np.where(keep, scaled, 0.0)
         _check_finite(total, keep, rf.variable, interval, "RoI sum")
-        contributions.append((rf.variable, contrib, keep))
+        counted.append((rf.variable, scaled, keep))
 
-    # one gather per array; the centres are computed as GridSpec.cell_coord does
     flat = np.flatnonzero(total > 0.0)
+    residual = np.full((len(flat), len(_KIND_ORDER)), np.nan)
+    for var, scaled, keep in counted:
+        residual[:, _KIND_ORDER[var]] = np.where(keep.ravel()[flat], scaled.ravel()[flat], np.nan)
+    # the centres are computed as GridSpec.cell_coord does
     i, j = np.divmod(flat, grid.n_lon)
-    lons = (grid.lon0 + j * grid.d_lon).tolist()
-    lats = (grid.lat0 + i * grid.d_lat).tolist()
-    per_kind = [
-        (var, contrib.ravel()[flat].tolist(), keep.ravel()[flat].tolist())
-        for var, contrib, keep in contributions
-    ]
-    events: list[RoIEvent] = []
-    for n, (idx, value) in enumerate(zip(flat.tolist(), total.ravel()[flat].tolist())):
-        per_var = {var: values[n] for var, values, kept in per_kind if kept[n]}
-        events.append(
-            RoIEvent(
-                cell_index=idx,
-                coord=GeoCoord(lons[n], lats[n]),
-                roi_value=value,
-                residuals=per_var,
-            )
-        )
-    return events
+    lon, lat = grid.lon0 + j * grid.d_lon, grid.lat0 + i * grid.d_lat
+    return RoIEvents(flat, lon, lat, residual, total.ravel()[flat])

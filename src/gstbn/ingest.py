@@ -85,14 +85,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def read_utf8(path) -> str:
+def read_utf8(path, digests: dict[str, str] | None = None) -> str:
     """A file's text as UTF-8, whatever the locale; ParseError if the file
-    is unreadable or not UTF-8 (naming the line of the first bad byte)."""
+    is unreadable or not UTF-8 (naming the line of the first bad byte).
+    With `digests`, also sets `digests[str(path)]` to the bytes' sha256."""
     path = Path(path)
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ParseError(path, None, f"cannot read file: {exc}") from exc
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(data).hexdigest()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -119,10 +122,11 @@ def _csv_rows(reader, path):
         raise ParseError(path, reader.line_num, f"bad CSV: {exc}") from None
 
 
-def parse_sensor_catalog(path) -> list[SensorNode]:
-    """Read a sensor catalog CSV; row order is preserved."""
+def parse_sensor_catalog(path, digests: dict[str, str] | None = None) -> list[SensorNode]:
+    """Read a sensor catalog CSV; row order is preserved. `digests` as in
+    :func:`read_utf8`."""
     path = Path(path)
-    reader = csv.reader(io.StringIO(read_utf8(path)))
+    reader = csv.reader(io.StringIO(read_utf8(path, digests)))
     rows = _csv_rows(reader, path)
     try:
         header = next(rows)
@@ -221,10 +225,10 @@ def _parse_kv(token: str, key: str, path, line: int) -> str:
     return token[len(prefix):]
 
 
-def parse_grid_snapshot(path) -> FieldSnapshot:
-    """Read one grid snapshot file."""
+def parse_grid_snapshot(path, digests: dict[str, str] | None = None) -> FieldSnapshot:
+    """Read one grid snapshot file. `digests` as in :func:`read_utf8`."""
     path = Path(path)
-    lines = read_utf8(path).splitlines()
+    lines = read_utf8(path, digests).splitlines()
     if not lines or lines[0] != _GRID_MAGIC:
         raise ParseError(path, 1, f"missing magic line {_GRID_MAGIC!r}")
     if len(lines) < 3:
@@ -343,12 +347,13 @@ def write_grid_snapshot(snap: FieldSnapshot, path) -> None:
     Path(path).write_text(format_grid_snapshot(snap), encoding="utf-8")
 
 
-def parse_grid_series(paths: Iterable) -> dict[ObservationKind, list[FieldSnapshot]]:
-    """Read many grid files into per-variable, time-ordered series."""
+def parse_grid_series(paths: Iterable, digests=None) -> dict[ObservationKind, list[FieldSnapshot]]:
+    """Read many grid files into per-variable, time-ordered series.
+    `digests` as in :func:`read_utf8`."""
     series: dict[ObservationKind, list[FieldSnapshot]] = {}
     sources: dict[tuple[ObservationKind, int], Path] = {}
     for p in paths:
-        snap = parse_grid_snapshot(p)
+        snap = parse_grid_snapshot(p, digests)
         key = (snap.variable, snap.timestamp)
         if key in sources:
             raise ParseError(
@@ -366,67 +371,31 @@ def parse_grid_series(paths: Iterable) -> dict[ObservationKind, list[FieldSnapsh
     return {k: series[k] for k in sorted(series, key=kind_sort_key)}
 
 
-# One snapshot's features as `dump_json` lays them out: keys sorted, two-space
-# indent, each template already indented to a feature's depth in the collection.
-_SENSOR_FEATURE = """\
-    {
-      "geometry": {
-        "coordinates": [
-          %s,
-          %s
-        ],
-        "type": "Point"
-      },
-      "properties": {
-        "degree": %s,
-        "id": %s,
-        "membership": %s,
-        "node_type": "sensor",
-        "status": %s
-      },
-      "type": "Feature"
-    }"""
+def _template(feature: dict) -> str:
+    """`feature` as `dump_json` lays it out in a collection's "features"
+    list (keys sorted, two-space indent, at a feature's depth), with each
+    "%s" string made a bare %s slot for preformatted text."""
+    lines = json.dumps(feature, sort_keys=True, indent=2).splitlines()
+    return "\n".join("    " + line for line in lines).replace('"%s"', "%s")
 
-_ROI_FEATURE = """\
-    {
-      "geometry": {
-        "coordinates": [
-          %s,
-          %s
-        ],
-        "type": "Point"
-      },
-      "properties": {
-        "id": %s,
-        "node_type": "roi",
-        "residuals": %s,
-        "roi_value": %s
-      },
-      "type": "Feature"
-    }"""
 
-_EDGE_FEATURE = """\
-    {
-      "geometry": {
-        "coordinates": [
-          [
-            %s,
-            %s
-          ],
-          [
-            %s,
-            %s
-          ]
-        ],
-        "type": "LineString"
-      },
-      "properties": {
-        "roi_id": %s,
-        "sensor_id": %s,
-        "weight_km": %s
-      },
-      "type": "Feature"
-    }"""
+def _point_template(node_type: str, *slots: str, **properties) -> str:
+    return _template({
+        "type": "Feature",
+        "geometry": {"type": "Point", "coordinates": ["%s", "%s"]},
+        "properties": {"node_type": node_type, **dict.fromkeys(slots, "%s"), **properties},
+    })
+
+
+# slots in text order: coordinates, then the properties by name
+_SENSOR_FEATURE = _point_template("sensor", "degree", "id", "membership", "status")
+_EDGE_FEATURE = _template({
+    "type": "Feature",
+    "geometry": {"type": "LineString", "coordinates": [["%s", "%s"], ["%s", "%s"]]},
+    "properties": dict.fromkeys(("roi_id", "sensor_id", "weight_km"), "%s"),
+})
+# the kinds in the order `dump_json` sorts the residual keys: by name
+_BY_NAME = sorted(ObservationKind, key=lambda kind: kind.value)
 
 
 def _number(x) -> str:
@@ -440,18 +409,30 @@ def _number(x) -> str:
     return int.__repr__(x)
 
 
-def _node_text(coord: GeoCoord, node_id: int) -> tuple[str, str, str]:
-    return _number(coord.lon), _number(coord.lat), _number(node_id)
+def _floats(values: np.ndarray) -> list[str]:
+    """The floats as `dump_json` writes them; ValueError if one is not finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"Out of range float values are not JSON compliant: {values}")
+    return list(map(float.__repr__, values.tolist()))
 
 
-def _residuals(payload: Mapping[ObservationKind, float]) -> str:
-    if not payload:
-        return "{}"
-    items = sorted((k.value, v) for k, v in payload.items())
-    body = ",\n".join(
-        f"          {encode_basestring_ascii(key)}: {_number(v)}" for key, v in items
-    )
-    return "{\n" + body + "\n        }"
+def _roi_features(snap, lon: list[str], lat: list[str], roi_id: list[str]) -> list[str]:
+    """The RoI features of `snap`, whose RoIs lie at `lon`, `lat`. RoIs that
+    fired the same kinds (not NaN) share one template, a slot per residual."""
+    residual = snap.residual[:, list(map(kind_sort_key, _BY_NAME))]
+    group = ~np.isnan(residual) @ (1 << np.arange(len(_BY_NAME)))
+    columns = (lon, lat, roi_id, _floats(snap.roi_value))
+    out = [""] * len(group)
+    for key in np.unique(group).tolist():
+        fired = [j for j in range(len(_BY_NAME)) if key >> j & 1]
+        slots = dict.fromkeys((_BY_NAME[j].value for j in fired), "%s")
+        template = _point_template("roi", "id", "roi_value", residuals=slots)
+        rows = np.flatnonzero(group == key)
+        *picked, values = ([column[r] for r in rows.tolist()] for column in columns)
+        residuals = [_floats(residual[rows, j]) for j in fired]
+        for row, text in zip(rows.tolist(), map(template.__mod__, zip(*picked, *residuals, values))):
+            out[row] = text
+    return out
 
 
 def format_geojson(net: TemporalGstbn, timestamp: int) -> str:
@@ -460,57 +441,30 @@ def format_geojson(net: TemporalGstbn, timestamp: int) -> str:
 
     Sensor and RoI nodes become Point features, edges become LineStrings
     from RoI to sensor; coordinates are [lon, lat]. Features are ordered
-    sensors by id, then RoIs by id, then edges by roi id. ValueError if a
-    number is not finite.
+    sensors by id, then RoIs by id, then edges by roi id. Each column is
+    formatted once. ValueError if a number is not finite.
     """
     snap = net.snapshot_at(timestamp)
-    roi_ids, linked = snap.roi_id.tolist(), snap.sensor_id.tolist()
+    rows = net._roi_rows[net.snapshots.index(snap)]
+    linked = snap.sensor_id.tolist()
     degrees = Counter(linked)
 
-    # each node's coordinates and id are formatted once, then reused by its edges
+    # each sensor's coordinates and id are formatted once, then reused by its edges
     sensor_text: dict[int, tuple[str, str, str]] = {}
-    roi_text: dict[int, tuple[str, str, str]] = {}
     features: list[str] = []
     for s in sorted(net.active_sensors, key=lambda s: s.id):
-        lon, lat, text_id = sensor_text[s.id] = _node_text(s.geolocation, s.id)
-        features.append(
-            _SENSOR_FEATURE
-            % (
-                lon,
-                lat,
-                _number(degrees[s.id]),
-                text_id,
-                encode_basestring_ascii(s.membership.value),
-                encode_basestring_ascii(s.operational_status.value),
-            )
-        )
-    for rid in roi_ids:
-        node = net.rois_by_id[rid]
-        lon, lat, text_id = roi_text[rid] = _node_text(node.geolocation, rid)
-        features.append(
-            _ROI_FEATURE
-            % (
-                lon,
-                lat,
-                text_id,
-                _residuals(node.snapshots[timestamp]),
-                _number(node.roi_value_at(timestamp)),
-            )
-        )
-    for rid, sid, weight_km in zip(roi_ids, linked, snap.weight_km.tolist()):
-        roi_lon, roi_lat, roi_id = roi_text[rid]
-        sensor_lon, sensor_lat, sensor_id = sensor_text[sid]
-        features.append(
-            _EDGE_FEATURE
-            % (roi_lon, roi_lat, sensor_lon, sensor_lat, roi_id, sensor_id, _number(weight_km))
-        )
-    if not features:
-        return '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
-    return (
-        '{\n  "features": [\n'
-        + ",\n".join(features)
-        + '\n  ],\n  "type": "FeatureCollection"\n}\n'
-    )
+        coord = s.geolocation
+        lon, lat, sid = sensor_text[s.id] = _number(coord.lon), _number(coord.lat), _number(s.id)
+        labels = map(encode_basestring_ascii, (s.membership.value, s.operational_status.value))
+        features.append(_SENSOR_FEATURE % (lon, lat, _number(degrees[s.id]), sid, *labels))
+    lon, lat = _floats(net.roi_table.lon[rows]), _floats(net.roi_table.lat[rows])
+    roi_id = list(map(int.__repr__, snap.roi_id.tolist()))
+    features += _roi_features(snap, lon, lat, roi_id)
+    s_lon, s_lat, s_id = zip(*map(sensor_text.__getitem__, linked)) if linked else ((), (), ())
+    edges = zip(lon, lat, s_lon, s_lat, roi_id, s_id, _floats(snap.weight_km))
+    features += map(_EDGE_FEATURE.__mod__, edges)
+    body = "[\n" + ",\n".join(features) + "\n  ]" if features else "[]"
+    return '{\n  "features": ' + body + ',\n  "type": "FeatureCollection"\n}\n'
 
 
 def export_geojson(net: TemporalGstbn, timestamp: int) -> dict:
@@ -580,8 +534,10 @@ def build_report(
     placement: dict | None = None,
     *,
     seed: int,
-    input_paths: Iterable = (),
+    inputs: Mapping[str, str] | None = None,
 ) -> dict:
+    """The report document; `inputs` maps each input path to its sha256,
+    as the parsers' `digests` collect them."""
     from . import __version__
 
     report = {
@@ -591,7 +547,7 @@ def build_report(
             "tool": "gstbn",
             "version": __version__,
             "seed": seed,
-            "inputs": {str(p): file_digest(p) for p in sorted(input_paths, key=str)},
+            "inputs": dict(sorted((inputs or {}).items())),
         },
     }
     if robustness is not None:

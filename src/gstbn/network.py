@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "OperationalStatus",
     "SensorNode",
     "RoIEventNode",
+    "RoITable",
     "GstbnEdge",
     "GstbnSnapshot",
     "TemporalGstbn",
@@ -96,37 +98,52 @@ class SensorNode:
         return self.operational_status is OperationalStatus.ACTIVE
 
 
-@dataclass
-class RoIEventNode:
-    """One grid cell's event node, shared by every interval it fires in.
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only `dtype` copy of `values`."""
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
-    `snapshots` maps interval-end timestamp -> {variable -> residual} for
-    the variables that cleared the threshold in that interval.
-    """
+
+@dataclass(frozen=True)
+class RoIEventNode:
+    """One registry RoI as a read-only object for the library, built when
+    `TemporalGstbn.roi_registry` or `rois_by_id` is first read. `snapshots`
+    maps interval-end timestamp -> {variable -> residual} for the variables
+    that cleared the threshold in that interval."""
 
     id: int
     geolocation: GeoCoord
-    snapshots: dict[int, dict[ObservationKind, float]] = dc_field(default_factory=dict)
+    snapshots: Mapping[int, Mapping[ObservationKind, float]] = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if not 0 <= self.id < 2**63:  # ids go into int64 arrays
             raise ParameterError(f"roi id must be in [0, 2**63-1], got {self.id}")
-        for ts, payload in self.snapshots.items():
-            for kind, value in payload.items():
-                if not (math.isfinite(value) and value >= 0.0):
-                    raise ParameterError(
-                        f"roi {self.id} at t={ts} has bad residual {value} for {kind.value}"
-                    )
 
-    def roi_value_at(self, timestamp: int) -> float:
-        """The residuals added left to right in kind order, as
-        `extract_roi_events` adds them (builtin `sum` compensates from
-        Python 3.12 on)."""
-        payload = self.snapshots[timestamp]
-        total = 0.0
-        for kind in sorted(payload, key=kind_sort_key):
-            total += payload[kind]
-        return total
+
+@dataclass(frozen=True, eq=False)
+class RoITable:
+    """The RoI registry as read-only columns, one row per RoI node: its
+    `id`, its centre (`lon`, `lat`) in degrees and its flat grid `cell`.
+    Networks edited from one share its table."""
+
+    id: np.ndarray
+    lon: np.ndarray
+    lat: np.ndarray
+    cell: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("id", np.int64), ("lon", np.float64), ("lat", np.float64), ("cell", np.int64)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        if self.id.ndim != 1 or not self.id.shape == self.lon.shape == self.lat.shape == self.cell.shape:
+            raise StructuralError("id, lon, lat and cell must be 1-D and of one length")
+        if len(np.unique(self.id)) != len(self.id):
+            raise StructuralError("duplicate roi ids in registry")
+        if (self.id < 0).any() or not ((abs(self.lon) <= 180.0) & (abs(self.lat) <= 90.0)).all():
+            raise ParameterError("roi ids must be non-negative and coordinates legal")
+
+    def __len__(self) -> int:
+        return len(self.id)
 
 
 @dataclass(frozen=True)
@@ -136,43 +153,52 @@ class GstbnEdge:
     weight_km: float
 
 
-_EDGE_ARRAYS = (("roi_id", np.int64), ("sensor_id", np.int64), ("weight_km", np.float64))
-
-
 @dataclass(frozen=True, eq=False)
 class GstbnSnapshot:
     """The bipartite graph for one interval, keyed by the interval end.
 
     Row k links RoI `roi_id[k]` to sensor `sensor_id[k]`, `weight_km[k]`
-    away: one row per RoI that fired, in increasing roi id. The arrays
-    are read-only copies, so a snapshot cannot change after its checks;
-    :class:`TemporalGstbn` checks which sensors and RoIs the ids name.
+    away: one row per RoI that fired, in increasing roi id. Its payload is
+    `residual[k]`, a column per :class:`ObservationKind` in declaration
+    order (NaN: did not fire), and their sum `roi_value[k]`; omitted, both
+    say nothing fired. The arrays are read-only copies, so a snapshot
+    cannot change after its checks; :class:`TemporalGstbn` checks which
+    sensors and RoIs the ids name.
     """
 
     timestamp: int
     roi_id: np.ndarray
     sensor_id: np.ndarray
     weight_km: np.ndarray
+    residual: np.ndarray | None = None
+    roi_value: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, dtype in _EDGE_ARRAYS:
-            a = np.array(getattr(self, name), dtype=dtype)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        for name, dtype in (("roi_id", np.int64), ("sensor_id", np.int64), ("weight_km", np.float64)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
         shape = self.roi_id.shape
         if len(shape) != 1 or not shape == self.sensor_id.shape == self.weight_km.shape:
             raise StructuralError("roi_id, sensor_id and weight_km must be 1-D and of one length")
+        kinds = shape + (len(ObservationKind),)
+        residual = np.full(kinds, np.nan) if self.residual is None else self.residual
+        object.__setattr__(self, "residual", _frozen(residual, np.float64))
+        roi_value = np.zeros(shape) if self.roi_value is None else self.roi_value
+        object.__setattr__(self, "roi_value", _frozen(roi_value, np.float64))
+        if self.residual.shape != kinds or self.roi_value.shape != shape:
+            raise StructuralError("residual and roi_value must hold one row per edge")
         if (np.diff(self.roi_id) <= 0).any():
             raise StructuralError("edges must be sorted by roi id, one per roi")
-        bad = ~(np.isfinite(self.weight_km) & (self.weight_km >= 0.0))
-        if bad.any():
-            raise StructuralError(f"edge weight {self.weight_km[bad][0]} is not a distance")
+        for a in (self.weight_km, self.roi_value, self.residual[~np.isnan(self.residual)]):
+            bad = ~(np.isfinite(a) & (a >= 0.0))
+            if bad.any():
+                raise StructuralError(f"weight, residual or roi value {a[bad][0]} is not a distance")
 
     def __eq__(self, other):
         if not isinstance(other, GstbnSnapshot):
             return NotImplemented
         return self.timestamp == other.timestamp and all(
-            np.array_equal(getattr(self, name), getattr(other, name)) for name, _ in _EDGE_ARRAYS
+            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+            for name in ("roi_id", "sensor_id", "weight_km", "residual", "roi_value")
         )
 
     @cached_property
@@ -190,13 +216,13 @@ class GstbnSnapshot:
 class TemporalGstbn:
     """Ordered snapshot sequence plus the node sets they reference.
 
-    Every edge goes to an active catalog sensor, and each snapshot links
-    exactly the registry RoIs with a payload at its timestamp.
+    Every edge goes to an active catalog sensor and to an RoI of the
+    registry table, and carries that RoI's payload for its interval.
     """
 
     snapshots: tuple[GstbnSnapshot, ...]
     sensor_catalog: tuple[SensorNode, ...]
-    roi_registry: tuple[RoIEventNode, ...]
+    roi_table: RoITable
     strict_observations: bool = False
     earth: EarthModel = EARTH
 
@@ -206,55 +232,103 @@ class TemporalGstbn:
             raise OrderingError(f"snapshot timestamps must strictly increase, got {times}")
         if len(self.sensors_by_id) != len(self.sensor_catalog):
             raise StructuralError("duplicate sensor ids in catalog")
-        if len(self.rois_by_id) != len(self.roi_registry):
-            raise StructuralError("duplicate roi ids in registry")
         active = {s.id for s in self.active_sensors}
-        fired: dict[int, list[int]] = {}
-        for node in self.roi_registry:
-            for ts in node.snapshots:
-                fired.setdefault(ts, []).append(node.id)
         for snap in self.snapshots:
             stray = set(np.unique(snap.sensor_id).tolist()) - active
             if stray:
                 raise StructuralError(
                     f"snapshot {snap.timestamp} links sensor {min(stray)}, not active in the catalog"
                 )
-            if not np.array_equal(snap.roi_id, sorted(fired.get(snap.timestamp, ()))):
-                raise StructuralError(f"snapshot {snap.timestamp} rois differ from its payloads")
+        self._roi_rows  # checks that the table holds every edge's RoI
 
     @cached_property
     def sensors_by_id(self) -> dict[int, SensorNode]:
         return {s.id: s for s in self.sensor_catalog}
 
     @cached_property
+    def roi_registry(self) -> tuple[RoIEventNode, ...]:
+        """The table's RoIs as node objects, payloads from the snapshots."""
+        payloads: list[dict] = [{} for _ in range(len(self.roi_table))]
+        for snap, rows in zip(self.snapshots, self._roi_rows):
+            for row, values in zip(rows.tolist(), snap.residual.tolist()):
+                fired = {k: v for k, v in zip(ObservationKind, values) if not math.isnan(v)}
+                payloads[row][snap.timestamp] = MappingProxyType(fired)
+        t = self.roi_table
+        coords = map(GeoCoord, t.lon.tolist(), t.lat.tolist())
+        return tuple(map(RoIEventNode, t.id.tolist(), coords, map(MappingProxyType, payloads)))
+
+    @cached_property
     def rois_by_id(self) -> dict[int, RoIEventNode]:
         return {r.id: r for r in self.roi_registry}
 
     @cached_property
-    def _registry_lonlat(self) -> tuple[np.ndarray, np.ndarray]:
-        return lonlat_arrays(n.geolocation for n in self.roi_registry)
-
-    @cached_property
-    def _edge_rows(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per snapshot, (edge position, edge weight) of each registry RoI:
-        (-1, -inf) where the RoI did not fire, so no distance is below it."""
-        ids = np.array([r.id for r in self.roi_registry], dtype=np.int64)
+    def _roi_rows(self) -> tuple[np.ndarray, ...]:
+        """Per snapshot, each edge's table row; StructuralError if none."""
+        ids = self.roi_table.id
         order = np.argsort(ids)
         out = []
         for snap in self.snapshots:
-            # every edge's roi is registered, as __post_init__ checked
-            rows = order[np.searchsorted(ids[order], snap.roi_id)]
-            pos = np.full(len(ids), -1, dtype=np.intp)
-            weight = np.full(len(ids), -np.inf)
+            at = np.searchsorted(ids[order], snap.roi_id)
+            if not (at < len(ids)).all() or (ids[order[at]] != snap.roi_id).any():
+                raise StructuralError(f"snapshot {snap.timestamp} links an roi not in the registry")
+            out.append(order[at])
+        return tuple(out)
+
+    @cached_property
+    def _edge_rows(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per snapshot, (edge position, edge weight) of each table RoI:
+        (-1, -inf) where the RoI did not fire, so no distance is below it."""
+        out = []
+        for snap, rows in zip(self.snapshots, self._roi_rows):
+            pos = np.full(len(self.roi_table), -1, dtype=np.intp)
+            weight = np.full(len(self.roi_table), -np.inf)
             pos[rows] = np.arange(len(rows))
             weight[rows] = snap.weight_km
             out.append((pos, weight))
         return tuple(out)
 
     @cached_property
+    def _tile_geometry(self) -> tuple[np.ndarray, ...]:
+        """The table RoIs in tiles: the fields of `_Tiles` but its reach.
+
+        The radius bounds the distance from a tile's centre (the middle of
+        its RoIs' lat/lon box) to any point of the box: a meridian arc of
+        half the latitude extent, then a parallel arc of half the longitude
+        extent at the box latitude nearest the equator, where parallels are
+        longest. The geodesic is no longer than that path.
+        """
+        lon, lat = self.roi_table.lon, self.roi_table.lat
+        keys = _tile_keys(lon, lat)
+        order = np.argsort(keys, kind="stable")
+        _, start, count = np.unique(keys[order], return_index=True, return_counts=True)
+        lon_lo, lon_hi = np.minimum.reduceat(lon[order], start), np.maximum.reduceat(lon[order], start)
+        lat_lo, lat_hi = np.minimum.reduceat(lat[order], start), np.maximum.reduceat(lat[order], start)
+        equatorward = np.where(lat_lo * lat_hi <= 0.0, 0.0, np.minimum(abs(lat_lo), abs(lat_hi)))
+        radius = self.earth.radius_km * (
+            np.radians(lat_hi - lat_lo) / 2.0
+            + np.cos(np.radians(equatorward)) * np.radians(lon_hi - lon_lo) / 2.0
+        )
+        return order, start, count, (lon_lo + lon_hi) / 2.0, (lat_lo + lat_hi) / 2.0, radius
+
+    @cached_property
     def _tiles(self) -> "_Tiles":
-        """The registry RoIs in tiles, with the bound that prunes `_relaxed`."""
-        return _tile_table(*self._registry_lonlat, self._edge_rows, self.earth)
+        """The tile geometry plus, per tile, the reach beyond which a
+        candidate relaxes none of its RoIs' edges: the bound that prunes
+        `_relaxed`.
+
+        By the triangle inequality a candidate more than radius + the tile's
+        largest weight from the centre is at least that weight from every
+        RoI in the tile. The slack, 1e-6 earth radii, absorbs rounding in
+        `haversine_km`: its error stays below 1e-7 earth radii even next to
+        the antipode, where arcsin is steepest, so a pruned RoI's computed
+        distance is never below its edge weight.
+        """
+        order, start, *_, radius = self._tile_geometry
+        largest = np.full(len(order), -np.inf)
+        for _, weight in self._edge_rows:
+            largest = np.maximum(largest, weight)
+        reach = np.maximum.reduceat(largest[order], start) + radius + 1e-6 * self.earth.radius_km
+        return _Tiles(*self._tile_geometry, reach=reach)
 
     @property
     def active_sensors(self) -> list[SensorNode]:
@@ -268,9 +342,9 @@ class TemporalGstbn:
 
 
 def _nearest(
-    rois: Sequence[RoIEventNode], sensors: Sequence[SensorNode], earth: EarthModel
+    lon: np.ndarray, lat: np.ndarray, sensors: Sequence[SensorNode], earth: EarthModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(sensor id, distance km) of the nearest sensor for each RoI.
+    """(sensor id, distance km) of the nearest sensor to each point.
 
     Sensors are sorted by id and `argmin` returns the first minimum, so
     ties go to the lowest id. Distances are computed in row blocks of at
@@ -278,54 +352,55 @@ def _nearest(
     """
     ordered = sorted(sensors, key=lambda s: s.id)
     s_lon, s_lat = lonlat_arrays(s.geolocation for s in ordered)
-    r_lon, r_lat = lonlat_arrays(r.geolocation for r in rois)
-    best = np.empty(len(rois), dtype=np.intp)
-    dist = np.empty(len(rois), dtype=np.float64)
-    for rows in row_blocks(len(rois), len(ordered)):
-        block = haversine_km(r_lon[rows, None], r_lat[rows, None], s_lon, s_lat, earth.radius_km)
+    best = np.empty(len(lon), dtype=np.intp)
+    dist = np.empty(len(lon), dtype=np.float64)
+    for rows in row_blocks(len(lon), len(ordered)):
+        block = haversine_km(lon[rows, None], lat[rows, None], s_lon, s_lat, earth.radius_km)
         best[rows] = block.argmin(axis=1)
         dist[rows] = block.min(axis=1)
     return np.array([s.id for s in ordered], dtype=np.int64)[best], dist
 
 
 def build_edges(
-    rois: Sequence[RoIEventNode],
+    roi_id,
+    lon,
+    lat,
     sensors: Sequence[SensorNode],
     earth: EarthModel = EARTH,
-    contributing_kinds: Mapping[int, frozenset[ObservationKind]] | None = None,
+    fired: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Link every RoI to its nearest sensor; ties go to the lower sensor id.
 
-    With `contributing_kinds` (roi id -> the variables that fired there),
-    each RoI only considers sensors observing at least one of its
-    variables; without it any sensor qualifies. Returns the edges as the
-    arrays (roi_id, sensor_id, weight_km) of a :class:`GstbnSnapshot`,
-    sorted by roi id. An empty sensor list raises, even with no RoIs:
-    a network without observers is a caller error, not an empty result.
+    RoI k has id `roi_id[k]` and lies at (`lon[k]`, `lat[k]`). With
+    `fired`, a boolean (RoIs x kinds) array with one column per
+    :class:`ObservationKind` in declaration order, each RoI only considers
+    sensors observing at least one of the variables that fired there;
+    without it any sensor qualifies. Returns the edges as the arrays
+    (roi_id, sensor_id, weight_km) of a :class:`GstbnSnapshot`, sorted by
+    roi id. An empty sensor list raises, even with no RoIs: a network
+    without observers is a caller error, not an empty result.
     """
     if not sensors:
         raise NoObserversError("no active sensors to link against")
 
-    rois = list(rois)
-    if contributing_kinds is None:
-        groups: dict[frozenset[ObservationKind] | None, list[int]] = {None: list(range(len(rois)))}
-    else:
-        groups = {}
-        for k, roi in enumerate(rois):
-            groups.setdefault(frozenset(contributing_kinds[roi.id]), []).append(k)
-
-    roi_id = np.array([r.id for r in rois], dtype=np.int64)
-    sensor_id = np.empty(len(rois), dtype=np.int64)
-    weight_km = np.empty(len(rois), dtype=np.float64)
-    for kinds, rows in groups.items():
-        if kinds is None:
-            eligible: Sequence[SensorNode] = sensors
-        else:
+    roi_id = np.asarray(roi_id, dtype=np.int64)
+    lon, lat = np.asarray(lon, dtype=np.float64), np.asarray(lat, dtype=np.float64)
+    # RoIs that fired the same kinds (one bit each) share a group and its eligible sensors
+    group = np.zeros(len(roi_id), dtype=np.int64)
+    if fired is not None:
+        group = np.asarray(fired, dtype=bool) @ (1 << np.arange(len(ObservationKind)))
+    sensor_id = np.empty(len(roi_id), dtype=np.int64)
+    weight_km = np.empty(len(roi_id), dtype=np.float64)
+    for key in np.unique(group).tolist():
+        eligible = sensors
+        if fired is not None:
+            kinds = {kind for j, kind in enumerate(ObservationKind) if key >> j & 1}
             eligible = [s for s in sensors if s.observations & kinds]
             if not eligible:
                 names = ",".join(sorted(k.value for k in kinds))
                 raise NoObserversError(f"no active sensor observes any of: {names}")
-        sensor_id[rows], weight_km[rows] = _nearest([rois[k] for k in rows], eligible, earth)
+        rows = group == key
+        sensor_id[rows], weight_km[rows] = _nearest(lon[rows], lat[rows], eligible, earth)
     order = np.argsort(roi_id, kind="stable")
     return roi_id[order], sensor_id[order], weight_km[order]
 
@@ -363,12 +438,6 @@ def _series_intervals(
     return timestamps, ordered
 
 
-def _fired_kinds(rois: Sequence[RoIEventNode], timestamp: int) -> dict[int, frozenset]:
-    """Roi id -> the variables that fired there at `timestamp`: the
-    `contributing_kinds` of strict matching."""
-    return {r.id: frozenset(r.snapshots[timestamp]) for r in rois}
-
-
 def build_temporal_gstbn(
     series: Mapping[ObservationKind, Sequence[FieldSnapshot]],
     catalog: Sequence[SensorNode],
@@ -384,45 +453,39 @@ def build_temporal_gstbn(
     order. With `strict_observations`, RoIs only link to sensors that
     observe at least one variable that fired there.
     """
-    catalog = tuple(catalog)
+    catalog = tuple(catalog)  # TemporalGstbn rejects duplicate ids
     if not catalog:
         raise NoObserversError("sensor catalog is empty")
-    ids = [s.id for s in catalog]
-    if len(set(ids)) != len(ids):
-        raise StructuralError("duplicate sensor ids in catalog")
     actives = [s for s in catalog if s.is_active]
     if not actives:
         raise NoObserversError("no active sensors in catalog")
 
     timestamps, ordered = _series_intervals(series)
 
-    by_cell: dict[int, RoIEventNode] = {}
-    next_roi_id = 1
-    snapshots: list[GstbnSnapshot] = []
-    for k in range(len(timestamps) - 1):
-        t_end = timestamps[k + 1]
-        residual_fields = [
-            compute_residual_field(snaps[k], snaps[k + 1]) for snaps in ordered.values()
-        ]
-        events = extract_roi_events(residual_fields, threshold)
-        interval_rois: list[RoIEventNode] = []
-        for event in events:
-            node = by_cell.get(event.cell_index)
-            if node is None:
-                node = RoIEventNode(id=next_roi_id, geolocation=event.coord)
-                next_roi_id += 1
-                by_cell[event.cell_index] = node
-            node.snapshots[t_end] = dict(event.residuals)
-            interval_rois.append(node)
-        kinds = _fired_kinds(interval_rois, t_end) if strict_observations else None
-        edges = build_edges(interval_rois, actives, earth, contributing_kinds=kinds)
-        snapshots.append(GstbnSnapshot(t_end, *edges))
+    cells = np.zeros(0, dtype=np.int64)  # the cells given ids so far: id k + 1 at k
+    coords = []  # (lon, lat) of the cells each interval gives ids
+    snapshots = []
+    for k, t_end in enumerate(timestamps[1:]):
+        fields = [compute_residual_field(snaps[k], snaps[k + 1]) for snaps in ordered.values()]
+        events = extract_roi_events(fields, threshold)
+        # cells firing for the first time take the next ids, in cell order
+        new = ~np.isin(events.cell, cells)
+        cells = np.concatenate([cells, events.cell[new]])
+        coords.append((events.lon[new], events.lat[new]))
+        by_cell = np.argsort(cells)
+        ids = by_cell[np.searchsorted(cells, events.cell, sorter=by_cell)] + 1
+        # the rows in roi-id order, the order build_edges returns the edges in
+        order = np.argsort(ids, kind="stable")
+        fired = ~np.isnan(events.residual[order]) if strict_observations else None
+        lon, lat = events.lon[order], events.lat[order]
+        edges = build_edges(ids[order], lon, lat, actives, earth, fired)
+        snapshots.append(GstbnSnapshot(t_end, *edges, events.residual[order], events.value[order]))
 
-    registry = tuple(sorted(by_cell.values(), key=lambda n: n.id))
+    lon, lat = (np.concatenate(column) for column in zip(*coords))
     return TemporalGstbn(
         snapshots=tuple(snapshots),
         sensor_catalog=catalog,
-        roi_registry=registry,
+        roi_table=RoITable(id=np.arange(1, len(cells) + 1), lon=lon, lat=lat, cell=cells),
         strict_observations=strict_observations,
         earth=earth,
     )
@@ -434,7 +497,7 @@ _TILE_ROIS = 16
 
 
 class _Tiles(NamedTuple):
-    """Registry RoIs bucketed into lat/lon tiles, for pruning the relax step.
+    """Table RoIs bucketed into lat/lon tiles, for pruning the relax step.
 
     Tile k holds the registry rows `order[start[k] : start[k] + count[k]]`,
     all within `radius[k]` km of its centre (`lon[k]`, `lat[k]`). A
@@ -473,48 +536,6 @@ def _tile_keys(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _tile_table(lon, lat, edge_rows, earth: EarthModel) -> _Tiles:
-    """The tiles of the registry RoIs at (`lon`, `lat`) and, per tile, the
-    reach beyond which a candidate relaxes none of their edges.
-
-    The radius bounds the distance from a tile's centre (the middle of its
-    RoIs' lat/lon box) to any point of the box: a meridian arc of half the
-    latitude extent, then a parallel arc of half the longitude extent at
-    the box latitude nearest the equator, where parallels are longest. The
-    geodesic is no longer than that path. By the triangle inequality a
-    candidate more than radius + the tile's largest weight from the
-    centre is at least that weight from every RoI in the tile.
-
-    The slack, 1e-6 earth radii, absorbs rounding in `haversine_km`: its
-    error stays below 1e-7 earth radii even next to the antipode, where
-    arcsin is steepest, so a pruned RoI's computed distance is never below
-    its edge weight.
-    """
-    keys = _tile_keys(lon, lat)
-    order = np.argsort(keys, kind="stable")
-    _, start, count = np.unique(keys[order], return_index=True, return_counts=True)
-    largest = np.full(len(order), -np.inf)
-    for _, weight in edge_rows:
-        largest = np.maximum(largest, weight)
-    largest = np.maximum.reduceat(largest[order], start)
-    lon_lo, lon_hi = np.minimum.reduceat(lon[order], start), np.maximum.reduceat(lon[order], start)
-    lat_lo, lat_hi = np.minimum.reduceat(lat[order], start), np.maximum.reduceat(lat[order], start)
-    equatorward = np.where(lat_lo * lat_hi <= 0.0, 0.0, np.minimum(abs(lat_lo), abs(lat_hi)))
-    radius = earth.radius_km * (
-        np.radians(lat_hi - lat_lo) / 2.0
-        + np.cos(np.radians(equatorward)) * np.radians(lon_hi - lon_lo) / 2.0
-    )
-    return _Tiles(
-        order=order,
-        start=start,
-        count=count,
-        lon=(lon_lo + lon_hi) / 2.0,
-        lat=(lat_lo + lat_hi) / 2.0,
-        radius=radius,
-        reach=largest + radius + 1e-6 * earth.radius_km,
-    )
-
-
 def _relaxed(net: TemporalGstbn, lon: np.ndarray, lat: np.ndarray):
     """Per snapshot, the edges a sensor added at each of the given
     candidates would take over, as arrays (trial, pos, d): candidate
@@ -523,7 +544,7 @@ def _relaxed(net: TemporalGstbn, lon: np.ndarray, lat: np.ndarray):
 
     This is the one relax step: `add_sensor` applies it to one candidate
     and trial scoring to many. Distances are computed only for the RoIs of
-    the tiles `_tile_table` cannot rule out, by `haversine_km` on the same
+    the tiles `_tiles` cannot rule out, by `haversine_km` on the same
     coordinates in the same argument order as a dense (candidates x RoIs)
     block, so each d is the value that block would hold. Rows come in
     increasing trial order.
@@ -536,8 +557,8 @@ def _relaxed(net: TemporalGstbn, lon: np.ndarray, lat: np.ndarray):
     # the registry rows of each surviving tile, one run per (trial, tile) pair
     offset = np.repeat(tiles.start[tile] - (np.cumsum(count) - count), count)
     row = tiles.order[offset + np.arange(len(trial))]
-    r_lon, r_lat = net._registry_lonlat
-    dist = haversine_km(r_lon[row], r_lat[row], lon[trial], lat[trial], radius_km)
+    table = net.roi_table
+    dist = haversine_km(table.lon[row], table.lat[row], lon[trial], lat[trial], radius_km)
     for pos, weight in net._edge_rows:
         closer = dist < weight[row]
         yield trial[closer], pos[row[closer]], dist[closer]
@@ -546,13 +567,27 @@ def _relaxed(net: TemporalGstbn, lon: np.ndarray, lat: np.ndarray):
 def _relinked(net: TemporalGstbn, catalog: tuple[SensorNode, ...], changes) -> TemporalGstbn:
     """`net` under `catalog`, the one way to edit a network: per snapshot,
     `changes` gives `(rows, sensor_id, weight_km)`, and the edges at `rows`
-    (positions or a mask) now go to `sensor_id`, `weight_km` km away."""
+    (positions or a mask) now go to `sensor_id`, `weight_km` km away. The
+    result shares `net`'s RoI table and so its tile geometry."""
     snapshots = []
     for snap, (rows, sensor_id, weight_km) in zip(net.snapshots, changes):
         linked, weights = snap.sensor_id.copy(), snap.weight_km.copy()
         linked[rows], weights[rows] = sensor_id, weight_km
         snapshots.append(replace(snap, sensor_id=linked, weight_km=weights))
-    return replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)
+    edited = replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)
+    if "_tile_geometry" in net.__dict__:
+        edited.__dict__["_tile_geometry"] = net._tile_geometry
+    return edited
+
+
+def _fresh_id(catalog: Sequence[SensorNode], count: int = 1) -> int:
+    """The id `add_sensor` gives a new sensor, one above every catalog id;
+    ParameterError unless `count` such ids, one per added sensor, fit in int64."""
+    top = max((s.id for s in catalog), default=0)
+    if top + count > 2**63 - 1:
+        raise ParameterError(f"no fresh sensor id left for {count} new sensor(s): the"
+                             f" catalog's largest id is {top}, and ids stop at 2**63-1")
+    return top + 1
 
 
 def add_sensor(net: TemporalGstbn, coord: GeoCoord) -> TemporalGstbn:
@@ -565,7 +600,7 @@ def add_sensor(net: TemporalGstbn, coord: GeoCoord) -> TemporalGstbn:
     the highest, so a tie stays with the existing sensor, exactly as a
     rebuild would decide. No snapshot's coverage can increase.
     """
-    fresh_id = max((s.id for s in net.sensor_catalog), default=0) + 1
+    fresh_id = _fresh_id(net.sensor_catalog)
     sensor = SensorNode(
         id=fresh_id,
         membership=Membership.LDN,
@@ -602,11 +637,11 @@ def remove_sensor(net: TemporalGstbn, sensor_id: int) -> TemporalGstbn:
     if not actives:
         raise NoObserversError("removal would leave no active sensors")
     changes = []
-    for snap in net.snapshots:
+    for snap, rows in zip(net.snapshots, net._roi_rows):
         served = snap.sensor_id == sensor_id
-        orphans = [net.rois_by_id[rid] for rid in snap.roi_id[served].tolist()]
-        kinds = _fired_kinds(orphans, snap.timestamp) if net.strict_observations else None
+        lon, lat = net.roi_table.lon[rows[served]], net.roi_table.lat[rows[served]]
+        fired = ~np.isnan(snap.residual[served]) if net.strict_observations else None
         # the orphans are in roi-id order, the order build_edges returns them in
-        _, linked, weights = build_edges(orphans, actives, net.earth, kinds)
+        _, linked, weights = build_edges(snap.roi_id[served], lon, lat, actives, net.earth, fired)
         changes.append((served, linked, weights))
     return _relinked(net, catalog, changes)

@@ -31,7 +31,7 @@ from .errors import ParameterError, StructuralError
 from .field import GridSpec
 from .geo import GeoCoord, lonlat_arrays, row_blocks
 from .metrics import average_temporal_coverage, coverage_sum
-from .network import TemporalGstbn, _relaxed, add_sensor
+from .network import TemporalGstbn, _fresh_id, _relaxed, add_sensor
 
 __all__ = [
     "SearchDomain",
@@ -179,7 +179,7 @@ def _scores(net: TemporalGstbn, lon: np.ndarray, lat: np.ndarray) -> list[float]
         raise StructuralError("network has no snapshots")
     base = [coverage_sum(snap.weight_km) for snap in net.snapshots]
     out: list[float] = []
-    for rows in row_blocks(len(lon), len(net.roi_registry)):
+    for rows in row_blocks(len(lon), len(net.roi_table)):
         n = rows.stop - rows.start
         # (snapshots x candidates) static coverages, summed over snapshots per candidate
         per_snap = np.empty((len(net.snapshots), n))
@@ -264,11 +264,13 @@ def place_sequential(
     Placement k runs its own Monte Carlo search with a seed derived from
     (seed, k), against the network as updated by the previous winners.
     Coverage never increases along the placed list. The result's `network`
-    is the input network with every winner added.
+    is the input network with every winner added. ParameterError before
+    any trial if the catalog leaves no fresh id for some placed sensor.
     """
     if n_sensors < 1:
         raise ParameterError(f"n_sensors must be at least 1, got {n_sensors}")
     _check_common(trials, seed, workers)
+    _fresh_id(net.sensor_catalog, n_sensors)
     baseline = average_temporal_coverage(net)
     current = net
     placed: list[PlacedSensor] = []

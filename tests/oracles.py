@@ -78,12 +78,14 @@ def dense_relaxed(net, candidates):
     return out
 
 
-def naive_interval_analysis(snapshot_pairs, threshold):
+def naive_interval_analysis(snapshot_pairs, threshold, scales=None):
     """Residuals and RoI cells for one interval, cell by cell.
 
     `snapshot_pairs` is a list of (earlier, later) FieldSnapshot pairs,
-    one per variable. Returns (residual grids keyed by variable, and a
-    dict cell_index -> (roi_value, {variable: contribution})).
+    one per variable; `scales` optionally maps a variable to the factor
+    its residual is multiplied by before the threshold. Returns (unscaled
+    residual grids keyed by variable, and a dict cell_index -> (roi_value,
+    {variable: contribution})).
     """
     ordered = sorted(snapshot_pairs, key=lambda p: kind_sort_key(p[0].variable))
     grid = ordered[0][0].grid
@@ -108,6 +110,8 @@ def naive_interval_analysis(snapshot_pairs, threshold):
             contribs = {}
             for earlier, _ in ordered:
                 r = residual_grids[earlier.variable][i][j]
+                if r is not None and scales is not None:
+                    r = r * scales.get(earlier.variable, 1.0)
                 if r is not None and r >= threshold:
                     value += r
                     contribs[earlier.variable] = r
@@ -149,7 +153,7 @@ def geojson_document(net, timestamp):
         properties = {
             "node_type": "roi",
             "id": rid,
-            "roi_value": node.roi_value_at(timestamp),
+            "roi_value": sequential_sum(payload[k] for k in sorted(payload, key=kind_sort_key)),
             "residuals": {k.value: payload[k] for k in sorted(payload, key=kind_sort_key)},
         }
         features.append(

@@ -21,7 +21,7 @@ from gstbn.field import (
     compute_residual_field,
     extract_roi_events,
 )
-from gstbn.geo import EARTH, GeoCoord, great_circle_distance
+from gstbn.geo import EARTH, GeoCoord, great_circle_distance, lonlat_arrays
 from gstbn.ingest import (
     export_geojson,
     format_grid_snapshot,
@@ -118,11 +118,13 @@ def test_criterion_02_field_oracle_equivalence():
                         assert float(rf.residuals[i, j]) == naive[i][j]
 
         events = extract_roi_events(residual_fields, RoIThreshold(0.5))
-        assert {e.cell_index for e in events} == set(roi_map)
-        for e in events:
-            value, contribs = roi_map[e.cell_index]
-            assert e.roi_value == value
-            assert e.residuals == contribs
+        assert events.cell.tolist() == sorted(roi_map)
+        columns = zip(events.cell.tolist(), events.value.tolist(), events.residual.tolist())
+        for cell, value, row in columns:
+            assert value == roi_map[cell][0]
+            # NaN marks a variable that did not count
+            fired = {kind: r for kind, r in zip(ObservationKind, row) if not math.isnan(r)}
+            assert fired == roi_map[cell][1]
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     ok(2, f"200 randomized grids bit-equal to the per-cell script, {elapsed:.2f}s")
@@ -173,7 +175,8 @@ def test_criterion_03_edge_oracle_equivalence():
             )
             for rid in range(n_rois)
         ]
-        got = zip(*(a.tolist() for a in build_edges(rois, sensors)))
+        lon, lat = lonlat_arrays(r.geolocation for r in rois)
+        got = zip(*(a.tolist() for a in build_edges([r.id for r in rois], lon, lat, sensors)))
         want = brute_force_edges(rois, sensors, EARTH)
         assert list(got) == want
     elapsed = time.monotonic() - start

@@ -1,6 +1,7 @@
 import importlib
 import json
 import subprocess
+from collections import Counter
 from dataclasses import replace
 import sys
 from importlib.metadata import entry_points
@@ -10,19 +11,20 @@ import numpy as np
 import pytest
 
 import gstbn
-from gstbn import network
+from gstbn import network, placement
 from gstbn.cli import main
 from gstbn.geo import GeoCoord, haversine_km
 from gstbn.field import FieldSnapshot, GridSpec, ObservationKind
 from gstbn.ingest import (
     dump_json,
     export_geojson,
+    file_digest,
     parse_grid_series,
     parse_sensor_catalog,
     write_grid_snapshot,
     write_sensor_catalog,
 )
-from gstbn.network import build_temporal_gstbn
+from gstbn.network import RoIEventNode, build_temporal_gstbn
 from gstbn.placement import SearchDomain, place_sequential
 from gstbn.synth import (
     Hotspot,
@@ -360,6 +362,65 @@ def tiled_dir(tmp_path_factory):
     return out
 
 
+def tiled_args(tiled_dir):
+    return ["--sensors", str(tiled_dir / "sensors.csv"), "--grids", str(tiled_dir)]
+
+
+class TestReadsEachInputOnce:
+    def test_score_reads_each_input_once(self, tiled_dir, tmp_path, monkeypatch):
+        inputs = [tiled_dir / "sensors.csv", *sorted(tiled_dir.glob("*.grid"))]
+        opened = Counter()
+        path_open = Path.open
+
+        def counting_open(self, mode="r", *args, **kwargs):
+            if "r" in mode:
+                opened[str(self)] += 1
+            return path_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        out = tmp_path / "report.json"
+        assert main(["score", *tiled_args(tiled_dir), "--out", str(out)]) == 0
+        assert opened == Counter(map(str, inputs))
+        monkeypatch.undo()
+        # the digests come from the bytes the parsers read
+        digests = json.loads(out.read_text())["meta"]["inputs"]
+        assert digests == {str(p): file_digest(p) for p in inputs}
+
+
+class TestNoPerRoiObjects:
+    """The CLI path reads the RoI table's arrays, so the node and coordinate
+    objects it makes scale with the sensors and placements, not with the
+    RoIs. The test counts constructor calls, not time."""
+
+    @pytest.mark.parametrize(
+        "command, placements",
+        [(["optimize", "--new-sensors", "2", "--trials", "50"], 2),
+         (["robustness", "--remove", "2"], 0)],
+        ids=["optimize", "robustness"],
+    )
+    def test_objects_do_not_grow_with_the_rois(
+        self, tiled_dir, tmp_path, monkeypatch, command, placements
+    ):
+        grids = sorted(tiled_dir.glob("*.grid"))
+        catalog = parse_sensor_catalog(tiled_dir / "sensors.csv")
+        # two corner checks per grid file and two for the search domain
+        bound = len(catalog) + placements + 2 * len(grids) + 2
+        rois = len(build_temporal_gstbn(parse_grid_series(grids), catalog).roi_table)
+        assert rois > 2 * bound  # so a per-RoI object would break the bound
+
+        calls = Counter()
+        for cls in (RoIEventNode, GeoCoord):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                calls[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        out = tmp_path / "report.json"
+        assert main([*command, *tiled_args(tiled_dir), "--out", str(out)]) == 0
+        assert calls["RoIEventNode"] == 0
+        assert calls["GeoCoord"] <= bound
+
+
 class TestPrunedScoring:
     """Trial scoring computes distances only for the tiles whose bound
     keeps them; with the bound off, every tile kept, optimize writes the
@@ -393,13 +454,13 @@ class TestPrunedScoring:
         near = haversine_km(tiles.lon, tiles.lat, lon[:, None], lat[:, None])
         assert len(tiles.start) > 1 and (near > tiles.reach).mean() > 0.25
 
-        tile_table = network._tile_table
+        bounded = network.TemporalGstbn._tiles.func
 
-        def unbounded(*args):
-            tiles = tile_table(*args)
+        def unbounded(net):
+            tiles = bounded(net)
             return tiles._replace(reach=np.full_like(tiles.reach, np.inf))
 
-        monkeypatch.setattr(network, "_tile_table", unbounded)
+        monkeypatch.setattr(network.TemporalGstbn, "_tiles", property(unbounded))
         assert self.run(tiled_dir, tmp_path / "full", extra) == pruned
 
 
@@ -654,4 +715,23 @@ class TestInt64Ids:
         _, _, args = self.catalog_with_last_id(scenario_dir, tmp_path, 2**63 - 1)
         proc = run_fresh(["optimize", *args, "--trials", "5", "--out", str(tmp_path / "o.json")])
         assert proc.returncode == 1
-        assert proc.stderr == f"gstbn: error: sensor id must be in [0, 2**63-1], got {2**63}\n"
+        assert proc.stderr == (
+            "gstbn: error: no fresh sensor id left for 1 new sensor(s): the catalog's largest"
+            f" id is {2**63 - 1}, and ids stop at 2**63-1\n"
+        )
+
+    @pytest.mark.parametrize("top, new_sensors", [(2**63 - 1, 1), (2**63 - 2, 2)])
+    def test_no_fresh_id_fails_before_any_trial(
+        self, scenario_dir, tmp_path, monkeypatch, capsys, top, new_sensors
+    ):
+        def refuse(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(placement, "_draw", refuse)
+        _, _, args = self.catalog_with_last_id(scenario_dir, tmp_path, top)
+        out = tmp_path / "o.json"
+        code = main(["optimize", *args, "--new-sensors", str(new_sensors), "--out", str(out)])
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"gstbn: error: no fresh sensor id left for {new_sensors} new")
+        assert err.count("\n") == 1

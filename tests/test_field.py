@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,35 @@ from gstbn.field import (
     compute_residual_field,
     extract_roi_events,
 )
+from gstbn.geo import GeoCoord
+from gstbn.network import Membership, Mobility, OperationalStatus, SensorNode, build_temporal_gstbn
 from conftest import make_grid
 from oracles import naive_interval_analysis
+
+
+def as_rois(events):
+    """The extracted columns in the oracle's shape: cell index ->
+    (roi value, {variable: residual}), leaving out the NaN residuals."""
+    return {
+        cell: (value, {k: r for k, r in zip(ObservationKind, row) if not math.isnan(r)})
+        for cell, value, row in zip(
+            events.cell.tolist(), events.value.tolist(), events.residual.tolist()
+        )
+    }
+
+
+def observer():
+    """An active sensor that observes every variable."""
+    return SensorNode(
+        id=1,
+        membership=Membership.FEDERAL,
+        data_source="test",
+        platform="buoy",
+        mobility=Mobility.STATIONARY,
+        geolocation=GeoCoord(-90.0, 25.0),
+        operational_status=OperationalStatus.ACTIVE,
+        observations=frozenset(ObservationKind),
+    )
 
 
 def snap(grid, t, values, variable=ObservationKind.TEMPERATURE, valid=None):
@@ -191,11 +220,7 @@ class TestExtractRoiEvents:
                         else:
                             assert rf.residuals[i, j] == rows[i][j]
 
-            assert {e.cell_index for e in events} == set(oracle_rois)
-            for e in events:
-                want_value, want_contribs = oracle_rois[e.cell_index]
-                assert e.roi_value == want_value
-                assert dict(e.residuals) == want_contribs
+            assert as_rois(events) == oracle_rois
 
     def test_threshold_zero_keeps_any_change(self):
         grid = GridSpec(n_lat=1, n_lon=2, lat0=0.0, d_lat=1.0, lon0=0.0, d_lon=1.0)
@@ -204,7 +229,7 @@ class TestExtractRoiEvents:
         )
         events = extract_roi_events([rf], RoIThreshold(0.0))
         # the unchanged cell has residual 0, which is >= 0 but adds nothing
-        assert [e.cell_index for e in events] == [1]
+        assert events.cell.tolist() == [1]
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(5)
@@ -213,7 +238,7 @@ class TestExtractRoiEvents:
         rf = compute_residual_field(a, b)
         thresholds = [0.0, 0.1, 0.5, 1.0, 2.0]
         cell_sets = [
-            {e.cell_index for e in extract_roi_events([rf], RoIThreshold(t))}
+            set(extract_roi_events([rf], RoIThreshold(t)).cell.tolist())
             for t in thresholds
         ]
         for bigger, smaller in zip(cell_sets, cell_sets[1:]):
@@ -228,7 +253,7 @@ class TestExtractRoiEvents:
         ]
         fields = [compute_residual_field(a, b) for a, b in pairs]
         # residual is 0.36 per variable; . Sum 0.72 > 0.5 but neither passes alone
-        assert extract_roi_events(fields, RoIThreshold(0.5)) == []
+        assert len(extract_roi_events(fields, RoIThreshold(0.5))) == 0
 
     def test_contributing_variables_recorded_post_threshold(self):
         grid = GridSpec(n_lat=1, n_lon=1, lat0=0.0, d_lat=1.0, lon0=0.0, d_lon=1.0)
@@ -242,18 +267,17 @@ class TestExtractRoiEvents:
             )
             for v, d in pairs.items()
         ]
-        (event,) = extract_roi_events(fields, RoIThreshold(0.5))
-        assert event.roi_value == 4.0
-        assert dict(event.residuals) == {ObservationKind.TEMPERATURE: 4.0}
+        events = extract_roi_events(fields, RoIThreshold(0.5))
+        assert as_rois(events) == {0: (4.0, {ObservationKind.TEMPERATURE: 4.0})}
 
     def test_scale_factor_applied_before_threshold(self):
         grid = GridSpec(n_lat=1, n_lon=1, lat0=0.0, d_lat=1.0, lon0=0.0, d_lon=1.0)
         rf = compute_residual_field(snap(grid, 0, [[0.0]]), snap(grid, 1, [[0.6]]))
-        assert extract_roi_events([rf], RoIThreshold(0.5)) == []
-        (event,) = extract_roi_events(
+        assert len(extract_roi_events([rf], RoIThreshold(0.5))) == 0
+        events = extract_roi_events(
             [rf], RoIThreshold(0.5), scales={ObservationKind.TEMPERATURE: 2.0}
         )
-        assert event.roi_value == 0.6 * 0.6 * 2.0
+        assert events.value.tolist() == [0.6 * 0.6 * 2.0]
 
     def test_overflowing_roi_sum_names_variable_interval_and_cell(self):
         # each variable's residual is finite, their sum is not
@@ -291,6 +315,74 @@ class TestExtractRoiEvents:
             snap(grid, 0, [[0.0, 0.0], [0.0, 0.0]]),
             snap(grid, 1, [[0.0, 0.0], [0.0, 2.0]]),
         )
-        (event,) = extract_roi_events([rf])
-        assert event.cell_index == 3
-        assert event.coord == grid.cell_coord(3)
+        events = extract_roi_events([rf])
+        assert events.cell.tolist() == [3]
+        assert GeoCoord(events.lon[0], events.lat[0]) == grid.cell_coord(3)
+
+
+CELL_VALUES = st.one_of(
+    st.just(float("nan")), st.sampled_from([0.0, 0.5, 1.0, 1.75]), st.floats(-3.0, 3.0)
+)
+
+
+@st.composite
+def field_series(draw):
+    """One or two variables on a small grid over two to four timestamps,
+    with NaN cells and repeated values, so residuals are missing, exactly
+    zero and on either side of the thresholds."""
+    grid = make_grid(n_lat=draw(st.integers(1, 4)), n_lon=draw(st.integers(1, 4)))
+    kinds = draw(st.lists(st.sampled_from(list(ObservationKind)), min_size=1, max_size=2, unique=True))
+    times = range(0, 100 * draw(st.integers(2, 4)), 100)
+    return grid, {
+        kind: [
+            snap(grid, t, np.reshape(draw(st.lists(CELL_VALUES, min_size=grid.cell_count,
+                                                   max_size=grid.cell_count)), grid.shape), kind)
+            for t in times
+        ]
+        for kind in kinds
+    }
+
+
+def bits(values):
+    """Floats as their bit patterns, so -0.0 differs from 0.0 and NaN equals NaN."""
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+class TestColumnarExtraction:
+    """The extracted columns and the ids the network gives them, against the
+    cell-by-cell oracle, bit for bit."""
+
+    @given(data=st.data(), threshold=st.sampled_from([0.0, 0.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_columns_and_ids_match_the_naive_oracle(self, data, threshold):
+        grid, series = data.draw(field_series())
+        kinds = list(series)
+        scales = data.draw(st.none() | st.dictionaries(
+            st.sampled_from(kinds), st.sampled_from([0.5, 1.0, 2.0, 3.7])))
+        nan = np.float64("nan")
+        ids: dict[int, int] = {}  # cell -> roi id, in first-firing order
+        net = build_temporal_gstbn(series, [observer()], RoIThreshold(threshold))
+        for k, net_snap in enumerate(net.snapshots):
+            pairs = [(series[kind][k], series[kind][k + 1]) for kind in kinds]
+            fields = [compute_residual_field(a, b) for a, b in pairs]
+            for scaled in (scales, None):  # unscaled last: the network's own columns
+                events = extract_roi_events(fields, RoIThreshold(threshold), scaled)
+                _, want = naive_interval_analysis(pairs, threshold, scaled)
+                cells = sorted(want)
+                assert len(events) == len(cells) and events.cell.tolist() == cells
+                assert bits(events.value) == bits([want[c][0] for c in cells])
+                for j, kind in enumerate(ObservationKind):
+                    # NaN exactly where the kind did not count
+                    column = [want[c][1].get(kind, nan) for c in cells]
+                    assert bits(events.residual[:, j]) == bits(column)
+            # the network's rows, keyed by ids in first-firing order
+            for c in cells:
+                ids.setdefault(c, len(ids) + 1)
+            order = sorted(cells, key=ids.get)
+            assert net_snap.roi_id.tolist() == [ids[c] for c in order]
+            assert bits(net_snap.roi_value) == bits([want[c][0] for c in order])
+            assert bits(net_snap.residual) == bits(
+                [[want[c][1].get(kind, nan) for kind in ObservationKind] for c in order]
+            )
+        assert net.roi_table.id.tolist() == list(ids.values())
+        assert net.roi_table.cell.tolist() == list(ids)

@@ -24,6 +24,7 @@ from gstbn.ingest import (
     parse_grid_snapshot,
     parse_sensor_catalog,
     placement_to_dict,
+    read_utf8,
     robustness_to_dict,
     write_grid_snapshot,
     write_sensor_catalog,
@@ -34,13 +35,13 @@ from gstbn.network import (
     Membership,
     Mobility,
     OperationalStatus,
-    RoIEventNode,
+    RoITable,
     SensorNode,
     TemporalGstbn,
 )
 from gstbn.placement import PlacedSensor, PlacementResult
 from conftest import make_grid
-from oracles import geojson_document
+from oracles import geojson_document, sequential_sum
 
 
 def random_sensor(rng, sid):
@@ -546,7 +547,10 @@ class TestExportGeojson:
                 assert f["properties"]["residuals"] == {
                     k.value: v for k, v in payload.items()
                 }
-                assert f["properties"]["roi_value"] == node.roi_value_at(ts)
+                # the residuals added left to right in kind order, as extraction adds them
+                assert f["properties"]["roi_value"] == sequential_sum(
+                    payload[k] for k in ObservationKind if k in payload
+                )
 
     def test_unknown_timestamp_raises(self, small_network):
         with pytest.raises(NotFoundError):
@@ -585,9 +589,10 @@ _magnitudes = _float_in(
 def small_networks(draw):
     """A network built directly from its parts: sensors of both memberships
     and statuses (inactive ones stay out of every snapshot), RoIs with one to
-    four residuals (or none, which the network also accepts), snapshots with
-    and without RoIs, and zero-degree sensors. RoIs fire only where some
-    sensor is active, since every RoI in a snapshot has an edge."""
+    four residuals (or none, which the network also accepts) and their sum
+    as the RoI value, snapshots with and without RoIs, and zero-degree
+    sensors. RoIs fire only where some sensor is active, since every RoI in
+    a snapshot has an edge."""
 
     def coord():
         return GeoCoord(draw(_float_in(-180.0, 180.0)), draw(_float_in(-90.0, 90.0)))
@@ -607,18 +612,27 @@ def small_networks(draw):
     ]
     active = sorted(s.id for s in sensors if s.is_active)
     timestamps = sorted(draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=3)))
-    rois = [RoIEventNode(id=rid, geolocation=coord()) for rid in range(draw(st.integers(0, 5)))]
+    coords = [coord() for _ in range(draw(st.integers(0, 5)))]
+    rois = RoITable(
+        id=range(len(coords)),
+        lon=[c.lon for c in coords],
+        lat=[c.lat for c in coords],
+        cell=range(len(coords)),
+    )
     snapshots = []
     for ts in timestamps:
-        members = sorted(draw(st.sets(st.integers(0, len(rois) - 1)))) if rois and active else []
-        linked, weights = [], []
-        for rid in members:
+        members = sorted(draw(st.sets(st.integers(0, len(coords) - 1)))) if coords and active else []
+        linked, weights, residual, roi_value = [], [], [], []
+        for _ in members:
             kinds = draw(st.lists(st.sampled_from(list(ObservationKind)), max_size=4, unique=True))
-            rois[rid].snapshots[ts] = {k: draw(_magnitudes) for k in kinds}
+            payload = {k: draw(_magnitudes) for k in kinds}
+            residual.append([payload.get(k, math.nan) for k in ObservationKind])
+            roi_value.append(sequential_sum(payload[k] for k in ObservationKind if k in payload))
             linked.append(draw(st.sampled_from(active)))
             weights.append(draw(_magnitudes))
-        snapshots.append(GstbnSnapshot(ts, members, linked, weights))
-    return TemporalGstbn(tuple(snapshots), tuple(sensors), tuple(rois))
+        residual = np.reshape(residual, (-1, len(ObservationKind)))
+        snapshots.append(GstbnSnapshot(ts, members, linked, weights, residual, roi_value))
+    return TemporalGstbn(tuple(snapshots), tuple(sensors), rois)
 
 
 class TestFormatGeojson:
@@ -633,7 +647,7 @@ class TestFormatGeojson:
             assert export_geojson(net, snap.timestamp) == json.loads(text)
 
     def test_empty_collection(self):
-        net = TemporalGstbn((GstbnSnapshot(5, (), (), ()),), (), ())
+        net = TemporalGstbn((GstbnSnapshot(5, (), (), ()),), (), RoITable((), (), (), ()))
         text = format_geojson(net, 5)
         assert text == '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
         assert text == dump_json(geojson_document(net, 5))
@@ -649,20 +663,26 @@ class TestFormatGeojson:
             with pytest.raises(ValueError):
                 format_geojson(small_network, ts)
         weights[0] = 1.0
-        payload = small_network.rois_by_id[int(snap.roi_id[0])].snapshots[ts]
-        kind = next(iter(payload))
-        for bad in (math.inf, np.float64(math.nan)):
-            payload[kind] = bad
-            with pytest.raises(ValueError):
-                format_geojson(small_network, ts)
-            with pytest.raises(ValueError):
-                export_geojson(small_network, ts)
+        # NaN in the residual column marks a kind that did not fire
+        for name, bads in (("roi_value", (math.inf, np.float64(math.nan))),
+                           ("residual", (math.inf, -math.inf))):
+            column = getattr(snap, name).copy()
+            object.__setattr__(snap, name, column)
+            for bad in bads:
+                column.flat[0] = bad
+                with pytest.raises(ValueError):
+                    format_geojson(small_network, ts)
+                with pytest.raises(ValueError):
+                    export_geojson(small_network, ts)
+            column.flat[0] = 1.0
 
 
 class TestReports:
     def test_report_shape(self, small_network, tmp_path):
         f = tmp_path / "input.txt"
         f.write_text("data")
+        digests = {}
+        read_utf8(f, digests)
         rob = evaluate_robustness(small_network, k=1)
         placement = PlacementResult(
             placed=(PlacedSensor(coord=GeoCoord(-90.0, 25.0), coverage_after_km=10.0),),
@@ -676,7 +696,7 @@ class TestReports:
             robustness=robustness_to_dict(rob),
             placement=placement_to_dict(placement),
             seed=42,
-            input_paths=[f],
+            inputs=digests,
         )
         assert set(doc) == {"coverage", "centrality", "robustness", "placement", "meta"}
         assert doc["meta"]["tool"] == "gstbn"

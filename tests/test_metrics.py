@@ -20,6 +20,7 @@ from gstbn.metrics import (
     total_temporal_coverage,
 )
 from gstbn.network import (
+    GstbnSnapshot,
     TemporalGstbn,
     add_sensor,
     build_temporal_gstbn,
@@ -63,7 +64,7 @@ class TestCoverage:
             assert static_coverage(snap) == sequential_sum(e.weight_km for e in snap.edges)
 
     def test_empty_snapshot_scores_zero(self, small_network):
-        snap = replace(small_network.snapshots[0], roi_id=(), sensor_id=(), weight_km=())
+        snap = GstbnSnapshot(small_network.snapshots[0].timestamp, (), (), ())
         assert static_coverage(snap) == 0.0
 
     def test_total_is_sum_of_statics(self, small_network):
@@ -83,7 +84,7 @@ class TestCoverage:
         empty = TemporalGstbn(
             snapshots=(),
             sensor_catalog=small_network.sensor_catalog,
-            roi_registry=(),
+            roi_table=small_network.roi_table,
         )
         with pytest.raises(StructuralError):
             total_temporal_coverage(empty)

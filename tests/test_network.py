@@ -22,6 +22,7 @@ from gstbn.network import (
     Mobility,
     OperationalStatus,
     RoIEventNode,
+    RoITable,
     SensorNode,
     TemporalGstbn,
     add_sensor,
@@ -52,6 +53,23 @@ def sensor(sid, lon, lat, status=OperationalStatus.ACTIVE,
 
 def roi(rid, lon, lat, snapshots=None):
     return RoIEventNode(id=rid, geolocation=GeoCoord(lon, lat), snapshots=snapshots or {})
+
+
+def roi_columns(rois):
+    """The (id, lon, lat) arrays of RoI nodes, as `build_edges` takes them."""
+    lon, lat = lonlat_arrays(r.geolocation for r in rois)
+    return [r.id for r in rois], lon, lat
+
+
+def roi_table(rois):
+    """The RoITable of RoI nodes, one grid cell each."""
+    return RoITable(*roi_columns(rois), cell=range(len(rois)))
+
+
+def fired_mask(kind_sets):
+    """The `fired` argument of `build_edges`: one row of kinds per RoI."""
+    rows = [[kind in kinds for kind in ObservationKind] for kinds in kind_sets]
+    return np.array(rows, dtype=bool).reshape(-1, len(ObservationKind))
 
 
 def edge_rows(arrays):
@@ -85,17 +103,17 @@ def test_node_ids_must_fit_int64(node):
 class TestBuildEdges:
     def test_empty_sensor_list_raises(self):
         with pytest.raises(NoObserversError):
-            build_edges([roi(1, 0.0, 0.0)], [])
+            build_edges(*roi_columns([roi(1, 0.0, 0.0)]), [])
 
     def test_empty_sensor_list_raises_even_without_rois(self):
         with pytest.raises(NoObserversError):
-            build_edges([], [])
+            build_edges([], [], [], [])
 
     def test_no_rois_gives_no_edges(self):
-        assert edge_rows(build_edges([], [sensor(1, 0.0, 0.0)])) == []
+        assert edge_rows(build_edges([], [], [], [sensor(1, 0.0, 0.0)])) == []
 
     def test_single_pair(self):
-        edges = build_edges([roi(1, -90.07, 29.95)], [sensor(5, -82.46, 27.95)])
+        edges = build_edges(*roi_columns([roi(1, -90.07, 29.95)]), [sensor(5, -82.46, 27.95)])
         assert edge_rows(edges) == [
             (1, 5, great_circle_distance(GeoCoord(-90.07, 29.95), GeoCoord(-82.46, 27.95)))
         ]
@@ -103,13 +121,13 @@ class TestBuildEdges:
     def test_tie_breaks_to_lowest_sensor_id(self):
         # sensors at (0,1) and (1,0) are equidistant from (0,0) by symmetry
         _, sensor_id, _ = build_edges(
-            [roi(1, 0.0, 0.0)], [sensor(7, 0.0, 1.0), sensor(3, 1.0, 0.0)]
+            *roi_columns([roi(1, 0.0, 0.0)]), [sensor(7, 0.0, 1.0), sensor(3, 1.0, 0.0)]
         )
         assert sensor_id.tolist() == [3]
 
     def test_co_located_sensors_tie_break(self):
         _, sensor_id, _ = build_edges(
-            [roi(1, 10.0, 10.0)], [sensor(9, 11.0, 11.0), sensor(4, 11.0, 11.0)]
+            *roi_columns([roi(1, 10.0, 10.0)]), [sensor(9, 11.0, 11.0), sensor(4, 11.0, 11.0)]
         )
         assert sensor_id.tolist() == [4]
 
@@ -130,30 +148,31 @@ class TestBuildEdges:
             if n_sensors >= 2 and trial % 3 == 0:
                 dupe = sensors[0].geolocation
                 sensors.append(sensor(1001, dupe.lon, dupe.lat))
-            got = edge_rows(build_edges(rois, sensors))
+            got = edge_rows(build_edges(*roi_columns(rois), sensors))
             want = brute_force_edges(rois, sensors, EARTH)
             assert got == want
 
     def test_strict_matching_restricts_eligible_sensors(self):
         temp_only = sensor(1, 0.1, 0.0, observations=frozenset({ObservationKind.TEMPERATURE}))
         salt_only = sensor(2, 5.0, 0.0, observations=frozenset({ObservationKind.SALINITY}))
-        r = roi(1, 0.0, 0.0)
-        contributing = {1: frozenset({ObservationKind.SALINITY})}
-        _, sensor_id, _ = build_edges([r], [temp_only, salt_only], contributing_kinds=contributing)
+        fired = fired_mask([{ObservationKind.SALINITY}])
+        _, sensor_id, _ = build_edges(
+            *roi_columns([roi(1, 0.0, 0.0)]), [temp_only, salt_only], fired=fired
+        )
         # the nearer sensor does not observe salinity, so the far one wins
         assert sensor_id.tolist() == [2]
 
     def test_strict_matching_with_no_eligible_sensor_raises(self):
         temp_only = sensor(1, 0.1, 0.0, observations=frozenset({ObservationKind.TEMPERATURE}))
-        contributing = {1: frozenset({ObservationKind.CURRENT_U})}
+        fired = fired_mask([{ObservationKind.CURRENT_U}])
         with pytest.raises(NoObserversError):
-            build_edges([roi(1, 0.0, 0.0)], [temp_only], contributing_kinds=contributing)
+            build_edges(*roi_columns([roi(1, 0.0, 0.0)]), [temp_only], fired=fired)
 
     def test_edges_sorted_by_roi_id(self):
         rng = np.random.default_rng(3)
         rois = [roi(int(r), float(rng.uniform(-10, 10)), float(rng.uniform(-10, 10)))
                 for r in rng.choice(500, size=30, replace=False)]
-        roi_id, _, _ = build_edges(rois, [sensor(1, 0.0, 0.0), sensor(2, 5.0, 5.0)])
+        roi_id, _, _ = build_edges(*roi_columns(rois), [sensor(1, 0.0, 0.0), sensor(2, 5.0, 5.0)])
         ids = roi_id.tolist()
         assert ids == sorted(ids)
 
@@ -190,10 +209,10 @@ class TestGstbnSnapshot:
 
 def one_snapshot_network(registry, roi_id, sensor_id):
     """A network with one snapshot at t=0 linking `roi_id` to `sensor_id`;
-    `registry` lists (roi id, timestamps with a payload). Sensor 1 is
-    active, sensor 2 inactive."""
+    `registry` lists the table's roi ids. Sensor 1 is active, sensor 2
+    inactive."""
     snap = GstbnSnapshot(0, roi_id, sensor_id, [1.0] * len(roi_id))
-    rois = tuple(roi(rid, 0.0, 0.0, {t: {} for t in times}) for rid, times in registry)
+    rois = roi_table([roi(rid, 0.0, 0.0) for rid in registry])
     catalog = (sensor(1, 0.0, 0.0), sensor(2, 1.0, 0.0, status=OperationalStatus.INACTIVE))
     return TemporalGstbn((snap,), catalog, rois)
 
@@ -202,12 +221,10 @@ class TestTemporalGstbn:
     @pytest.mark.parametrize(
         "registry, roi_id",
         [
-            pytest.param([(1, [0]), (3, [0])], [2], id="gap-in-registry"),
-            pytest.param([(1, [0]), (3, [0])], [3, 4], id="past-largest-id"),
+            pytest.param([1, 3], [2], id="gap-in-registry"),
+            pytest.param([1, 3], [3, 4], id="past-largest-id"),
             pytest.param([], [1], id="empty-registry"),
-            pytest.param([(3, []), (1, []), (3, [])], [], id="duplicate-registry-id"),
-            pytest.param([(1, [0]), (3, [5])], [1, 3], id="edge-without-payload"),
-            pytest.param([(1, [0]), (3, [0])], [1], id="payload-without-edge"),
+            pytest.param([3, 1, 3], [], id="duplicate-registry-id"),
         ],
     )
     def test_rejects_rois_outside_the_registry(self, registry, roi_id):
@@ -217,18 +234,18 @@ class TestTemporalGstbn:
     @pytest.mark.parametrize("sensor_id", [2, 7], ids=["inactive-sensor", "unknown-sensor"])
     def test_rejects_edges_to_sensors_not_active(self, sensor_id):
         with pytest.raises(StructuralError):
-            one_snapshot_network([(1, [0])], [1], [sensor_id])
+            one_snapshot_network([1], [1], [sensor_id])
 
     def test_accepts_a_consistent_network(self):
-        net = one_snapshot_network([(3, [0]), (1, [0]), (2, [])], [1, 3], [1, 1])
+        net = one_snapshot_network([3, 1, 2], [1, 3], [1, 1])
         assert net.snapshots[0].roi_ids == frozenset({1, 3})
 
     def test_registry_out_of_id_order_relaxes_the_right_rois(self):
-        far, near = roi(3, 10.0, 0.0, {0: {}}), roi(1, 1.0, 0.0, {0: {}})
+        far, near = roi(3, 10.0, 0.0), roi(1, 1.0, 0.0)
         home = sensor(1, 0.0, 0.0)
         weights = [great_circle_distance(r.geolocation, home.geolocation) for r in (near, far)]
         snap = GstbnSnapshot(0, [1, 3], [1, 1], weights)
-        net = TemporalGstbn((snap,), (home,), (far, near))
+        net = TemporalGstbn((snap,), (home,), roi_table([far, near]))
         grown = add_sensor(net, far.geolocation)
         assert grown.snapshots[0].edges == (GstbnEdge(1, 1, weights[0]), GstbnEdge(3, 2, 0.0))
 
@@ -491,8 +508,9 @@ def rebuild(net, series):
 
 def assert_same_network(got, want):
     assert got.sensor_catalog == want.sensor_catalog
-    assert [r.id for r in got.roi_registry] == [r.id for r in want.roi_registry]
-    # GstbnEdge equality compares weight_km with float ==
+    for name in ("id", "lon", "lat", "cell"):
+        assert getattr(got.roi_table, name).tolist() == getattr(want.roi_table, name).tolist()
+    # snapshot equality compares weight_km, residual and roi_value with float ==
     assert got.snapshots == want.snapshots
 
 
@@ -570,6 +588,28 @@ class TestIncrementalEditsMatchRebuild:
             assert [s.edges for s in grown.snapshots] == [s.edges for s in net.snapshots]
             assert_same_network(grown, rebuild(grown, series))
 
+    @pytest.mark.parametrize("edit", ["add", "remove"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_edited_caches_equal_those_of_a_fresh_network(self, small_scenario, edit, strict):
+        net = scenario_network(small_scenario, strict=strict)
+        net._tiles  # fills the caches an edit may hand on
+        if edit == "add":
+            edited = add_sensor(net, GeoCoord(-90.2, 25.3))
+        else:
+            edited = remove_sensor(net, net.active_sensors[0].id)
+        # the tile geometry is handed on, not rebuilt
+        assert edited.__dict__["_tile_geometry"] is net._tile_geometry
+        fresh = TemporalGstbn(
+            edited.snapshots, edited.sensor_catalog, edited.roi_table, strict, edited.earth
+        )
+        assert edited.roi_table is net.roi_table
+        for got, want in zip(edited._tiles, fresh._tiles):
+            assert got.tolist() == want.tolist()
+        for got, want in zip(edited._edge_rows, fresh._edge_rows):
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        for got, want in zip(edited._roi_rows, fresh._roi_rows):
+            assert got.tolist() == want.tolist()
+
     def test_removal_relinks_only_the_orphaned_rois(self, small_network):
         net = small_network
         victim = net.active_sensors[0].id
@@ -609,17 +649,19 @@ def networks(draw):
         kinds = draw(st.sets(st.sampled_from(KINDS), min_size=1))
         sensors.append(sensor(sid, *draw(near(centres)), observations=frozenset(kinds)))
     times = range(100, 100 * (draw(st.integers(0, 3)) + 1), 100)
-    rois = []
-    for rid, (lon, lat) in enumerate(coords, start=1):
-        fired = {t: draw(st.sets(st.sampled_from(KINDS))) for t in times}
-        rois.append(roi(rid, lon, lat, {t: dict.fromkeys(ks, 1.0) for t, ks in fired.items() if ks}))
+    table = roi_table([roi(rid, lon, lat) for rid, (lon, lat) in enumerate(coords, start=1)])
     snapshots = []
     for t in times:
-        fired = [node for node in rois if t in node.snapshots]
-        kinds = {node.id: frozenset(node.snapshots[t]) for node in fired} if strict else None
-        edges = build_edges(fired, sensors, EARTH, contributing_kinds=kinds)
-        snapshots.append(GstbnSnapshot(t, *edges))
-    net = TemporalGstbn(tuple(snapshots), tuple(sensors), tuple(rois), strict_observations=strict)
+        fired = fired_mask([draw(st.sets(st.sampled_from(KINDS))) for _ in coords])
+        rows = np.flatnonzero(fired.any(axis=1))
+        fired = fired[rows]
+        edges = build_edges(
+            table.id[rows], table.lon[rows], table.lat[rows], sensors, EARTH,
+            fired if strict else None,
+        )
+        residual = np.where(fired, 1.0, np.nan)
+        snapshots.append(GstbnSnapshot(t, *edges, residual, fired.sum(axis=1)))
+    net = TemporalGstbn(tuple(snapshots), tuple(sensors), table, strict_observations=strict)
     return net, centres
 
 
@@ -666,7 +708,7 @@ class TestSparseRelaxStep:
             net, _ = data.draw(networks())
             tiles = net._tiles
         assert sorted(tiles.order.tolist()) == list(range(len(net.roi_registry)))
-        r_lon, r_lat = net._registry_lonlat
+        r_lon, r_lat = net.roi_table.lon, net.roi_table.lat
         largest = {}
         for e in (e for snap in net.snapshots for e in snap.edges):
             largest[e.roi_id] = max(largest.get(e.roi_id, -np.inf), e.weight_km)
@@ -674,5 +716,5 @@ class TestSparseRelaxStep:
             rows = tiles.order[start : start + count]
             d = haversine_km(tiles.lon[k], tiles.lat[k], r_lon[rows], r_lat[rows])
             assert (d <= tiles.radius[k] + 1e-6).all()  # 1 mm for rounding
-            heaviest = max(largest.get(net.roi_registry[r].id, -np.inf) for r in rows.tolist())
+            heaviest = max(largest.get(net.roi_table.id[r], -np.inf) for r in rows.tolist())
             assert tiles.reach[k] >= tiles.radius[k] + heaviest

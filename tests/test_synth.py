@@ -136,7 +136,7 @@ class TestToggleSemantics:
         for interval in range(len(spec.timestamps) - 1):
             rf = compute_residual_field(snaps[interval], snaps[interval + 1])
             events = extract_roi_events([rf], threshold)
-            cells = {e.cell_index for e in events}
+            cells = set(events.cell.tolist())
             if interval in {0, 2}:
                 assert hot_cell in cells
             else:
@@ -210,8 +210,8 @@ class TestManifestAgreement:
                 for cell, value in zip(entry["cells"], entry["roi_values"])
             }
             got = {
-                net.rois_by_id[rid].geolocation: net.rois_by_id[rid].roi_value_at(snap.timestamp)
-                for rid in snap.roi_ids
+                net.rois_by_id[rid].geolocation: value
+                for rid, value in zip(snap.roi_id.tolist(), snap.roi_value.tolist())
             }
             assert set(got) == set(expected)
             for coord, value in expected.items():
