@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -247,14 +247,13 @@ def compute_residual_field(earlier: FieldSnapshot, later: FieldSnapshot) -> Resi
 def extract_roi_events(
     residual_fields: Sequence[ResidualField],
     threshold: RoIThreshold = DEFAULT_ROI_THRESHOLD,
-    scales: Mapping[ObservationKind, float] | None = None,
 ) -> RoIEvents:
     """RoI events for one interval from that interval's residual fields.
 
-    Each variable contributes its (optionally scaled) residual where it
-    meets the threshold; contributions below the threshold are dropped,
-    not clipped. A cell becomes an event iff the summed contribution is
-    positive. Variables are summed in their canonical declaration order.
+    Each variable contributes its residual where it meets the threshold;
+    contributions below the threshold are dropped, not clipped. A cell
+    becomes an event iff the summed contribution is positive. Variables
+    are summed in their canonical declaration order.
 
     All inputs must share one grid and one interval; at most one field per
     variable.
@@ -278,18 +277,17 @@ def extract_roi_events(
     total = np.zeros(grid.shape, dtype=np.float64)
     counted = []
     for rf in ordered:
-        scale = 1.0 if scales is None else float(scales.get(rf.variable, 1.0))
+        keep = rf.valid & (rf.residuals >= thr)
         with np.errstate(over="ignore"):
-            scaled = rf.residuals * scale if scale != 1.0 else rf.residuals
-            keep = rf.valid & (scaled >= thr)
-            total = total + np.where(keep, scaled, 0.0)
+            total = total + np.where(keep, rf.residuals, 0.0)
         _check_finite(total, keep, rf.variable, interval, "RoI sum")
-        counted.append((rf.variable, scaled, keep))
+        counted.append((rf, keep))
 
     flat = np.flatnonzero(total > 0.0)
     residual = np.full((len(flat), len(_KIND_ORDER)), np.nan)
-    for var, scaled, keep in counted:
-        residual[:, _KIND_ORDER[var]] = np.where(keep.ravel()[flat], scaled.ravel()[flat], np.nan)
+    for rf, keep in counted:
+        fired = keep.ravel()[flat]
+        residual[:, _KIND_ORDER[rf.variable]] = np.where(fired, rf.residuals.ravel()[flat], np.nan)
     # the centres are computed as GridSpec.cell_coord does
     i, j = np.divmod(flat, grid.n_lon)
     lon, lat = grid.lon0 + j * grid.d_lon, grid.lat0 + i * grid.d_lat

@@ -57,7 +57,6 @@ __all__ = [
     "read_utf8",
     "format_geojson",
     "export_geojson",
-    "file_digest",
     "coverage_to_dict",
     "centrality_to_dict",
     "robustness_to_dict",
@@ -445,7 +444,7 @@ def format_geojson(net: TemporalGstbn, timestamp: int) -> str:
     formatted once. ValueError if a number is not finite.
     """
     snap = net.snapshot_at(timestamp)
-    rows = net._roi_rows[net.snapshots.index(snap)]
+    rows = snap.roi_id - 1
     linked = snap.sensor_id.tolist()
     degrees = Counter(linked)
 
@@ -471,10 +470,6 @@ def export_geojson(net: TemporalGstbn, timestamp: int) -> dict:
     """One snapshot as a GeoJSON FeatureCollection dict: the parse of
     `format_geojson`, so the two cannot disagree."""
     return json.loads(format_geojson(net, timestamp))
-
-
-def file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def coverage_to_dict(report: CoverageReport) -> dict:

@@ -108,9 +108,10 @@ def _frozen(values, dtype) -> np.ndarray:
 @dataclass(frozen=True)
 class RoIEventNode:
     """One registry RoI as a read-only object for the library, built when
-    `TemporalGstbn.roi_registry` or `rois_by_id` is first read. `snapshots`
-    maps interval-end timestamp -> {variable -> residual} for the variables
-    that cleared the threshold in that interval."""
+    `TemporalGstbn.roi_registry` is first read; the RoI with id k is
+    `roi_registry[k - 1]`. `snapshots` maps interval-end timestamp ->
+    {variable -> residual} for the variables that cleared the threshold in
+    that interval."""
 
     id: int
     geolocation: GeoCoord
@@ -124,26 +125,48 @@ class RoIEventNode:
 @dataclass(frozen=True, eq=False)
 class RoITable:
     """The RoI registry as read-only columns, one row per RoI node: its
-    `id`, its centre (`lon`, `lat`) in degrees and its flat grid `cell`.
-    Networks edited from one share its table."""
+    centre (`lon`, `lat`) in degrees and its flat grid `cell`. The RoI
+    with id k is row k - 1. Networks edited from one share its table, and
+    with it the `tiles`."""
 
-    id: np.ndarray
     lon: np.ndarray
     lat: np.ndarray
     cell: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("id", np.int64), ("lon", np.float64), ("lat", np.float64), ("cell", np.int64)):
+        for name, dtype in (("lon", np.float64), ("lat", np.float64), ("cell", np.int64)):
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
-        if self.id.ndim != 1 or not self.id.shape == self.lon.shape == self.lat.shape == self.cell.shape:
-            raise StructuralError("id, lon, lat and cell must be 1-D and of one length")
-        if len(np.unique(self.id)) != len(self.id):
-            raise StructuralError("duplicate roi ids in registry")
-        if (self.id < 0).any() or not ((abs(self.lon) <= 180.0) & (abs(self.lat) <= 90.0)).all():
-            raise ParameterError("roi ids must be non-negative and coordinates legal")
+        if self.lon.ndim != 1 or not self.lon.shape == self.lat.shape == self.cell.shape:
+            raise StructuralError("lon, lat and cell must be 1-D and of one length")
+        if not ((abs(self.lon) <= 180.0) & (abs(self.lat) <= 90.0)).all():
+            raise ParameterError("roi coordinates must be legal")
 
     def __len__(self) -> int:
-        return len(self.id)
+        return len(self.lon)
+
+    @cached_property
+    def tiles(self) -> tuple[np.ndarray, ...]:
+        """The rows in tiles: the fields of `_Tiles` but its reach, with
+        the radius in radians.
+
+        The radius bounds the distance from a tile's centre (the middle of
+        its RoIs' lat/lon box) to any point of the box: a meridian arc of
+        half the latitude extent, then a parallel arc of half the longitude
+        extent at the box latitude nearest the equator, where parallels are
+        longest. The geodesic is no longer than that path.
+        """
+        lon, lat = self.lon, self.lat
+        keys = _tile_keys(lon, lat)
+        order = np.argsort(keys, kind="stable")
+        _, start, count = np.unique(keys[order], return_index=True, return_counts=True)
+        lon_lo, lon_hi = np.minimum.reduceat(lon[order], start), np.maximum.reduceat(lon[order], start)
+        lat_lo, lat_hi = np.minimum.reduceat(lat[order], start), np.maximum.reduceat(lat[order], start)
+        equatorward = np.where(lat_lo * lat_hi <= 0.0, 0.0, np.minimum(abs(lat_lo), abs(lat_hi)))
+        radius = (
+            np.radians(lat_hi - lat_lo) / 2.0
+            + np.cos(np.radians(equatorward)) * np.radians(lon_hi - lon_lo) / 2.0
+        )
+        return order, start, count, (lon_lo + lon_hi) / 2.0, (lat_lo + lat_hi) / 2.0, radius
 
 
 @dataclass(frozen=True)
@@ -217,7 +240,8 @@ class TemporalGstbn:
     """Ordered snapshot sequence plus the node sets they reference.
 
     Every edge goes to an active catalog sensor and to an RoI of the
-    registry table, and carries that RoI's payload for its interval.
+    registry table (id k is row k - 1), and carries that RoI's payload for
+    its interval.
     """
 
     snapshots: tuple[GstbnSnapshot, ...]
@@ -239,7 +263,9 @@ class TemporalGstbn:
                 raise StructuralError(
                     f"snapshot {snap.timestamp} links sensor {min(stray)}, not active in the catalog"
                 )
-        self._roi_rows  # checks that the table holds every edge's RoI
+            # ids strictly increase, so the first and last bound them all
+            if len(snap.roi_id) and not 1 <= snap.roi_id[0] <= snap.roi_id[-1] <= len(self.roi_table):
+                raise StructuralError(f"snapshot {snap.timestamp} links an roi not in the registry")
 
     @cached_property
     def sensors_by_id(self) -> dict[int, SensorNode]:
@@ -249,72 +275,33 @@ class TemporalGstbn:
     def roi_registry(self) -> tuple[RoIEventNode, ...]:
         """The table's RoIs as node objects, payloads from the snapshots."""
         payloads: list[dict] = [{} for _ in range(len(self.roi_table))]
-        for snap, rows in zip(self.snapshots, self._roi_rows):
-            for row, values in zip(rows.tolist(), snap.residual.tolist()):
+        for snap in self.snapshots:
+            for row, values in zip((snap.roi_id - 1).tolist(), snap.residual.tolist()):
                 fired = {k: v for k, v in zip(ObservationKind, values) if not math.isnan(v)}
                 payloads[row][snap.timestamp] = MappingProxyType(fired)
         t = self.roi_table
         coords = map(GeoCoord, t.lon.tolist(), t.lat.tolist())
-        return tuple(map(RoIEventNode, t.id.tolist(), coords, map(MappingProxyType, payloads)))
-
-    @cached_property
-    def rois_by_id(self) -> dict[int, RoIEventNode]:
-        return {r.id: r for r in self.roi_registry}
-
-    @cached_property
-    def _roi_rows(self) -> tuple[np.ndarray, ...]:
-        """Per snapshot, each edge's table row; StructuralError if none."""
-        ids = self.roi_table.id
-        order = np.argsort(ids)
-        out = []
-        for snap in self.snapshots:
-            at = np.searchsorted(ids[order], snap.roi_id)
-            if not (at < len(ids)).all() or (ids[order[at]] != snap.roi_id).any():
-                raise StructuralError(f"snapshot {snap.timestamp} links an roi not in the registry")
-            out.append(order[at])
-        return tuple(out)
+        return tuple(map(RoIEventNode, range(1, len(t) + 1), coords, map(MappingProxyType, payloads)))
 
     @cached_property
     def _edge_rows(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per snapshot, (edge position, edge weight) of each table RoI:
         (-1, -inf) where the RoI did not fire, so no distance is below it."""
         out = []
-        for snap, rows in zip(self.snapshots, self._roi_rows):
+        for snap in self.snapshots:
             pos = np.full(len(self.roi_table), -1, dtype=np.intp)
             weight = np.full(len(self.roi_table), -np.inf)
+            rows = snap.roi_id - 1
             pos[rows] = np.arange(len(rows))
             weight[rows] = snap.weight_km
             out.append((pos, weight))
         return tuple(out)
 
     @cached_property
-    def _tile_geometry(self) -> tuple[np.ndarray, ...]:
-        """The table RoIs in tiles: the fields of `_Tiles` but its reach.
-
-        The radius bounds the distance from a tile's centre (the middle of
-        its RoIs' lat/lon box) to any point of the box: a meridian arc of
-        half the latitude extent, then a parallel arc of half the longitude
-        extent at the box latitude nearest the equator, where parallels are
-        longest. The geodesic is no longer than that path.
-        """
-        lon, lat = self.roi_table.lon, self.roi_table.lat
-        keys = _tile_keys(lon, lat)
-        order = np.argsort(keys, kind="stable")
-        _, start, count = np.unique(keys[order], return_index=True, return_counts=True)
-        lon_lo, lon_hi = np.minimum.reduceat(lon[order], start), np.maximum.reduceat(lon[order], start)
-        lat_lo, lat_hi = np.minimum.reduceat(lat[order], start), np.maximum.reduceat(lat[order], start)
-        equatorward = np.where(lat_lo * lat_hi <= 0.0, 0.0, np.minimum(abs(lat_lo), abs(lat_hi)))
-        radius = self.earth.radius_km * (
-            np.radians(lat_hi - lat_lo) / 2.0
-            + np.cos(np.radians(equatorward)) * np.radians(lon_hi - lon_lo) / 2.0
-        )
-        return order, start, count, (lon_lo + lon_hi) / 2.0, (lat_lo + lat_hi) / 2.0, radius
-
-    @cached_property
     def _tiles(self) -> "_Tiles":
-        """The tile geometry plus, per tile, the reach beyond which a
-        candidate relaxes none of its RoIs' edges: the bound that prunes
-        `_relaxed`.
+        """The table's tiles, the radius in km, plus per tile the reach
+        beyond which a candidate relaxes none of its RoIs' edges: the bound
+        that prunes `_relaxed`.
 
         By the triangle inequality a candidate more than radius + the tile's
         largest weight from the centre is at least that weight from every
@@ -323,12 +310,13 @@ class TemporalGstbn:
         the antipode, where arcsin is steepest, so a pruned RoI's computed
         distance is never below its edge weight.
         """
-        order, start, *_, radius = self._tile_geometry
+        order, start, count, lon, lat, radius = self.roi_table.tiles
+        radius = radius * self.earth.radius_km
         largest = np.full(len(order), -np.inf)
         for _, weight in self._edge_rows:
             largest = np.maximum(largest, weight)
         reach = np.maximum.reduceat(largest[order], start) + radius + 1e-6 * self.earth.radius_km
-        return _Tiles(*self._tile_geometry, reach=reach)
+        return _Tiles(order, start, count, lon, lat, radius, reach)
 
     @property
     def active_sensors(self) -> list[SensorNode]:
@@ -485,7 +473,7 @@ def build_temporal_gstbn(
     return TemporalGstbn(
         snapshots=tuple(snapshots),
         sensor_catalog=catalog,
-        roi_table=RoITable(id=np.arange(1, len(cells) + 1), lon=lon, lat=lat, cell=cells),
+        roi_table=RoITable(lon=lon, lat=lat, cell=cells),
         strict_observations=strict_observations,
         earth=earth,
     )
@@ -568,16 +556,13 @@ def _relinked(net: TemporalGstbn, catalog: tuple[SensorNode, ...], changes) -> T
     """`net` under `catalog`, the one way to edit a network: per snapshot,
     `changes` gives `(rows, sensor_id, weight_km)`, and the edges at `rows`
     (positions or a mask) now go to `sensor_id`, `weight_km` km away. The
-    result shares `net`'s RoI table and so its tile geometry."""
+    result shares `net`'s RoI table and so its tiles."""
     snapshots = []
     for snap, (rows, sensor_id, weight_km) in zip(net.snapshots, changes):
         linked, weights = snap.sensor_id.copy(), snap.weight_km.copy()
         linked[rows], weights[rows] = sensor_id, weight_km
         snapshots.append(replace(snap, sensor_id=linked, weight_km=weights))
-    edited = replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)
-    if "_tile_geometry" in net.__dict__:
-        edited.__dict__["_tile_geometry"] = net._tile_geometry
-    return edited
+    return replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)
 
 
 def _fresh_id(catalog: Sequence[SensorNode], count: int = 1) -> int:
@@ -637,9 +622,10 @@ def remove_sensor(net: TemporalGstbn, sensor_id: int) -> TemporalGstbn:
     if not actives:
         raise NoObserversError("removal would leave no active sensors")
     changes = []
-    for snap, rows in zip(net.snapshots, net._roi_rows):
+    for snap in net.snapshots:
         served = snap.sensor_id == sensor_id
-        lon, lat = net.roi_table.lon[rows[served]], net.roi_table.lat[rows[served]]
+        rows = snap.roi_id[served] - 1
+        lon, lat = net.roi_table.lon[rows], net.roi_table.lat[rows]
         fired = ~np.isnan(snap.residual[served]) if net.strict_observations else None
         # the orphans are in roi-id order, the order build_edges returns them in
         _, linked, weights = build_edges(snap.roi_id[served], lon, lat, actives, net.earth, fired)

@@ -71,21 +71,20 @@ def dense_relaxed(net, candidates):
         for c in candidates:
             row = []
             for e in snap.edges:
-                d = great_circle_distance(net.rois_by_id[e.roi_id].geolocation, c, net.earth)
+                roi = net.roi_registry[e.roi_id - 1]
+                d = great_circle_distance(roi.geolocation, c, net.earth)
                 row.append(min(e.weight_km, d))
             rows.append(row)
         out.append(rows)
     return out
 
 
-def naive_interval_analysis(snapshot_pairs, threshold, scales=None):
+def naive_interval_analysis(snapshot_pairs, threshold):
     """Residuals and RoI cells for one interval, cell by cell.
 
     `snapshot_pairs` is a list of (earlier, later) FieldSnapshot pairs,
-    one per variable; `scales` optionally maps a variable to the factor
-    its residual is multiplied by before the threshold. Returns (unscaled
-    residual grids keyed by variable, and a dict cell_index -> (roi_value,
-    {variable: contribution})).
+    one per variable. Returns (residual grids keyed by variable, and a
+    dict cell_index -> (roi_value, {variable: contribution})).
     """
     ordered = sorted(snapshot_pairs, key=lambda p: kind_sort_key(p[0].variable))
     grid = ordered[0][0].grid
@@ -110,8 +109,6 @@ def naive_interval_analysis(snapshot_pairs, threshold, scales=None):
             contribs = {}
             for earlier, _ in ordered:
                 r = residual_grids[earlier.variable][i][j]
-                if r is not None and scales is not None:
-                    r = r * scales.get(earlier.variable, 1.0)
                 if r is not None and r >= threshold:
                     value += r
                     contribs[earlier.variable] = r
@@ -148,7 +145,7 @@ def geojson_document(net, timestamp):
             {"type": "Feature", "geometry": point(s.geolocation), "properties": properties}
         )
     for rid in sorted(snap.roi_ids):
-        node = net.rois_by_id[rid]
+        node = net.roi_registry[rid - 1]
         payload = node.snapshots[timestamp]
         properties = {
             "node_type": "roi",
@@ -160,7 +157,7 @@ def geojson_document(net, timestamp):
             {"type": "Feature", "geometry": point(node.geolocation), "properties": properties}
         )
     for e in snap.edges:
-        roi = net.rois_by_id[e.roi_id].geolocation
+        roi = net.roi_registry[e.roi_id - 1].geolocation
         sensor = net.sensors_by_id[e.sensor_id].geolocation
         geometry = {
             "type": "LineString",

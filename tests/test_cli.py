@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import subprocess
@@ -18,7 +19,6 @@ from gstbn.field import FieldSnapshot, GridSpec, ObservationKind
 from gstbn.ingest import (
     dump_json,
     export_geojson,
-    file_digest,
     parse_grid_series,
     parse_sensor_catalog,
     write_grid_snapshot,
@@ -384,7 +384,7 @@ class TestReadsEachInputOnce:
         monkeypatch.undo()
         # the digests come from the bytes the parsers read
         digests = json.loads(out.read_text())["meta"]["inputs"]
-        assert digests == {str(p): file_digest(p) for p in inputs}
+        assert digests == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
 
 
 class TestNoPerRoiObjects:

@@ -270,15 +270,6 @@ class TestExtractRoiEvents:
         events = extract_roi_events(fields, RoIThreshold(0.5))
         assert as_rois(events) == {0: (4.0, {ObservationKind.TEMPERATURE: 4.0})}
 
-    def test_scale_factor_applied_before_threshold(self):
-        grid = GridSpec(n_lat=1, n_lon=1, lat0=0.0, d_lat=1.0, lon0=0.0, d_lon=1.0)
-        rf = compute_residual_field(snap(grid, 0, [[0.0]]), snap(grid, 1, [[0.6]]))
-        assert len(extract_roi_events([rf], RoIThreshold(0.5))) == 0
-        events = extract_roi_events(
-            [rf], RoIThreshold(0.5), scales={ObservationKind.TEMPERATURE: 2.0}
-        )
-        assert events.value.tolist() == [0.6 * 0.6 * 2.0]
-
     def test_overflowing_roi_sum_names_variable_interval_and_cell(self):
         # each variable's residual is finite, their sum is not
         grid = GridSpec(n_lat=1, n_lon=2, lat0=0.0, d_lat=1.0, lon0=0.0, d_lon=1.0)
@@ -357,24 +348,21 @@ class TestColumnarExtraction:
     def test_columns_and_ids_match_the_naive_oracle(self, data, threshold):
         grid, series = data.draw(field_series())
         kinds = list(series)
-        scales = data.draw(st.none() | st.dictionaries(
-            st.sampled_from(kinds), st.sampled_from([0.5, 1.0, 2.0, 3.7])))
         nan = np.float64("nan")
         ids: dict[int, int] = {}  # cell -> roi id, in first-firing order
         net = build_temporal_gstbn(series, [observer()], RoIThreshold(threshold))
         for k, net_snap in enumerate(net.snapshots):
             pairs = [(series[kind][k], series[kind][k + 1]) for kind in kinds]
             fields = [compute_residual_field(a, b) for a, b in pairs]
-            for scaled in (scales, None):  # unscaled last: the network's own columns
-                events = extract_roi_events(fields, RoIThreshold(threshold), scaled)
-                _, want = naive_interval_analysis(pairs, threshold, scaled)
-                cells = sorted(want)
-                assert len(events) == len(cells) and events.cell.tolist() == cells
-                assert bits(events.value) == bits([want[c][0] for c in cells])
-                for j, kind in enumerate(ObservationKind):
-                    # NaN exactly where the kind did not count
-                    column = [want[c][1].get(kind, nan) for c in cells]
-                    assert bits(events.residual[:, j]) == bits(column)
+            events = extract_roi_events(fields, RoIThreshold(threshold))
+            _, want = naive_interval_analysis(pairs, threshold)
+            cells = sorted(want)
+            assert len(events) == len(cells) and events.cell.tolist() == cells
+            assert bits(events.value) == bits([want[c][0] for c in cells])
+            for j, kind in enumerate(ObservationKind):
+                # NaN exactly where the kind did not count
+                column = [want[c][1].get(kind, nan) for c in cells]
+                assert bits(events.residual[:, j]) == bits(column)
             # the network's rows, keyed by ids in first-firing order
             for c in cells:
                 ids.setdefault(c, len(ids) + 1)
@@ -384,5 +372,5 @@ class TestColumnarExtraction:
             assert bits(net_snap.residual) == bits(
                 [[want[c][1].get(kind, nan) for kind in ObservationKind] for c in order]
             )
-        assert net.roi_table.id.tolist() == list(ids.values())
+        # the RoI with id k is table row k - 1
         assert net.roi_table.cell.tolist() == list(ids)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -16,7 +17,6 @@ from gstbn.ingest import (
     coverage_to_dict,
     dump_json,
     export_geojson,
-    file_digest,
     format_geojson,
     format_grid_snapshot,
     format_sensor_catalog,
@@ -542,7 +542,7 @@ class TestExportGeojson:
         doc = export_geojson(small_network, ts)
         for f in doc["features"]:
             if f["properties"].get("node_type") == "roi":
-                node = small_network.rois_by_id[f["properties"]["id"]]
+                node = small_network.roi_registry[f["properties"]["id"] - 1]
                 payload = node.snapshots[ts]
                 assert f["properties"]["residuals"] == {
                     k.value: v for k, v in payload.items()
@@ -562,7 +562,7 @@ class TestExportGeojson:
         doc = export_geojson(small_network, ts)
         lines = [f for f in doc["features"] if f["geometry"]["type"] == "LineString"]
         for f, e in zip(lines, snap.edges):
-            roi = small_network.rois_by_id[e.roi_id]
+            roi = small_network.roi_registry[e.roi_id - 1]
             sensor = small_network.sensors_by_id[e.sensor_id]
             assert f["geometry"]["coordinates"] == [
                 [roi.geolocation.lon, roi.geolocation.lat],
@@ -614,14 +614,13 @@ def small_networks(draw):
     timestamps = sorted(draw(st.sets(st.integers(0, 10**6), min_size=1, max_size=3)))
     coords = [coord() for _ in range(draw(st.integers(0, 5)))]
     rois = RoITable(
-        id=range(len(coords)),
         lon=[c.lon for c in coords],
         lat=[c.lat for c in coords],
         cell=range(len(coords)),
     )
     snapshots = []
     for ts in timestamps:
-        members = sorted(draw(st.sets(st.integers(0, len(coords) - 1)))) if coords and active else []
+        members = sorted(draw(st.sets(st.integers(1, len(coords))))) if coords and active else []
         linked, weights, residual, roi_value = [], [], [], []
         for _ in members:
             kinds = draw(st.lists(st.sampled_from(list(ObservationKind)), max_size=4, unique=True))
@@ -647,7 +646,7 @@ class TestFormatGeojson:
             assert export_geojson(net, snap.timestamp) == json.loads(text)
 
     def test_empty_collection(self):
-        net = TemporalGstbn((GstbnSnapshot(5, (), (), ()),), (), RoITable((), (), (), ()))
+        net = TemporalGstbn((GstbnSnapshot(5, (), (), ()),), (), RoITable((), (), ()))
         text = format_geojson(net, 5)
         assert text == '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
         assert text == dump_json(geojson_document(net, 5))
@@ -701,7 +700,7 @@ class TestReports:
         assert set(doc) == {"coverage", "centrality", "robustness", "placement", "meta"}
         assert doc["meta"]["tool"] == "gstbn"
         assert doc["meta"]["seed"] == 42
-        assert doc["meta"]["inputs"] == {str(f): file_digest(f)}
+        assert doc["meta"]["inputs"] == {str(f): hashlib.sha256(f.read_bytes()).hexdigest()}
         cov = doc["coverage"]
         assert cov["n_timesteps"] == len(small_network.snapshots)
         assert cov["average_temporal_coverage_km"] * cov["n_timesteps"] == pytest.approx(
@@ -724,10 +723,3 @@ class TestReports:
         for bad in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError):
                 dump_json({"x": bad})
-
-    def test_file_digest_is_sha256(self, tmp_path):
-        f = tmp_path / "x"
-        f.write_bytes(b"abc")
-        assert file_digest(f) == (
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        )

@@ -62,8 +62,10 @@ def roi_columns(rois):
 
 
 def roi_table(rois):
-    """The RoITable of RoI nodes, one grid cell each."""
-    return RoITable(*roi_columns(rois), cell=range(len(rois)))
+    """The RoITable of RoI nodes with ids 1..n in order, one grid cell each."""
+    ids, lon, lat = roi_columns(rois)
+    assert ids == list(range(1, len(rois) + 1))
+    return RoITable(lon, lat, cell=range(len(rois)))
 
 
 def fired_mask(kind_sets):
@@ -207,47 +209,39 @@ class TestGstbnSnapshot:
         assert snap.edges == (GstbnEdge(3, 2, 10.0), GstbnEdge(5, 1, 20.0))
 
 
-def one_snapshot_network(registry, roi_id, sensor_id):
-    """A network with one snapshot at t=0 linking `roi_id` to `sensor_id`;
-    `registry` lists the table's roi ids. Sensor 1 is active, sensor 2
-    inactive."""
+def one_snapshot_network(n_rois, roi_id, sensor_id):
+    """A network with one snapshot at t=0 linking `roi_id` to `sensor_id`,
+    over a table of `n_rois` RoIs. Sensor 1 is active, sensor 2 inactive."""
     snap = GstbnSnapshot(0, roi_id, sensor_id, [1.0] * len(roi_id))
-    rois = roi_table([roi(rid, 0.0, 0.0) for rid in registry])
+    rois = RoITable([0.0] * n_rois, [0.0] * n_rois, range(n_rois))
     catalog = (sensor(1, 0.0, 0.0), sensor(2, 1.0, 0.0, status=OperationalStatus.INACTIVE))
     return TemporalGstbn((snap,), catalog, rois)
 
 
 class TestTemporalGstbn:
     @pytest.mark.parametrize(
-        "registry, roi_id",
+        "n_rois, roi_id",
         [
-            pytest.param([1, 3], [2], id="gap-in-registry"),
-            pytest.param([1, 3], [3, 4], id="past-largest-id"),
-            pytest.param([], [1], id="empty-registry"),
-            pytest.param([3, 1, 3], [], id="duplicate-registry-id"),
+            pytest.param(2, [0, 1], id="id-zero"),
+            pytest.param(2, [-1, 2], id="negative-id"),
+            pytest.param(2, [2, 3], id="past-largest-id"),
+            pytest.param(0, [1], id="empty-registry"),
         ],
     )
-    def test_rejects_rois_outside_the_registry(self, registry, roi_id):
-        with pytest.raises(StructuralError):
-            one_snapshot_network(registry, roi_id, [1] * len(roi_id))
+    def test_rejects_rois_outside_the_registry(self, n_rois, roi_id):
+        # the RoI with id k is table row k - 1, so ids run from 1 to len(table)
+        with pytest.raises(StructuralError, match="not in the registry"):
+            one_snapshot_network(n_rois, roi_id, [1] * len(roi_id))
 
     @pytest.mark.parametrize("sensor_id", [2, 7], ids=["inactive-sensor", "unknown-sensor"])
     def test_rejects_edges_to_sensors_not_active(self, sensor_id):
         with pytest.raises(StructuralError):
-            one_snapshot_network([1], [1], [sensor_id])
+            one_snapshot_network(1, [1], [sensor_id])
 
     def test_accepts_a_consistent_network(self):
-        net = one_snapshot_network([3, 1, 2], [1, 3], [1, 1])
+        net = one_snapshot_network(3, [1, 3], [1, 1])
         assert net.snapshots[0].roi_ids == frozenset({1, 3})
-
-    def test_registry_out_of_id_order_relaxes_the_right_rois(self):
-        far, near = roi(3, 10.0, 0.0), roi(1, 1.0, 0.0)
-        home = sensor(1, 0.0, 0.0)
-        weights = [great_circle_distance(r.geolocation, home.geolocation) for r in (near, far)]
-        snap = GstbnSnapshot(0, [1, 3], [1, 1], weights)
-        net = TemporalGstbn((snap,), (home,), roi_table([far, near]))
-        grown = add_sensor(net, far.geolocation)
-        assert grown.snapshots[0].edges == (GstbnEdge(1, 1, weights[0]), GstbnEdge(3, 2, 0.0))
+        assert [r.id for r in net.roi_registry] == [1, 2, 3]
 
 
 def zero_field_series(grid, timestamps):
@@ -305,7 +299,7 @@ class TestBuildTemporalGstbn:
         for snap in net.snapshots:
             for e in snap.edges:
                 want = great_circle_distance(
-                    net.rois_by_id[e.roi_id].geolocation,
+                    net.roi_registry[e.roi_id - 1].geolocation,
                     net.sensors_by_id[e.sensor_id].geolocation,
                 )
                 assert e.weight_km == want
@@ -314,7 +308,7 @@ class TestBuildTemporalGstbn:
         net = small_network
         for snap in net.snapshots:
             for e in snap.edges:
-                r = net.rois_by_id[e.roi_id]
+                r = net.roi_registry[e.roi_id - 1]
                 best = min(
                     great_circle_distance(r.geolocation, s.geolocation)
                     for s in net.active_sensors
@@ -393,7 +387,7 @@ class TestBuildTemporalGstbn:
         net = scenario_network_from(catalog, small_scenario, strict=True)
         for snap in net.snapshots:
             for e in snap.edges:
-                node = net.rois_by_id[e.roi_id]
+                node = net.roi_registry[e.roi_id - 1]
                 kinds = frozenset(node.snapshots[snap.timestamp])
                 s = net.sensors_by_id[e.sensor_id]
                 assert s.observations & kinds
@@ -497,7 +491,7 @@ class TestAddRemoveSensor:
             for snap in net.snapshots:
                 assert len(snap.edges) == len(snap.roi_ids)
                 got = [(e.roi_id, e.sensor_id, e.weight_km) for e in snap.edges]
-                rois = [net.rois_by_id[r] for r in sorted(snap.roi_ids)]
+                rois = [net.roi_registry[r - 1] for r in sorted(snap.roi_ids)]
                 assert got == brute_force_edges(rois, net.active_sensors, net.earth)
 
 
@@ -508,7 +502,7 @@ def rebuild(net, series):
 
 def assert_same_network(got, want):
     assert got.sensor_catalog == want.sensor_catalog
-    for name in ("id", "lon", "lat", "cell"):
+    for name in ("lon", "lat", "cell"):
         assert getattr(got.roi_table, name).tolist() == getattr(want.roi_table, name).tolist()
     # snapshot equality compares weight_km, residual and roi_value with float ==
     assert got.snapshots == want.snapshots
@@ -597,18 +591,15 @@ class TestIncrementalEditsMatchRebuild:
             edited = add_sensor(net, GeoCoord(-90.2, 25.3))
         else:
             edited = remove_sensor(net, net.active_sensors[0].id)
-        # the tile geometry is handed on, not rebuilt
-        assert edited.__dict__["_tile_geometry"] is net._tile_geometry
-        fresh = TemporalGstbn(
-            edited.snapshots, edited.sensor_catalog, edited.roi_table, strict, edited.earth
-        )
+        # the edit shares the parent's table, and through it the tiles
         assert edited.roi_table is net.roi_table
+        assert edited.roi_table.tiles is net.roi_table.tiles
+        fresh = rebuild(edited, scenario_field_series(small_scenario))
+        assert fresh.roi_table is not net.roi_table
         for got, want in zip(edited._tiles, fresh._tiles):
             assert got.tolist() == want.tolist()
         for got, want in zip(edited._edge_rows, fresh._edge_rows):
             assert [a.tolist() for a in got] == [a.tolist() for a in want]
-        for got, want in zip(edited._roi_rows, fresh._roi_rows):
-            assert got.tolist() == want.tolist()
 
     def test_removal_relinks_only_the_orphaned_rois(self, small_network):
         net = small_network
@@ -656,7 +647,7 @@ def networks(draw):
         rows = np.flatnonzero(fired.any(axis=1))
         fired = fired[rows]
         edges = build_edges(
-            table.id[rows], table.lon[rows], table.lat[rows], sensors, EARTH,
+            rows + 1, table.lon[rows], table.lat[rows], sensors, EARTH,
             fired if strict else None,
         )
         residual = np.where(fired, 1.0, np.nan)
@@ -716,5 +707,5 @@ class TestSparseRelaxStep:
             rows = tiles.order[start : start + count]
             d = haversine_km(tiles.lon[k], tiles.lat[k], r_lon[rows], r_lat[rows])
             assert (d <= tiles.radius[k] + 1e-6).all()  # 1 mm for rounding
-            heaviest = max(largest.get(net.roi_table.id[r], -np.inf) for r in rows.tolist())
+            heaviest = max(largest.get(r + 1, -np.inf) for r in rows.tolist())
             assert tiles.reach[k] >= tiles.radius[k] + heaviest

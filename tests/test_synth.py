@@ -210,7 +210,7 @@ class TestManifestAgreement:
                 for cell, value in zip(entry["cells"], entry["roi_values"])
             }
             got = {
-                net.rois_by_id[rid].geolocation: value
+                net.roi_registry[rid - 1].geolocation: value
                 for rid, value in zip(snap.roi_id.tolist(), snap.roi_value.tolist())
             }
             assert set(got) == set(expected)
