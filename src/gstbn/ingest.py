@@ -16,6 +16,14 @@ Grid snapshot (text, one variable at one timestamp)::
     <n_lon space-separated values> x n_lat rows, NaN marks missing
 
 Floats are written with repr so parse(format(x)) reproduces x exactly.
+A body laid out as `format_grid_snapshot` writes it, each value NaN or a
+plain decimal (an optional minus, digits and at most one dot), is read
+from the file's bytes in bulk, exactly: each value is its digits over a
+power of ten, divided once in x87 extended precision, and the rare
+quotient that lies halfway between two doubles goes through `float` (see
+`_parse_body`). Any other body, and any body on another platform, is read
+by `np.loadtxt`; one that loadtxt rejects goes to a token loop, which
+reports the first bad row and column.
 """
 
 from __future__ import annotations
@@ -84,17 +92,20 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def read_utf8(path, digests: dict[str, str] | None = None) -> str:
-    """A file's text as UTF-8, whatever the locale; ParseError if the file
-    is unreadable or not UTF-8 (naming the line of the first bad byte).
-    With `digests`, also sets `digests[str(path)]` to the bytes' sha256."""
-    path = Path(path)
+def _read(path: Path, digests: dict[str, str] | None) -> bytes:
+    """A file's bytes; ParseError if it is unreadable. With `digests`, also
+    sets `digests[str(path)]` to the bytes' sha256."""
     try:
         data = path.read_bytes()
     except OSError as exc:
         raise ParseError(path, None, f"cannot read file: {exc}") from exc
     if digests is not None:
         digests[str(path)] = hashlib.sha256(data).hexdigest()
+    return data
+
+
+def _decode(path: Path, data: bytes) -> str:
+    """`data` as UTF-8 text; ParseError naming the line of the first bad byte."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -102,6 +113,14 @@ def read_utf8(path, digests: dict[str, str] | None = None) -> str:
         raise ParseError(
             path, line, f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
         ) from None
+
+
+def read_utf8(path, digests: dict[str, str] | None = None) -> str:
+    """A file's text as UTF-8, whatever the locale; ParseError if the file
+    is unreadable or not UTF-8 (naming the line of the first bad byte).
+    With `digests`, also sets `digests[str(path)]` to the bytes' sha256."""
+    path = Path(path)
+    return _decode(path, _read(path, digests))
 
 
 def _parse_enum(enum_cls, token: str, path, line: int, field: str):
@@ -227,7 +246,9 @@ def _parse_kv(token: str, key: str, path, line: int) -> str:
 def parse_grid_snapshot(path, digests: dict[str, str] | None = None) -> FieldSnapshot:
     """Read one grid snapshot file. `digests` as in :func:`read_utf8`."""
     path = Path(path)
-    lines = read_utf8(path, digests).splitlines()
+    data = _read(path, digests)
+    head = _ascii_header(data)
+    lines = _decode(path, data).splitlines() if head is None else head[0]
     if not lines or lines[0] != _GRID_MAGIC:
         raise ParseError(path, 1, f"missing magic line {_GRID_MAGIC!r}")
     if len(lines) < 3:
@@ -267,15 +288,179 @@ def parse_grid_snapshot(path, digests: dict[str, str] | None = None) -> FieldSna
     except ValueError as exc:
         raise ParseError(path, 3, str(exc)) from None
 
-    body = lines[3:]
-    if len(body) != grid.n_lat:
-        raise ParseError(
-            path, len(lines), f"expected {grid.n_lat} data rows, found {len(body)}"
-        )
-    values = _parse_rows_fast(body, grid.shape)
+    values = None if head is None else _parse_body(data, head[1], grid.shape)
     if values is None:
-        values = _parse_rows(body, grid.n_lon, path)
+        if head is not None:
+            lines = data.decode("ascii").splitlines()
+        body = lines[3:]
+        if len(body) != grid.n_lat:
+            raise ParseError(
+                path, len(lines), f"expected {grid.n_lat} data rows, found {len(body)}"
+            )
+        values = _parse_rows_fast(body, grid.shape)
+        if values is None:
+            values = _parse_rows(body, grid.n_lon, path)
     return FieldSnapshot(timestamp=timestamp, variable=variable, grid=grid, values=values)
+
+
+def _ascii_header(data: bytes) -> tuple[list[str], int] | None:
+    """The first three lines of an ASCII file and the offset of its body,
+    when its first three b"\n" end them as `str.splitlines` would end
+    them (no other line break in the header); else None."""
+    if not data.isascii():
+        return None
+    end = -1
+    for _ in range(3):
+        end = data.find(b"\n", end + 1)
+        if end < 0:
+            return None
+    lines = data[:end + 1].decode("ascii").splitlines()
+    return (lines, end + 1) if len(lines) == 3 else None
+
+
+# --- the grid body as exact decimals in bulk -------------------------------
+#
+# A body written by `format_grid_snapshot` is n_lat rows of n_lon tokens,
+# one ' ' between tokens and a '\n' after each row, and each token matches
+# -?[0-9]*\.?[0-9]* with at least one digit, or is NaN. Such a token is the
+# decimal M / 10**a (its digits M, a of them after the dot), and when the
+# token holds at most 19 bytes after its sign, M < 10**19 < 2**64. In x87
+# extended precision (a 64-bit significand) M and 10**a are both exact, so
+# the quotient is rounded once, to 64 bits (Clinger, PLDI 1990). Rounding it
+# again to binary64 gives float(token) unless the extended quotient lies
+# exactly halfway between two doubles; such tokens (1 in 2,000 random
+# ones) and the longer ones go through float() one by one. A body outside
+# this grammar, or a longdouble of another format, is left to the loadtxt
+# and token-loop readers, which also report every error.
+
+# x87 extended precision: a 64-bit significand in the low 8 of 16 bytes
+_EXTENDED = (
+    np.finfo(np.longdouble).nmant == 63
+    and np.dtype(np.longdouble).itemsize == 16
+    and np.little_endian
+)
+_WIDTH = 24  # bytes of the window that ends each token: three uint64 words
+_MAX_BYTES = 19  # bytes after the sign that keep M below 10**19
+_CHUNK = 1 << 18  # body bytes per pass, so the temporaries stay small
+# indexed by the digits after the dot, or by _MAX_BYTES for a token with
+# none: then M is read as it is (divisor 1, no dot, a modulus above any M)
+_TEN_POW = np.array([10**k for k in range(_MAX_BYTES)] + [1], dtype=np.longdouble)
+_MOD = np.array([10**k for k in range(_MAX_BYTES)] + [2**64 - 1], dtype=np.uint64)
+_DOT_VALUE = np.array([14 * 10**k for k in range(_MAX_BYTES)] + [0], dtype=np.uint64)
+# _KEEP[j]: the low nibble of window bytes j and up, byte 0 lowest
+_KEEP = np.array(
+    [[0x0F * (col >= j) for col in range(_WIDTH)] for j in range(_WIDTH + 1)], dtype=np.uint8
+).view(np.uint64)
+_WINDOW = np.dtype((np.void, _WIDTH))
+
+
+def _parse_body(data: bytes, start: int, shape: tuple[int, int]) -> np.ndarray | None:
+    """The grid body `data[start:]` read in chunks of whole tokens, or None
+    when it is outside the grammar above or longdouble is not x87 extended."""
+    # each token takes at least two bytes, so a bad header cannot make a huge array
+    if not _EXTENDED or 2 * shape[0] * shape[1] > len(data) - start:
+        return None
+    values = np.empty(shape).reshape(-1)
+    done = 0
+    while start < len(data):
+        end = min(start + _CHUNK, len(data))
+        if end < len(data):
+            end = max(data.rfind(b" ", start, end), data.rfind(b"\n", start, end)) + 1
+            if end <= start:
+                return None
+        parsed = _parse_tokens(data, start, end, done, shape[1])
+        if parsed is None or done + len(parsed) > len(values):
+            return None
+        values[done:done + len(parsed)] = parsed
+        done += len(parsed)
+        start = end
+    return values.reshape(shape) if done == len(values) else None
+
+
+def _parse_tokens(data: bytes, start: int, end: int, done: int, n_lon: int):
+    """The values of the tokens in `data[start:end]`, which starts a token
+    and ends with a separator, `done` tokens into the body; None when the
+    bytes break the grammar."""
+    chunk = np.frombuffer(data, np.uint8, end - start, start)
+    # every control byte splits tokens here, and must then be a ' ' or, after
+    # each n_lon-th token, a '\n'
+    sep = np.flatnonzero(chunk <= ord(" "))
+    if not len(sep) or sep[-1] != len(chunk) - 1:
+        return None
+    kind = chunk[sep]
+    newline = kind[(n_lon - 1 - done) % n_lon::n_lon]
+    if not ((newline == ord("\n")).all()
+            and np.count_nonzero(kind == ord(" ")) == len(sep) - len(newline)):
+        return None
+    length = np.diff(sep, prepend=-1) - 1
+    first = sep - length
+    head = chunk[first]
+    neg = head == ord("-")
+    nan = (length == 3) & (head == ord("N"))
+    nan_at = first[nan]
+    dot = np.flatnonzero(chunk == ord("."))
+    dotted = np.searchsorted(sep, dot)
+    has_dot = np.zeros(len(sep), dtype=bool)
+    has_dot[dotted] = True
+    # a token holds at most one dot and a digit unless it is NaN, and the
+    # digits, separators, dots, leading minus signs and NaNs (disjoint sets
+    # of bytes) add up to every byte
+    if not (
+        np.count_nonzero(has_dot) == len(dot)
+        and ((length - has_dot - neg > 0) | nan).all()
+        and (chunk[nan_at + 1] == ord("a")).all() and (chunk[nan_at + 2] == ord("N")).all()
+        and np.count_nonzero(chunk - np.uint8(ord("0")) < 10)
+        + len(sep) + len(dot) + np.count_nonzero(neg) + 3 * len(nan_at) == len(chunk)
+    ):
+        return None
+    # the values of NaNs and of tokens over _MAX_BYTES come out wrong and are replaced
+    exact = length - neg <= _MAX_BYTES
+    scale = np.full(len(sep), _MAX_BYTES)
+    scale[dotted] = np.minimum(sep[dotted] - dot - 1, _MAX_BYTES)
+    # each token's window is the _WIDTH bytes before its separator, as three
+    # little-endian words (the three header lines are longer than a window,
+    # so it starts inside the file); _KEEP clears the bytes before the first
+    # digit and keeps the low nibble of the rest: a digit's value, 14 for a dot
+    windows = np.ndarray((len(data) - _WIDTH + 1,), _WINDOW, data, strides=(1,))
+    digits = windows[start + sep - _WIDTH].view(np.uint64).reshape(-1, 3)
+    digits &= _KEEP.take(np.maximum(_WIDTH - length + neg, 0), axis=0)
+    mantissa = _mantissa(_eight_digits(digits), scale)
+    quotient = mantissa.astype(np.longdouble) / _TEN_POW.take(scale)
+    values = quotient.astype(np.float64)
+    # a quotient is 0 or in [1e-18, 1e19], where binary64 keeps the top 53 of
+    # its 64 significand bits: 0x400 in the 11 it drops is a tie
+    halfway = quotient.view(np.uint64)[::2] & np.uint64(0x7FF) == np.uint64(0x400)
+    np.negative(values, out=values, where=neg)
+    for k in np.flatnonzero(~exact | halfway).tolist():
+        values[k] = float(data[start + first[k]:start + sep[k]])
+    values[nan] = np.nan
+    return values
+
+
+def _eight_digits(words: np.ndarray) -> np.ndarray:
+    """Each uint64 word's eight bytes, digits 0-9 with the first in the
+    low byte, as one eight-digit number, in place (Lemire's SWAR combine).
+    A single byte of 14 adds 14 at its place without disturbing the rest."""
+    for mul, shift, mask in (
+        (10 * 256 + 1, 8, 0x00FF00FF00FF00FF),
+        (100 * 65536 + 1, 16, 0x0000FFFF0000FFFF),
+        (10000 * 2**32 + 1, 32, None),
+    ):
+        words *= np.uint64(mul)
+        words >>= np.uint64(shift)
+        if mask is not None:
+            words &= np.uint64(mask)
+    return words
+
+
+def _mantissa(groups: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """M from the windows' eight-digit groups, whose dot (if any, `scale`
+    digits from the end) was read as the digit 14."""
+    with_dot = groups[:, 0] * np.uint64(10**16) + groups[:, 1] * np.uint64(10**8) + groups[:, 2]
+    # the dot as a zero digit: N = I * 10**(a + 1) + F, and M = I * 10**a + F
+    n = with_dot - _DOT_VALUE.take(scale)
+    fraction = n % _MOD.take(scale)
+    return (n - fraction) // np.uint64(10) + fraction
 
 
 def _parse_rows_fast(body: list[str], shape: tuple[int, int]) -> np.ndarray | None:

@@ -98,6 +98,12 @@ class SensorNode:
         return self.operational_status is OperationalStatus.ACTIVE
 
 
+def _check_distances(a: np.ndarray) -> None:
+    bad = ~(np.isfinite(a) & (a >= 0.0))
+    if bad.any():
+        raise StructuralError(f"weight, residual or roi value {a[bad][0]} is not a distance")
+
+
 def _frozen(values, dtype) -> np.ndarray:
     """A read-only `dtype` copy of `values`."""
     a = np.array(values, dtype=dtype)
@@ -212,9 +218,21 @@ class GstbnSnapshot:
         if (np.diff(self.roi_id) <= 0).any():
             raise StructuralError("edges must be sorted by roi id, one per roi")
         for a in (self.weight_km, self.roi_value, self.residual[~np.isnan(self.residual)]):
-            bad = ~(np.isfinite(a) & (a >= 0.0))
-            if bad.any():
-                raise StructuralError(f"weight, residual or roi value {a[bad][0]} is not a distance")
+            _check_distances(a)
+
+    def _relinked(self, sensor_id: np.ndarray, weight_km: np.ndarray) -> GstbnSnapshot:
+        """This snapshot with its edges going to `sensor_id`, `weight_km` km
+        away: fresh int64 and float64 arrays of its length, which it takes
+        over. The other columns are this snapshot's read-only arrays, shared
+        and not checked again; the network checks the sensor ids."""
+        _check_distances(weight_km)
+        snap = object.__new__(GstbnSnapshot)
+        for name in ("timestamp", "roi_id", "residual", "roi_value"):
+            object.__setattr__(snap, name, getattr(self, name))
+        for name, a in (("sensor_id", sensor_id), ("weight_km", weight_km)):
+            a.flags.writeable = False
+            object.__setattr__(snap, name, a)
+        return snap
 
     def __eq__(self, other):
         if not isinstance(other, GstbnSnapshot):
@@ -556,12 +574,13 @@ def _relinked(net: TemporalGstbn, catalog: tuple[SensorNode, ...], changes) -> T
     """`net` under `catalog`, the one way to edit a network: per snapshot,
     `changes` gives `(rows, sensor_id, weight_km)`, and the edges at `rows`
     (positions or a mask) now go to `sensor_id`, `weight_km` km away. The
-    result shares `net`'s RoI table and so its tiles."""
+    result shares `net`'s RoI table, and so its tiles, and each snapshot's
+    RoI and payload columns."""
     snapshots = []
     for snap, (rows, sensor_id, weight_km) in zip(net.snapshots, changes):
         linked, weights = snap.sensor_id.copy(), snap.weight_km.copy()
         linked[rows], weights[rows] = sensor_id, weight_km
-        snapshots.append(replace(snap, sensor_id=linked, weight_km=weights))
+        snapshots.append(snap._relinked(linked, weights))
     return replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -248,6 +249,12 @@ class TestGridParsing:
         with pytest.raises(ParseError, match="expected 2 data rows"):
             parse_grid_snapshot_write(tmp_path, self.GOOD + "7.0 8.0 9.0\n")
 
+    def test_header_line_break_other_than_newline_counts(self, tmp_path):
+        # splitlines() breaks at "\r" too, so this text has three data rows
+        text = self.GOOD.replace("timestamp=100\n", "timestamp=100\r") + "7.0 8.0 9.0\n"
+        with pytest.raises(ParseError, match="6: expected 2 data rows, found 3"):
+            parse_grid_snapshot_write(tmp_path, text)
+
     def test_row_length_mismatch_reports_line(self, tmp_path):
         with pytest.raises(ParseError, match="5: expected 3 values, got 2"):
             parse_grid_snapshot_write(tmp_path, self.GOOD.replace("4.0 NaN 6.0", "4.0 6.0"))
@@ -263,6 +270,29 @@ class TestGridParsing:
     def test_nan_case_insensitive(self, tmp_path):
         snap = parse_grid_snapshot_write(tmp_path, self.GOOD.replace("NaN", "nan"))
         assert not snap.valid[1, 1]
+
+
+def assert_body_matches_reference(directory, n_lat, n_lon, body, chunk):
+    """The grid with `body` parses, in chunks of about `chunk` bytes, to
+    the reference loop's values bit for bit, or raises its ParseError."""
+    text = (
+        "GSTBN-GRID v1\nvariable=salinity timestamp=3\n"
+        f"nlat={n_lat} nlon={n_lon} lat0=1.0 dlat=0.5 lon0=2.0 dlon=0.5\n" + body
+    )
+    path = directory / "differential.grid"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = reference_grid_values(path, text, n_lat, n_lon)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got, mock.patch.object(gstbn.ingest, "_CHUNK", chunk):
+            parse_grid_snapshot(path)
+        assert str(got.value) == str(exc)
+        return
+    with mock.patch.object(gstbn.ingest, "_CHUNK", chunk):
+        snap = parse_grid_snapshot(path)
+    ref = FieldSnapshot(timestamp=3, variable=snap.variable, grid=snap.grid, values=want)
+    assert snap.values.tobytes() == ref.values.tobytes()
+    assert np.array_equal(snap.valid, ref.valid)
 
 
 def reference_grid_values(path, text, n_lat, n_lon):
@@ -290,38 +320,101 @@ def reference_grid_values(path, text, n_lat, n_lon):
     return rows
 
 
-FINITE_TOKENS = ("1.5", "-0.0", "0", "7", "2.5E+3", "1e-320", "5e-324", "0.30000000000000004")
-NAN_TOKENS = ("NaN", "nan", "-nan", "+NaN")
-FLOAT_ONLY_TOKENS = ("1_0", "\u0661\u0662")  # float() takes them, np.loadtxt does not
-BAD_TOKENS = ("inf", "-Infinity", "1e500", "#", "1#2", "abc", "0x1", "1,5", "\x00")
+FINITE_TOKENS = (
+    "1.5", "-0.0", "0", "7", "0.30000000000000004", "007.50", "-000", "1.", ".5", "-.5",
+    "0.000000000000000001", "-12.345678901234567",
+)
+# exact binary64 midpoints, which round to even (short, with a dot, of 19 digits),
+# then decimals whose 64-bit quotient M / 10**a falls exactly halfway between two
+# doubles, so that rounding it once more would miss float() by one ulp
+HALFWAY_TOKENS = ("9007199254740993", "-9007199254740995", "9007199254740993.0",
+                  "1152921504606847104", "98.8735804987761", "-7238190542.098104",
+                  "43.647423898929123")
+EXPONENT_TOKENS = ("2.5E+3", "1e-05", "1e-320", "5e-324", "-1.5e+16")
+NAN_TOKENS = ("nan", "-nan", "+NaN", "-NaN")
+FLOAT_ONLY_TOKENS = ("1_0", "\u0661\u0662", "+1")  # float() takes them, np.loadtxt does not
+BAD_TOKENS = ("inf", "-Infinity", "1e500", "#", "1#2", "abc", "0x1", "1,5", "\x00",
+              "-", ".", "-.", "--1", "1-", "1.2.3", "NaNa", "NaN5", "N", "aNN", "NNN", "Naa")
+ODD_TOKENS = EXPONENT_TOKENS + NAN_TOKENS + FLOAT_ONLY_TOKENS + BAD_TOKENS
 # in-row whitespace for str.split; splitlines() also breaks rows at the second group
 ROW_SEPARATORS = ("\t", "  ", "\x0c", "\x1f", "\xa0", "\u3000")
 LINE_BREAKS = ("\x0b", "\x1c", "\x85", "\r")
+# each takes the place of one space or newline; \x01 is no whitespace at all
+ODD_SEPARATORS = ROW_SEPARATORS + LINE_BREAKS + ("\r\n", " \n", "\n ", "\x01")
+CHUNK_BYTES = (1 << 18,) * 4 + (1, 7, 16, 40)  # small ones split bodies between tokens
+# a 2 x 2 body with one thing wrong, or right: each check of the bulk reader
+# has a body here that it alone turns away
+GOOD_BODY = "1.5 -2.25\n3.0 NaN\n"
+ODD_BODIES = (
+    [f"1.5 -2.25\n{odd} NaN\n" for odd in ODD_TOKENS]
+    + [GOOD_BODY[:at] + odd + GOOD_BODY[at + 1:] for odd in ODD_SEPARATORS for at in (3, 9)]
+    + ["1.5\n-2.25 3.0 NaN\n", "1.5 -2.25 3.0\nNaN\n", "1.5 -2.25\n3.0\n", "1.5 -2.25\n3.0 NaN",
+       "1.5 -2.25\n3.0 NaN\n7", "1.5 -2.25\n3.0 NaN\n\n", "1.5 -2.25\n", GOOD_BODY]
+)
+
+
+@st.composite
+def long_decimals(draw):
+    """18 to 20 digits, leading zeros allowed, with or without a dot and a minus."""
+    digits = draw(st.text("0123456789", min_size=18, max_size=20))
+    dot = draw(st.integers(0, len(digits) + 1))
+    text = digits if dot > len(digits) else digits[:dot] + "." + digits[dot:]
+    return draw(st.sampled_from(("", "-"))) + text
+
+
+@st.composite
+def bulk_tokens(draw):
+    """A token the bulk reader takes: the repr of a double written without
+    an exponent, a long decimal, a midpoint, NaN or another plain decimal."""
+    pick = draw(st.integers(0, 3))
+    if pick == 0:
+        size = draw(st.one_of(st.just(0.0), st.floats(1e-4, 1e16, exclude_max=True)))
+        return repr(draw(st.sampled_from((1.0, -1.0))) * size)
+    if pick == 1:
+        return draw(long_decimals())
+    return draw(st.sampled_from(FINITE_TOKENS + HALFWAY_TOKENS + ("NaN",)))
 
 
 @st.composite
 def grid_bodies(draw):
-    """(n_lat, n_lon, body text): mostly well-formed rows, with short and
-    long rows, blank lines, odd tokens and Unicode whitespace mixed in."""
+    """(n_lat, n_lon, body text): rows laid out as format_grid_snapshot
+    writes them, of tokens the bulk reader takes, with up to two defects:
+    any double's repr or an odd token, an odd separator, a short, long,
+    blank or early-broken row, or another ending."""
     n_lat = draw(st.integers(1, 4))
     n_lon = draw(st.integers(1, 4))
-    token = st.sampled_from(
-        (FINITE_TOKENS + NAN_TOKENS) * 8 + FLOAT_ONLY_TOKENS * 4 + BAD_TOKENS * 2
-    )
-    sep = st.sampled_from((" ",) * 60 + ROW_SEPARATORS * 3 + LINE_BREAKS)
-    off_by_one = st.sampled_from([0] * 16 + [-1, 1])
-    rows = []
-    for _ in range(n_lat + draw(off_by_one)):
-        if draw(st.integers(0, 19)) == 0:
-            rows.append(draw(st.sampled_from(["", " ", "\t\xa0"])))
-            continue
-        width = n_lon + draw(off_by_one)
-        parts = [draw(sep) if draw(st.integers(0, 3)) == 0 else ""]
-        for j in range(width):
-            parts.append(draw(token))
-            parts.append(draw(sep) if j < width - 1 else "")
-        rows.append("".join(parts))
-    return n_lat, n_lon, "\n".join(rows) + draw(st.sampled_from(["\n"] * 8 + ["", "\n\n"]))
+    rows = [[draw(bulk_tokens()) for _ in range(n_lon)] for _ in range(n_lat)]
+    ending, odd_separators = "\n", []
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        defect = draw(st.sampled_from(
+            ("token", "separator", "short", "long", "blank", "early", "ending")
+        ))
+        if defect == "token" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                st.sampled_from(ODD_TOKENS),
+            ))
+        elif defect == "separator":
+            odd_separators.append((draw(st.integers(0, 99)), draw(st.sampled_from(ODD_SEPARATORS))))
+        elif defect == "short" and row:
+            row.pop()
+        elif defect == "long":
+            row.append(draw(bulk_tokens()))
+        elif defect == "blank":
+            rows.insert(i, [draw(st.sampled_from(["", " ", "\t\xa0"]))])
+        elif defect == "early" and row and i + 1 < len(rows):
+            rows[i + 1].insert(0, row.pop())  # the token count stays right
+        elif defect == "ending":
+            ending = draw(st.sampled_from(["", "\n\n", "\r\n", " \n", "\n "]))
+    text = "\n".join(" ".join(row) for row in rows) + ending
+    for k, odd in odd_separators:
+        at = [m for m, ch in enumerate(text) if ch in " \n"]
+        if at:
+            m = at[k % len(at)]
+            text = text[:m] + odd + text[m + 1:]
+    return n_lat, n_lon, text
 
 
 def valid_grid_bytes():
@@ -355,27 +448,15 @@ class TestParserFuzz:
     """Bad input of any kind ends as a ParseError; the fast grid path
     returns what the token loop would, bit for bit, or the loop's error."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(case=grid_bodies())
-    def test_grid_body_matches_reference_loop(self, tmp_path_factory, case):
-        n_lat, n_lon, body = case
-        text = (
-            "GSTBN-GRID v1\nvariable=salinity timestamp=3\n"
-            f"nlat={n_lat} nlon={n_lon} lat0=1.0 dlat=0.5 lon0=2.0 dlon=0.5\n" + body
-        )
-        path = tmp_path_factory.getbasetemp() / "differential.grid"
-        path.write_bytes(text.encode("utf-8"))
-        try:
-            want = reference_grid_values(path, text, n_lat, n_lon)
-        except ParseError as exc:
-            with pytest.raises(ParseError) as got:
-                parse_grid_snapshot(path)
-            assert str(got.value) == str(exc)
-            return
-        snap = parse_grid_snapshot(path)
-        ref = FieldSnapshot(timestamp=3, variable=snap.variable, grid=snap.grid, values=want)
-        assert snap.values.tobytes() == ref.values.tobytes()
-        assert np.array_equal(snap.valid, ref.valid)
+    @settings(max_examples=600, deadline=None)
+    @given(case=grid_bodies(), chunk=st.sampled_from(CHUNK_BYTES))
+    def test_grid_body_matches_reference_loop(self, tmp_path_factory, case, chunk):
+        assert_body_matches_reference(tmp_path_factory.getbasetemp(), *case, chunk)
+
+    @pytest.mark.parametrize("chunk", [1 << 18, 7])
+    @pytest.mark.parametrize("body", ODD_BODIES)
+    def test_each_odd_body_matches_reference_loop(self, tmp_path, body, chunk):
+        assert_body_matches_reference(tmp_path, 2, 2, body, chunk)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.one_of(st.binary(max_size=200), mutated(valid_grid_bytes())))
@@ -407,25 +488,42 @@ class TestParserFuzz:
         with pytest.raises(ParseError, match="4: expected 1000000000000000 values, got 2"):
             parse_grid_snapshot_write(tmp_path, text)
 
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 5)])
+    # 150 x 120 is over 300 KB, so the bulk reader takes it in two chunks
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 5), (150, 120)])
     def test_written_grids_never_need_the_token_loop(self, tmp_path, monkeypatch, shape):
         def no_fallback(*args):
-            raise AssertionError("token loop ran on a well-formed grid")
+            raise AssertionError("a fallback reader ran on a well-formed grid")
 
         monkeypatch.setattr(gstbn.ingest, "_parse_rows", no_fallback)
-        rng = np.random.default_rng(sum(shape))
-        values = rng.normal(0.0, 50.0, shape)
-        values[rng.random(shape) < 0.3] = np.nan
-        values.flat[0] = -0.0
-        snap = FieldSnapshot(
-            timestamp=9, variable=ObservationKind.CURRENT_U,
-            grid=make_grid(n_lat=shape[0], n_lon=shape[1]), values=values,
-        )
+        monkeypatch.setattr(gstbn.ingest, "_parse_rows_fast", no_fallback)
+        snap = self.written_grid(shape)
         path = tmp_path / "fast.grid"
         write_grid_snapshot(snap, path)
         back = parse_grid_snapshot(path)
         assert back == snap
         assert back.values.tobytes() == snap.values.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (150, 120)])
+    def test_other_longdouble_formats_read_the_same_bytes(self, tmp_path, monkeypatch, shape):
+        path = tmp_path / "grid"
+        write_grid_snapshot(self.written_grid(shape), path)
+        bulk = parse_grid_snapshot(path)
+        monkeypatch.setattr(gstbn.ingest, "_EXTENDED", False)
+        assert parse_grid_snapshot(path).values.tobytes() == bulk.values.tobytes()
+
+    @staticmethod
+    def written_grid(shape):
+        """Values with negatives, -0.0 and NaN, all written without an
+        exponent (repr uses one below 1e-4 and from 1e16)."""
+        rng = np.random.default_rng(sum(shape))
+        values = rng.normal(0.0, 50.0, shape)
+        values[abs(values) < 1e-4] = 1e-4
+        values[rng.random(shape) < 0.3] = np.nan
+        values.flat[0] = -0.0
+        return FieldSnapshot(
+            timestamp=9, variable=ObservationKind.CURRENT_U,
+            grid=make_grid(n_lat=shape[0], n_lon=shape[1], d_lat=0.1, d_lon=0.1), values=values,
+        )
 
 
 class TestParseGridSeries:

@@ -483,6 +483,24 @@ class TestAddRemoveSensor:
         net3 = remove_sensor(net2, new_id)
         assert [s.edges for s in net3.snapshots] == [s.edges for s in small_network.snapshots]
 
+    def test_edits_share_the_parents_unchanged_columns(self, small_network):
+        added = add_sensor(small_network, GeoCoord(-90.0, 26.0))
+        removed = remove_sensor(added, added.sensor_catalog[-1].id)
+        for edited, parent in ((added, small_network), (removed, added)):
+            for snap, before in zip(edited.snapshots, parent.snapshots):
+                for name in ("roi_id", "residual", "roi_value"):
+                    assert getattr(snap, name) is getattr(before, name)
+                for name in ("sensor_id", "weight_km"):
+                    assert getattr(snap, name) is not getattr(before, name)
+                    assert not getattr(snap, name).flags.writeable
+
+    @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+    def test_relinked_weight_must_be_a_distance(self, small_network, weight):
+        sid = small_network.active_sensors[0].id
+        changes = [([0], sid, weight)] + [([], sid, 0.0)] * (len(small_network.snapshots) - 1)
+        with pytest.raises(StructuralError, match="is not a distance"):
+            network._relinked(small_network, small_network.sensor_catalog, changes)
+
     def test_random_networks_keep_invariants(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
