@@ -278,10 +278,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _COMMANDS[args.subcommand](args)
-    except GstbnError as exc:
-        print(f"gstbn: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GstbnError, OSError) as exc:
         print(f"gstbn: error: {exc}", file=sys.stderr)
         return 1
     return 0

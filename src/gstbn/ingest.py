@@ -330,8 +330,9 @@ def _ascii_header(data: bytes) -> tuple[list[str], int] | None:
 # again to binary64 gives float(token) unless the extended quotient lies
 # exactly halfway between two doubles; such tokens (1 in 2,000 random
 # ones) and the longer ones go through float() one by one. A body outside
-# this grammar, or a longdouble of another format, is left to the loadtxt
-# and token-loop readers, which also report every error.
+# this grammar, one where float() overflows a long token to inf, or a
+# longdouble of another format, is left to the loadtxt and token-loop
+# readers, which also report every error.
 
 # x87 extended precision: a 64-bit significand in the low 8 of 16 bytes
 _EXTENDED = (
@@ -432,7 +433,10 @@ def _parse_tokens(data: bytes, start: int, end: int, done: int, n_lon: int):
     halfway = quotient.view(np.uint64)[::2] & np.uint64(0x7FF) == np.uint64(0x400)
     np.negative(values, out=values, where=neg)
     for k in np.flatnonzero(~exact | halfway).tolist():
-        values[k] = float(data[start + first[k]:start + sep[k]])
+        value = float(data[start + first[k]:start + sep[k]])
+        if math.isinf(value):  # only a long token overflows; the token loop reports it
+            return None
+        values[k] = value
     values[nan] = np.nan
     return values
 

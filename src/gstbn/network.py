@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,8 +132,8 @@ class RoIEventNode:
 class RoITable:
     """The RoI registry as read-only columns, one row per RoI node: its
     centre (`lon`, `lat`) in degrees and its flat grid `cell`. The RoI
-    with id k is row k - 1. Networks edited from one share its table, and
-    with it the `tiles`."""
+    with id k is row k - 1. It caches nothing: networks edited from one
+    share its table, and each computes its own tiles from it."""
 
     lon: np.ndarray
     lat: np.ndarray
@@ -149,30 +149,6 @@ class RoITable:
 
     def __len__(self) -> int:
         return len(self.lon)
-
-    @cached_property
-    def tiles(self) -> tuple[np.ndarray, ...]:
-        """The rows in tiles: the fields of `_Tiles` but its reach, with
-        the radius in radians.
-
-        The radius bounds the distance from a tile's centre (the middle of
-        its RoIs' lat/lon box) to any point of the box: a meridian arc of
-        half the latitude extent, then a parallel arc of half the longitude
-        extent at the box latitude nearest the equator, where parallels are
-        longest. The geodesic is no longer than that path.
-        """
-        lon, lat = self.lon, self.lat
-        keys = _tile_keys(lon, lat)
-        order = np.argsort(keys, kind="stable")
-        _, start, count = np.unique(keys[order], return_index=True, return_counts=True)
-        lon_lo, lon_hi = np.minimum.reduceat(lon[order], start), np.maximum.reduceat(lon[order], start)
-        lat_lo, lat_hi = np.minimum.reduceat(lat[order], start), np.maximum.reduceat(lat[order], start)
-        equatorward = np.where(lat_lo * lat_hi <= 0.0, 0.0, np.minimum(abs(lat_lo), abs(lat_hi)))
-        radius = (
-            np.radians(lat_hi - lat_lo) / 2.0
-            + np.cos(np.radians(equatorward)) * np.radians(lon_hi - lon_lo) / 2.0
-        )
-        return order, start, count, (lon_lo + lon_hi) / 2.0, (lat_lo + lat_hi) / 2.0, radius
 
 
 @dataclass(frozen=True)
@@ -220,20 +196,6 @@ class GstbnSnapshot:
         for a in (self.weight_km, self.roi_value, self.residual[~np.isnan(self.residual)]):
             _check_distances(a)
 
-    def _relinked(self, sensor_id: np.ndarray, weight_km: np.ndarray) -> GstbnSnapshot:
-        """This snapshot with its edges going to `sensor_id`, `weight_km` km
-        away: fresh int64 and float64 arrays of its length, which it takes
-        over. The other columns are this snapshot's read-only arrays, shared
-        and not checked again; the network checks the sensor ids."""
-        _check_distances(weight_km)
-        snap = object.__new__(GstbnSnapshot)
-        for name in ("timestamp", "roi_id", "residual", "roi_value"):
-            object.__setattr__(snap, name, getattr(self, name))
-        for name, a in (("sensor_id", sensor_id), ("weight_km", weight_km)):
-            a.flags.writeable = False
-            object.__setattr__(snap, name, a)
-        return snap
-
     def __eq__(self, other):
         if not isinstance(other, GstbnSnapshot):
             return NotImplemented
@@ -259,14 +221,14 @@ class TemporalGstbn:
 
     Every edge goes to an active catalog sensor and to an RoI of the
     registry table (id k is row k - 1), and carries that RoI's payload for
-    its interval.
+    its interval. Every distance is on the sphere `earth`, always `EARTH`.
     """
 
     snapshots: tuple[GstbnSnapshot, ...]
     sensor_catalog: tuple[SensorNode, ...]
     roi_table: RoITable
     strict_observations: bool = False
-    earth: EarthModel = EARTH
+    earth: ClassVar[EarthModel] = EARTH
 
     def __post_init__(self):
         times = [s.timestamp for s in self.snapshots]
@@ -317,24 +279,39 @@ class TemporalGstbn:
 
     @cached_property
     def _tiles(self) -> "_Tiles":
-        """The table's tiles, the radius in km, plus per tile the reach
-        beyond which a candidate relaxes none of its RoIs' edges: the bound
-        that prunes `_relaxed`.
+        """The table's RoIs in tiles, with per tile the reach beyond which a
+        candidate relaxes none of its RoIs' edges: the bound that prunes
+        `_relaxed`. Computed per network, edited ones included.
 
-        By the triangle inequality a candidate more than radius + the tile's
-        largest weight from the centre is at least that weight from every
-        RoI in the tile. The slack, 1e-6 earth radii, absorbs rounding in
-        `haversine_km`: its error stays below 1e-7 earth radii even next to
-        the antipode, where arcsin is steepest, so a pruned RoI's computed
-        distance is never below its edge weight.
+        The radius bounds the distance from a tile's centre (the middle of
+        its RoIs' lat/lon box) to any point of the box: a meridian arc of
+        half the latitude extent, then a parallel arc of half the longitude
+        extent at the box latitude nearest the equator, where parallels are
+        longest. The geodesic is no longer than that path. By the triangle
+        inequality a candidate more than radius + the tile's largest weight
+        from the centre is at least that weight from every RoI in the tile.
+        The slack, 1e-6 earth radii, absorbs rounding in `haversine_km`: its
+        error stays below 1e-7 earth radii even next to the antipode, where
+        arcsin is steepest, so a pruned RoI's computed distance is never
+        below its edge weight.
         """
-        order, start, count, lon, lat, radius = self.roi_table.tiles
-        radius = radius * self.earth.radius_km
+        lon, lat = self.roi_table.lon, self.roi_table.lat
+        keys = _tile_keys(lon, lat)
+        order = np.argsort(keys, kind="stable")
+        _, start, count = np.unique(keys[order], return_index=True, return_counts=True)
+        lon_lo, lon_hi = np.minimum.reduceat(lon[order], start), np.maximum.reduceat(lon[order], start)
+        lat_lo, lat_hi = np.minimum.reduceat(lat[order], start), np.maximum.reduceat(lat[order], start)
+        equatorward = np.where(lat_lo * lat_hi <= 0.0, 0.0, np.minimum(abs(lat_lo), abs(lat_hi)))
+        radius = (
+            np.radians(lat_hi - lat_lo) / 2.0
+            + np.cos(np.radians(equatorward)) * np.radians(lon_hi - lon_lo) / 2.0
+        ) * EARTH.radius_km
         largest = np.full(len(order), -np.inf)
         for _, weight in self._edge_rows:
             largest = np.maximum(largest, weight)
-        reach = np.maximum.reduceat(largest[order], start) + radius + 1e-6 * self.earth.radius_km
-        return _Tiles(order, start, count, lon, lat, radius, reach)
+        reach = np.maximum.reduceat(largest[order], start) + radius + 1e-6 * EARTH.radius_km
+        centre = (lon_lo + lon_hi) / 2.0, (lat_lo + lat_hi) / 2.0
+        return _Tiles(order, start, count, *centre, radius, reach)
 
     @property
     def active_sensors(self) -> list[SensorNode]:
@@ -348,7 +325,7 @@ class TemporalGstbn:
 
 
 def _nearest(
-    lon: np.ndarray, lat: np.ndarray, sensors: Sequence[SensorNode], earth: EarthModel
+    lon: np.ndarray, lat: np.ndarray, sensors: Sequence[SensorNode]
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sensor id, distance km) of the nearest sensor to each point.
 
@@ -361,7 +338,7 @@ def _nearest(
     best = np.empty(len(lon), dtype=np.intp)
     dist = np.empty(len(lon), dtype=np.float64)
     for rows in row_blocks(len(lon), len(ordered)):
-        block = haversine_km(lon[rows, None], lat[rows, None], s_lon, s_lat, earth.radius_km)
+        block = haversine_km(lon[rows, None], lat[rows, None], s_lon, s_lat)
         best[rows] = block.argmin(axis=1)
         dist[rows] = block.min(axis=1)
     return np.array([s.id for s in ordered], dtype=np.int64)[best], dist
@@ -372,7 +349,7 @@ def build_edges(
     lon,
     lat,
     sensors: Sequence[SensorNode],
-    earth: EarthModel = EARTH,
+    *,
     fired: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Link every RoI to its nearest sensor; ties go to the lower sensor id.
@@ -406,7 +383,7 @@ def build_edges(
                 names = ",".join(sorted(k.value for k in kinds))
                 raise NoObserversError(f"no active sensor observes any of: {names}")
         rows = group == key
-        sensor_id[rows], weight_km[rows] = _nearest(lon[rows], lat[rows], eligible, earth)
+        sensor_id[rows], weight_km[rows] = _nearest(lon[rows], lat[rows], eligible)
     order = np.argsort(roi_id, kind="stable")
     return roi_id[order], sensor_id[order], weight_km[order]
 
@@ -448,7 +425,7 @@ def build_temporal_gstbn(
     series: Mapping[ObservationKind, Sequence[FieldSnapshot]],
     catalog: Sequence[SensorNode],
     threshold: RoIThreshold = DEFAULT_ROI_THRESHOLD,
-    earth: EarthModel = EARTH,
+    *,
     strict_observations: bool = False,
 ) -> TemporalGstbn:
     """Construct the full temporal network from field series and a catalog.
@@ -484,7 +461,7 @@ def build_temporal_gstbn(
         order = np.argsort(ids, kind="stable")
         fired = ~np.isnan(events.residual[order]) if strict_observations else None
         lon, lat = events.lon[order], events.lat[order]
-        edges = build_edges(ids[order], lon, lat, actives, earth, fired)
+        edges = build_edges(ids[order], lon, lat, actives, fired=fired)
         snapshots.append(GstbnSnapshot(t_end, *edges, events.residual[order], events.value[order]))
 
     lon, lat = (np.concatenate(column) for column in zip(*coords))
@@ -493,7 +470,6 @@ def build_temporal_gstbn(
         sensor_catalog=catalog,
         roi_table=RoITable(lon=lon, lat=lat, cell=cells),
         strict_observations=strict_observations,
-        earth=earth,
     )
 
 
@@ -555,8 +531,8 @@ def _relaxed(net: TemporalGstbn, lon: np.ndarray, lat: np.ndarray):
     block, so each d is the value that block would hold. Rows come in
     increasing trial order.
     """
-    tiles, radius_km = net._tiles, net.earth.radius_km
-    near = haversine_km(tiles.lon, tiles.lat, lon[:, None], lat[:, None], radius_km)
+    tiles = net._tiles
+    near = haversine_km(tiles.lon, tiles.lat, lon[:, None], lat[:, None])
     trial, tile = np.nonzero(near <= tiles.reach)
     count = tiles.count[tile]
     trial = np.repeat(trial, count)
@@ -564,7 +540,7 @@ def _relaxed(net: TemporalGstbn, lon: np.ndarray, lat: np.ndarray):
     offset = np.repeat(tiles.start[tile] - (np.cumsum(count) - count), count)
     row = tiles.order[offset + np.arange(len(trial))]
     table = net.roi_table
-    dist = haversine_km(table.lon[row], table.lat[row], lon[trial], lat[trial], radius_km)
+    dist = haversine_km(table.lon[row], table.lat[row], lon[trial], lat[trial])
     for pos, weight in net._edge_rows:
         closer = dist < weight[row]
         yield trial[closer], pos[row[closer]], dist[closer]
@@ -574,13 +550,14 @@ def _relinked(net: TemporalGstbn, catalog: tuple[SensorNode, ...], changes) -> T
     """`net` under `catalog`, the one way to edit a network: per snapshot,
     `changes` gives `(rows, sensor_id, weight_km)`, and the edges at `rows`
     (positions or a mask) now go to `sensor_id`, `weight_km` km away. The
-    result shares `net`'s RoI table, and so its tiles, and each snapshot's
-    RoI and payload columns."""
+    result shares `net`'s RoI table; each snapshot is built and checked
+    as a fresh one is."""
     snapshots = []
     for snap, (rows, sensor_id, weight_km) in zip(net.snapshots, changes):
         linked, weights = snap.sensor_id.copy(), snap.weight_km.copy()
         linked[rows], weights[rows] = sensor_id, weight_km
-        snapshots.append(snap._relinked(linked, weights))
+        snapshots.append(GstbnSnapshot(snap.timestamp, snap.roi_id, linked, weights,
+                                       snap.residual, snap.roi_value))
     return replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)
 
 
@@ -647,6 +624,6 @@ def remove_sensor(net: TemporalGstbn, sensor_id: int) -> TemporalGstbn:
         lon, lat = net.roi_table.lon[rows], net.roi_table.lat[rows]
         fired = ~np.isnan(snap.residual[served]) if net.strict_observations else None
         # the orphans are in roi-id order, the order build_edges returns them in
-        _, linked, weights = build_edges(snap.roi_id[served], lon, lat, actives, net.earth, fired)
+        _, linked, weights = build_edges(snap.roi_id[served], lon, lat, actives, fired=fired)
         changes.append((served, linked, weights))
     return _relinked(net, catalog, changes)

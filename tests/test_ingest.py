@@ -333,8 +333,9 @@ HALFWAY_TOKENS = ("9007199254740993", "-9007199254740995", "9007199254740993.0",
 EXPONENT_TOKENS = ("2.5E+3", "1e-05", "1e-320", "5e-324", "-1.5e+16")
 NAN_TOKENS = ("nan", "-nan", "+NaN", "-NaN")
 FLOAT_ONLY_TOKENS = ("1_0", "\u0661\u0662", "+1")  # float() takes them, np.loadtxt does not
-BAD_TOKENS = ("inf", "-Infinity", "1e500", "#", "1#2", "abc", "0x1", "1,5", "\x00",
-              "-", ".", "-.", "--1", "1-", "1.2.3", "NaNa", "NaN5", "N", "aNN", "NNN", "Naa")
+BAD_TOKENS = ("inf", "-Infinity", "1e500", "9" * 400, "-" + "9" * 309 + ".5", "#", "1#2", "abc",
+              "0x1", "1,5", "\x00", "-", ".", "-.", "--1", "1-", "1.2.3", "NaNa", "NaN5", "N",
+              "aNN", "NNN", "Naa")
 ODD_TOKENS = EXPONENT_TOKENS + NAN_TOKENS + FLOAT_ONLY_TOKENS + BAD_TOKENS
 # in-row whitespace for str.split; splitlines() also breaks rows at the second group
 ROW_SEPARATORS = ("\t", "  ", "\x0c", "\x1f", "\xa0", "\u3000")
@@ -457,6 +458,12 @@ class TestParserFuzz:
     @pytest.mark.parametrize("body", ODD_BODIES)
     def test_each_odd_body_matches_reference_loop(self, tmp_path, body, chunk):
         assert_body_matches_reference(tmp_path, 2, 2, body, chunk)
+
+    @pytest.mark.parametrize("body", ODD_BODIES)
+    def test_each_odd_body_matches_reference_loop_without_x87(self, tmp_path, monkeypatch, body):
+        # the chain every platform without x87 long double takes: loadtxt, then the token loop
+        monkeypatch.setattr(gstbn.ingest, "_EXTENDED", False)
+        assert_body_matches_reference(tmp_path, 2, 2, body, 1 << 18)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.one_of(st.binary(max_size=200), mutated(valid_grid_bytes())))

@@ -487,12 +487,17 @@ class TestAddRemoveSensor:
         added = add_sensor(small_network, GeoCoord(-90.0, 26.0))
         removed = remove_sensor(added, added.sensor_catalog[-1].id)
         for edited, parent in ((added, small_network), (removed, added)):
-            for snap, before in zip(edited.snapshots, parent.snapshots):
-                for name in ("roi_id", "residual", "roi_value"):
-                    assert getattr(snap, name) is getattr(before, name)
+            assert edited.roi_table is parent.roi_table
+            for snap in edited.snapshots:
                 for name in ("sensor_id", "weight_km"):
-                    assert getattr(snap, name) is not getattr(before, name)
                     assert not getattr(snap, name).flags.writeable
+
+    def test_every_network_is_on_the_one_earth(self, small_network):
+        added = add_sensor(small_network, GeoCoord(-90.0, 26.0))
+        assert small_network.earth is added.earth is EARTH
+        with pytest.raises(TypeError):
+            TemporalGstbn(small_network.snapshots, small_network.sensor_catalog,
+                          small_network.roi_table, earth=EARTH)
 
     @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
     def test_relinked_weight_must_be_a_distance(self, small_network, weight):
@@ -604,14 +609,13 @@ class TestIncrementalEditsMatchRebuild:
     @pytest.mark.parametrize("strict", [False, True])
     def test_edited_caches_equal_those_of_a_fresh_network(self, small_scenario, edit, strict):
         net = scenario_network(small_scenario, strict=strict)
-        net._tiles  # fills the caches an edit may hand on
+        net._tiles  # the parent's filled caches must not reach the edit
         if edit == "add":
             edited = add_sensor(net, GeoCoord(-90.2, 25.3))
         else:
             edited = remove_sensor(net, net.active_sensors[0].id)
-        # the edit shares the parent's table, and through it the tiles
+        # the edit shares the parent's table
         assert edited.roi_table is net.roi_table
-        assert edited.roi_table.tiles is net.roi_table.tiles
         fresh = rebuild(edited, scenario_field_series(small_scenario))
         assert fresh.roi_table is not net.roi_table
         for got, want in zip(edited._tiles, fresh._tiles):
@@ -665,8 +669,8 @@ def networks(draw):
         rows = np.flatnonzero(fired.any(axis=1))
         fired = fired[rows]
         edges = build_edges(
-            rows + 1, table.lon[rows], table.lat[rows], sensors, EARTH,
-            fired if strict else None,
+            rows + 1, table.lon[rows], table.lat[rows], sensors,
+            fired=fired if strict else None,
         )
         residual = np.where(fired, 1.0, np.nan)
         snapshots.append(GstbnSnapshot(t, *edges, residual, fired.sum(axis=1)))
