@@ -7,6 +7,19 @@ interest, and search for new sensor placements with Monte Carlo trials.
 
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# gstbn does no float BLAS (its two `@` are integer bitmask products), so the
+# pool numpy's OpenBLAS starts at import only spins, burning a second core.
+# Cap it before the first import of numpy, unless the caller already chose a
+# thread count or numpy is loaded.
+if "numpy" not in sys.modules and not any(
+    v in os.environ for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+del os, sys
+
 from .errors import (
     GstbnError,
     NoObserversError,

@@ -504,14 +504,15 @@ def _tile_keys(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
     if len(lon) <= _TILE_ROIS:
         return keys
     span = max(np.ptp(lon), np.ptp(lat))
+    dlat, dlon = lat - lat.min(), lon - lon.min()
     # at most 2**30 tiles a side, where keys still fit int64, however many points coincide
     for k in range(1, 61):
         n = math.ceil(2.0 ** (k / 2))
         side = span / n
         if side == 0.0:
             break
-        i = np.minimum((lat - lat.min()) // side, n).astype(np.int64)
-        j = np.minimum((lon - lon.min()) // side, n).astype(np.int64)
+        i = np.minimum(dlat // side, n).astype(np.int64)
+        j = np.minimum(dlon // side, n).astype(np.int64)
         keys = i * (n + 1) + j
         if len(lon) <= _TILE_ROIS * len(np.unique(keys)):
             break

@@ -292,11 +292,19 @@ def scenario_spec_to_dict(spec: ScenarioSpec) -> dict:
     }
 
 
+def _whole(value, name: str) -> int:
+    """`int(value)`, refusing a float that is not a whole number (2.7, inf,
+    nan) instead of truncating it or overflowing."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name}: expected an integer, got {value}")
+    return int(value)
+
+
 def scenario_spec_from_dict(doc: Mapping) -> ScenarioSpec:
     try:
         grid = GridSpec(
-            n_lat=int(doc["grid"]["n_lat"]),
-            n_lon=int(doc["grid"]["n_lon"]),
+            n_lat=_whole(doc["grid"]["n_lat"], "grid.n_lat"),
+            n_lon=_whole(doc["grid"]["n_lon"], "grid.n_lon"),
             lat0=float(doc["grid"]["lat0"]),
             d_lat=float(doc["grid"]["d_lat"]),
             lon0=float(doc["grid"]["lon0"]),
@@ -307,7 +315,9 @@ def scenario_spec_from_dict(doc: Mapping) -> ScenarioSpec:
                 center=GeoCoord(float(h["lon"]), float(h["lat"])),
                 amplitude=float(h["amplitude"]),
                 radius_deg=float(h["radius_deg"]),
-                active_intervals=frozenset(int(k) for k in h["active_intervals"]),
+                active_intervals=frozenset(
+                    _whole(k, "active_intervals") for k in h["active_intervals"]
+                ),
                 variable=ObservationKind(h.get("variable", "temperature")),
             )
             for h in doc.get("hotspots", ())
@@ -320,14 +330,14 @@ def scenario_spec_from_dict(doc: Mapping) -> ScenarioSpec:
         )
         return ScenarioSpec(
             grid=grid,
-            timestamps=tuple(int(t) for t in doc["timestamps"]),
+            timestamps=tuple(_whole(t, "timestamps") for t in doc["timestamps"]),
             hotspots=hotspots,
             sensors=sensors,
             variables=variables,
             background=float(doc.get("background", 0.0)),
             background_noise_amplitude=float(doc.get("background_noise_amplitude", 0.0)),
             threshold=float(doc.get("threshold", 0.5)),
-            seed=int(doc.get("seed", 0)),
+            seed=_whole(doc.get("seed", 0), "seed"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParameterError(f"bad scenario spec: {exc}") from exc

@@ -675,6 +675,29 @@ class TestNonFiniteNumbers:
         assert proc.stderr.startswith("gstbn: error: temperature hotspot amplitudes too large")
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
+    @pytest.mark.parametrize("value", [float("inf"), 2.7], ids=["inf", "fraction"])
+    @pytest.mark.parametrize(
+        "field", ["seed", "timestamps", "grid.n_lat", "grid.n_lon", "active_intervals"]
+    )
+    def test_non_integral_synth_field_reports_one_error_line(self, tmp_path, field, value):
+        doc = scenario_spec_to_dict(cli_spec())
+        if field == "timestamps":
+            doc["timestamps"][-1] = value
+        elif field == "active_intervals":
+            doc["hotspots"][0]["active_intervals"][-1] = value
+        elif field.startswith("grid."):
+            doc["grid"][field.removeprefix("grid.")] = value
+        else:
+            doc[field] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        proc = run_fresh(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"gstbn: error: bad scenario spec: {field}: expected an integer, got {value}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_infinite_relative_increase_is_null(self, tmp_path):
         # every RoI sits on a sensor, so coverage goes from 0 to positive
         args = two_cell_inputs(tmp_path / "in", [0.0, 0.0], [1.0, 1.0])

@@ -1,23 +1,69 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import gstbn
+from gstbn.synth import generate_scenario
+
+SRC = str(Path(gstbn.__file__).resolve().parents[1])
+
+TASKS = "len(__import__('os').listdir('/proc/self/task'))"
+
+needs_proc_tasks = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count threads"
+)
 
 
-def test_import_loads_neither_scipy_nor_a_process_pool():
-    # every CLI call pays the import, and scipy alone used to add about 0.4 s
-    src = str(Path(gstbn.__file__).resolve().parents[1])
-    code = (
-        "import sys, gstbn; "
-        "print(sorted(m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules))"
-    )
+def run_python(code, **env):
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PYTHONPATH": src},
+        env={"PYTHONPATH": SRC, **env},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_neither_scipy_nor_a_process_pool():
+    # every CLI call pays the import, and scipy alone used to add about 0.4 s
+    code = (
+        "import sys, gstbn; "
+        "print(sorted(m for m in ('scipy', 'concurrent.futures.process') if m in sys.modules))"
+    )
+    assert run_python(code) == "[]"
+
+
+@needs_proc_tasks
+def test_import_leaves_one_thread():
+    # numpy's OpenBLAS would otherwise start a pool that only spins
+    assert run_python(f"import gstbn; print({TASKS})") == "1"
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_an_explicit_thread_count_wins(var):
+    code = "import os, gstbn; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert run_python(code, **{var: "2"}) == ("2" if var == "OPENBLAS_NUM_THREADS" else "None")
+
+
+def test_a_process_that_loaded_numpy_first_is_left_alone():
+    code = "import numpy, os, gstbn; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert run_python(code) == "None"
+
+
+@needs_proc_tasks
+def test_a_command_runs_on_one_thread(small_scenario, tmp_path):
+    files = generate_scenario(small_scenario, tmp_path / "in")
+    argv = [
+        "score",
+        "--sensors", str(files.catalog_path),
+        "--grids", *map(str, files.grid_paths),
+        "--out", str(tmp_path / "report.json"),
+    ]
+    code = f"import gstbn.cli; code = gstbn.cli.main({argv!r}); print(code, {TASKS})"
+    assert run_python(code) == "0 1"
+    assert (tmp_path / "report.json").exists()
