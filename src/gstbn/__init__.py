@@ -42,12 +42,10 @@ from .field import (
     extract_roi_events,
 )
 from .network import (
-    GstbnEdge,
     GstbnSnapshot,
     Membership,
     Mobility,
     OperationalStatus,
-    RoIEventNode,
     RoITable,
     SensorNode,
     TemporalGstbn,
@@ -130,9 +128,7 @@ __all__ = [
     "Mobility",
     "OperationalStatus",
     "SensorNode",
-    "RoIEventNode",
     "RoITable",
-    "GstbnEdge",
     "GstbnSnapshot",
     "TemporalGstbn",
     "build_edges",

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 from functools import cached_property
-from types import MappingProxyType
 from typing import ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -41,9 +40,7 @@ __all__ = [
     "Mobility",
     "OperationalStatus",
     "SensorNode",
-    "RoIEventNode",
     "RoITable",
-    "GstbnEdge",
     "GstbnSnapshot",
     "TemporalGstbn",
     "build_edges",
@@ -101,7 +98,7 @@ class SensorNode:
 def _check_distances(a: np.ndarray) -> None:
     bad = ~(np.isfinite(a) & (a >= 0.0))
     if bad.any():
-        raise StructuralError(f"weight, residual or roi value {a[bad][0]} is not a distance")
+        raise StructuralError(f"weight or residual {a[bad][0]} is not a distance")
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -109,23 +106,6 @@ def _frozen(values, dtype) -> np.ndarray:
     a = np.array(values, dtype=dtype)
     a.flags.writeable = False
     return a
-
-
-@dataclass(frozen=True)
-class RoIEventNode:
-    """One registry RoI as a read-only object for the library, built when
-    `TemporalGstbn.roi_registry` is first read; the RoI with id k is
-    `roi_registry[k - 1]`. `snapshots` maps interval-end timestamp ->
-    {variable -> residual} for the variables that cleared the threshold in
-    that interval."""
-
-    id: int
-    geolocation: GeoCoord
-    snapshots: Mapping[int, Mapping[ObservationKind, float]] = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0 <= self.id < 2**63:  # ids go into int64 arrays
-            raise ParameterError(f"roi id must be in [0, 2**63-1], got {self.id}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +131,20 @@ class RoITable:
         return len(self.lon)
 
 
+# The object views below (`GstbnEdge`, `RoIEventNode`, `GstbnSnapshot.edges`
+# and `.roi_ids`, `TemporalGstbn.roi_registry`) exist only for bench/, which
+# still reads them (ROADMAP item 1); the library and its tests use the columns.
 @dataclass(frozen=True)
 class GstbnEdge:
     roi_id: int
     sensor_id: int
     weight_km: float
+
+
+@dataclass(frozen=True)
+class RoIEventNode:
+    id: int
+    geolocation: GeoCoord
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,43 +154,53 @@ class GstbnSnapshot:
     Row k links RoI `roi_id[k]` to sensor `sensor_id[k]`, `weight_km[k]`
     away: one row per RoI that fired, in increasing roi id. Its payload is
     `residual[k]`, a column per :class:`ObservationKind` in declaration
-    order (NaN: did not fire), and their sum `roi_value[k]`; omitted, both
-    say nothing fired. The arrays are read-only copies, so a snapshot
-    cannot change after its checks; :class:`TemporalGstbn` checks which
-    sensors and RoIs the ids name.
+    order (NaN: did not fire). `roi_value[k]` is derived from it, not
+    given: the row's fired residuals added left to right in that order
+    from +0.0, the additions `extract_roi_events` makes. An RoI is an event
+    because its value is positive, so each value must be finite and above
+    0. The arrays are read-only copies, so a snapshot cannot change after
+    its checks; :class:`TemporalGstbn` checks which sensors and RoIs the
+    ids name.
     """
 
     timestamp: int
     roi_id: np.ndarray
     sensor_id: np.ndarray
     weight_km: np.ndarray
-    residual: np.ndarray | None = None
-    roi_value: np.ndarray | None = None
+    residual: np.ndarray
+    roi_value: np.ndarray = dc_field(init=False)
 
     def __post_init__(self):
-        for name, dtype in (("roi_id", np.int64), ("sensor_id", np.int64), ("weight_km", np.float64)):
+        for name, dtype in (("roi_id", np.int64), ("sensor_id", np.int64),
+                            ("weight_km", np.float64), ("residual", np.float64)):
             object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
         shape = self.roi_id.shape
         if len(shape) != 1 or not shape == self.sensor_id.shape == self.weight_km.shape:
             raise StructuralError("roi_id, sensor_id and weight_km must be 1-D and of one length")
-        kinds = shape + (len(ObservationKind),)
-        residual = np.full(kinds, np.nan) if self.residual is None else self.residual
-        object.__setattr__(self, "residual", _frozen(residual, np.float64))
-        roi_value = np.zeros(shape) if self.roi_value is None else self.roi_value
-        object.__setattr__(self, "roi_value", _frozen(roi_value, np.float64))
-        if self.residual.shape != kinds or self.roi_value.shape != shape:
-            raise StructuralError("residual and roi_value must hold one row per edge")
+        if self.residual.shape != shape + (len(ObservationKind),):
+            raise StructuralError("residual must hold one row per edge and one column per kind")
         if (np.diff(self.roi_id) <= 0).any():
             raise StructuralError("edges must be sorted by roi id, one per roi")
-        for a in (self.weight_km, self.roi_value, self.residual[~np.isnan(self.residual)]):
-            _check_distances(a)
+        fired = ~np.isnan(self.residual)
+        _check_distances(self.weight_km)
+        _check_distances(self.residual[fired])
+        value = np.zeros(shape)
+        with np.errstate(over="ignore"):
+            for column in np.where(fired, self.residual, 0.0).T:
+                value = value + column
+        bad = ~(np.isfinite(value) & (value > 0.0))
+        if bad.any():
+            raise StructuralError(
+                f"roi {self.roi_id[bad][0]} has value {value[bad][0]}, not finite and positive"
+            )
+        object.__setattr__(self, "roi_value", _frozen(value, np.float64))
 
     def __eq__(self, other):
         if not isinstance(other, GstbnSnapshot):
             return NotImplemented
         return self.timestamp == other.timestamp and all(
             np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
-            for name in ("roi_id", "sensor_id", "weight_km", "residual", "roi_value")
+            for name in ("roi_id", "sensor_id", "weight_km", "residual")
         )
 
     @cached_property
@@ -210,7 +209,6 @@ class GstbnSnapshot:
 
     @cached_property
     def edges(self) -> tuple[GstbnEdge, ...]:
-        """The rows as edge objects, built on first read from the arrays."""
         rows = zip(self.roi_id.tolist(), self.sensor_id.tolist(), self.weight_km.tolist())
         return tuple(GstbnEdge(*row) for row in rows)
 
@@ -253,15 +251,8 @@ class TemporalGstbn:
 
     @cached_property
     def roi_registry(self) -> tuple[RoIEventNode, ...]:
-        """The table's RoIs as node objects, payloads from the snapshots."""
-        payloads: list[dict] = [{} for _ in range(len(self.roi_table))]
-        for snap in self.snapshots:
-            for row, values in zip((snap.roi_id - 1).tolist(), snap.residual.tolist()):
-                fired = {k: v for k, v in zip(ObservationKind, values) if not math.isnan(v)}
-                payloads[row][snap.timestamp] = MappingProxyType(fired)
-        t = self.roi_table
-        coords = map(GeoCoord, t.lon.tolist(), t.lat.tolist())
-        return tuple(map(RoIEventNode, range(1, len(t) + 1), coords, map(MappingProxyType, payloads)))
+        coords = map(GeoCoord, self.roi_table.lon.tolist(), self.roi_table.lat.tolist())
+        return tuple(map(RoIEventNode, range(1, len(self.roi_table) + 1), coords))
 
     @cached_property
     def _edge_rows(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -345,35 +336,32 @@ def _nearest(
 
 
 def build_edges(
-    roi_id,
     lon,
     lat,
     sensors: Sequence[SensorNode],
     *,
     fired: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Link every RoI to its nearest sensor; ties go to the lower sensor id.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Link every point to its nearest sensor; ties go to the lower sensor id.
 
-    RoI k has id `roi_id[k]` and lies at (`lon[k]`, `lat[k]`). With
-    `fired`, a boolean (RoIs x kinds) array with one column per
-    :class:`ObservationKind` in declaration order, each RoI only considers
-    sensors observing at least one of the variables that fired there;
-    without it any sensor qualifies. Returns the edges as the arrays
-    (roi_id, sensor_id, weight_km) of a :class:`GstbnSnapshot`, sorted by
-    roi id. An empty sensor list raises, even with no RoIs: a network
-    without observers is a caller error, not an empty result.
+    Point k lies at (`lon[k]`, `lat[k]`). With `fired`, a boolean
+    (points x kinds) array with one column per :class:`ObservationKind` in
+    declaration order, each point only considers sensors observing at
+    least one of the variables that fired there; without it any sensor
+    qualifies. Returns the arrays (sensor_id, weight_km), one row per point
+    in the order given. An empty sensor list raises, even with no points:
+    a network without observers is a caller error, not an empty result.
     """
     if not sensors:
         raise NoObserversError("no active sensors to link against")
 
-    roi_id = np.asarray(roi_id, dtype=np.int64)
     lon, lat = np.asarray(lon, dtype=np.float64), np.asarray(lat, dtype=np.float64)
-    # RoIs that fired the same kinds (one bit each) share a group and its eligible sensors
-    group = np.zeros(len(roi_id), dtype=np.int64)
+    # points that fired the same kinds (one bit each) share a group and its eligible sensors
+    group = np.zeros(len(lon), dtype=np.int64)
     if fired is not None:
         group = np.asarray(fired, dtype=bool) @ (1 << np.arange(len(ObservationKind)))
-    sensor_id = np.empty(len(roi_id), dtype=np.int64)
-    weight_km = np.empty(len(roi_id), dtype=np.float64)
+    sensor_id = np.empty(len(lon), dtype=np.int64)
+    weight_km = np.empty(len(lon), dtype=np.float64)
     for key in np.unique(group).tolist():
         eligible = sensors
         if fired is not None:
@@ -384,8 +372,7 @@ def build_edges(
                 raise NoObserversError(f"no active sensor observes any of: {names}")
         rows = group == key
         sensor_id[rows], weight_km[rows] = _nearest(lon[rows], lat[rows], eligible)
-    order = np.argsort(roi_id, kind="stable")
-    return roi_id[order], sensor_id[order], weight_km[order]
+    return sensor_id, weight_km
 
 
 def _series_intervals(
@@ -457,12 +444,11 @@ def build_temporal_gstbn(
         coords.append((events.lon[new], events.lat[new]))
         by_cell = np.argsort(cells)
         ids = by_cell[np.searchsorted(cells, events.cell, sorter=by_cell)] + 1
-        # the rows in roi-id order, the order build_edges returns the edges in
+        # a snapshot's rows are in roi-id order
         order = np.argsort(ids, kind="stable")
         fired = ~np.isnan(events.residual[order]) if strict_observations else None
-        lon, lat = events.lon[order], events.lat[order]
-        edges = build_edges(ids[order], lon, lat, actives, fired=fired)
-        snapshots.append(GstbnSnapshot(t_end, *edges, events.residual[order], events.value[order]))
+        edges = build_edges(events.lon[order], events.lat[order], actives, fired=fired)
+        snapshots.append(GstbnSnapshot(t_end, ids[order], *edges, events.residual[order]))
 
     lon, lat = (np.concatenate(column) for column in zip(*coords))
     return TemporalGstbn(
@@ -557,8 +543,7 @@ def _relinked(net: TemporalGstbn, catalog: tuple[SensorNode, ...], changes) -> T
     for snap, (rows, sensor_id, weight_km) in zip(net.snapshots, changes):
         linked, weights = snap.sensor_id.copy(), snap.weight_km.copy()
         linked[rows], weights[rows] = sensor_id, weight_km
-        snapshots.append(GstbnSnapshot(snap.timestamp, snap.roi_id, linked, weights,
-                                       snap.residual, snap.roi_value))
+        snapshots.append(GstbnSnapshot(snap.timestamp, snap.roi_id, linked, weights, snap.residual))
     return replace(net, snapshots=tuple(snapshots), sensor_catalog=catalog)
 
 
@@ -624,7 +609,6 @@ def remove_sensor(net: TemporalGstbn, sensor_id: int) -> TemporalGstbn:
         rows = snap.roi_id[served] - 1
         lon, lat = net.roi_table.lon[rows], net.roi_table.lat[rows]
         fired = ~np.isnan(snap.residual[served]) if net.strict_observations else None
-        # the orphans are in roi-id order, the order build_edges returns them in
-        _, linked, weights = build_edges(snap.roi_id[served], lon, lat, actives, fired=fired)
+        linked, weights = build_edges(lon, lat, actives, fired=fired)
         changes.append((served, linked, weights))
     return _relinked(net, catalog, changes)

@@ -7,10 +7,12 @@ something.
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 
-from gstbn.field import kind_sort_key
-from gstbn.geo import great_circle_distance
+from gstbn.field import ObservationKind, kind_sort_key
+from gstbn.geo import GeoCoord, great_circle_distance
 
 mp.mp.dps = 40
 
@@ -39,23 +41,44 @@ def sequential_sum(values) -> float:
     return acc
 
 
-def brute_force_edges(rois, sensors, earth):
+def roi_coords(net):
+    """The centre of each registry RoI as a `GeoCoord`: the RoI with id k
+    at index k - 1."""
+    table = net.roi_table
+    return [GeoCoord(lon, lat) for lon, lat in zip(table.lon.tolist(), table.lat.tolist())]
+
+
+def edge_rows(snap):
+    """(roi id, sensor id, weight km) of each snapshot row, as Python numbers."""
+    return list(zip(snap.roi_id.tolist(), snap.sensor_id.tolist(), snap.weight_km.tolist()))
+
+
+def payloads(snap):
+    """{variable: residual} of the variables that fired, per snapshot row."""
+    return [
+        {kind: v for kind, v in zip(ObservationKind, row) if not math.isnan(v)}
+        for row in snap.residual.tolist()
+    ]
+
+
+def brute_force_edges(points, sensors, earth):
     """Nearest-sensor assignment as an explicit double loop.
 
     Same distance function as the library (so floats are comparable),
     but none of its shortcuts: every pair is evaluated and ties go to
-    the lowest sensor id.
+    the lowest sensor id. Returns (sensor id, distance) per point, in the
+    order given.
     """
     edges = []
-    for roi in sorted(rois, key=lambda r: r.id):
+    for point in points:
         best_id = None
         best_d = None
         for s in sensors:
-            d = great_circle_distance(roi.geolocation, s.geolocation, earth)
+            d = great_circle_distance(point, s.geolocation, earth)
             if best_d is None or d < best_d or (d == best_d and s.id < best_id):
                 best_d = d
                 best_id = s.id
-        edges.append((roi.id, best_id, best_d))
+        edges.append((best_id, best_d))
     return edges
 
 
@@ -65,15 +88,15 @@ def dense_relaxed(net, candidates):
     edge's RoI, as a plain double loop over candidates and edges, with no
     pruning and no arrays.
     """
+    coords = roi_coords(net)
     out = []
     for snap in net.snapshots:
         rows = []
         for c in candidates:
             row = []
-            for e in snap.edges:
-                roi = net.roi_registry[e.roi_id - 1]
-                d = great_circle_distance(roi.geolocation, c, net.earth)
-                row.append(min(e.weight_km, d))
+            for roi_id, _, weight in edge_rows(snap):
+                d = great_circle_distance(coords[roi_id - 1], c, net.earth)
+                row.append(min(weight, d))
             rows.append(row)
         out.append(rows)
     return out
@@ -123,10 +146,11 @@ def geojson_document(net, timestamp):
     no template involved.
     """
     snap = net.snapshot_at(timestamp)
+    coords = roi_coords(net)
     active = sorted(s.id for s in net.active_sensors)
     degrees = {sid: 0 for sid in active}
-    for e in snap.edges:
-        degrees[e.sensor_id] += 1
+    for sid in snap.sensor_id.tolist():
+        degrees[sid] += 1
 
     def point(coord):
         return {"type": "Point", "coordinates": [coord.lon, coord.lat]}
@@ -144,9 +168,7 @@ def geojson_document(net, timestamp):
         features.append(
             {"type": "Feature", "geometry": point(s.geolocation), "properties": properties}
         )
-    for rid in sorted(snap.roi_ids):
-        node = net.roi_registry[rid - 1]
-        payload = node.snapshots[timestamp]
+    for rid, payload in zip(snap.roi_id.tolist(), payloads(snap)):
         properties = {
             "node_type": "roi",
             "id": rid,
@@ -154,15 +176,15 @@ def geojson_document(net, timestamp):
             "residuals": {k.value: payload[k] for k in sorted(payload, key=kind_sort_key)},
         }
         features.append(
-            {"type": "Feature", "geometry": point(node.geolocation), "properties": properties}
+            {"type": "Feature", "geometry": point(coords[rid - 1]), "properties": properties}
         )
-    for e in snap.edges:
-        roi = net.roi_registry[e.roi_id - 1].geolocation
-        sensor = net.sensors_by_id[e.sensor_id].geolocation
+    for rid, sid, weight in edge_rows(snap):
+        roi = coords[rid - 1]
+        sensor = net.sensors_by_id[sid].geolocation
         geometry = {
             "type": "LineString",
             "coordinates": [[roi.lon, roi.lat], [sensor.lon, sensor.lat]],
         }
-        properties = {"roi_id": e.roi_id, "sensor_id": e.sensor_id, "weight_km": e.weight_km}
+        properties = {"roi_id": rid, "sensor_id": sid, "weight_km": weight}
         features.append({"type": "Feature", "geometry": geometry, "properties": properties})
     return {"type": "FeatureCollection", "features": features}

@@ -34,7 +34,6 @@ from gstbn.network import (
     Membership,
     Mobility,
     OperationalStatus,
-    RoIEventNode,
     SensorNode,
     add_sensor,
     build_edges,
@@ -45,7 +44,7 @@ from gstbn.placement import SearchDomain, candidate_score, monte_carlo_place, pl
 from gstbn.synth import Hotspot, ScenarioSpec, scenario_field_series, scenario_sensor_nodes
 
 from conftest import make_grid, random_scenario, scenario_network
-from oracles import brute_force_edges, naive_interval_analysis, reference_distance_km
+from oracles import brute_force_edges, naive_interval_analysis, reference_distance_km, roi_coords
 
 
 def ok(number, text):
@@ -166,18 +165,12 @@ def test_criterion_03_edge_oracle_equivalence():
                     observations=frozenset({ObservationKind.TEMPERATURE}),
                 )
             )
-        rois = [
-            RoIEventNode(
-                id=rid + 1,
-                geolocation=GeoCoord(
-                    float(rng.uniform(-180, 180)), float(rng.uniform(-90, 90))
-                ),
-            )
-            for rid in range(n_rois)
+        points = [
+            GeoCoord(float(rng.uniform(-180, 180)), float(rng.uniform(-90, 90)))
+            for _ in range(n_rois)
         ]
-        lon, lat = lonlat_arrays(r.geolocation for r in rois)
-        got = zip(*(a.tolist() for a in build_edges([r.id for r in rois], lon, lat, sensors)))
-        want = brute_force_edges(rois, sensors, EARTH)
+        got = zip(*(a.tolist() for a in build_edges(*lonlat_arrays(points), sensors)))
+        want = brute_force_edges(points, sensors, EARTH)
         assert list(got) == want
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
@@ -198,7 +191,7 @@ def test_criterion_04_metric_identities():
         cent = degree_centrality(net)
         for snap in net.snapshots:
             degs = cent.static_per_snapshot[snap.timestamp]
-            assert sum(degs.values()) == len(snap.roi_ids)
+            assert sum(degs.values()) == len(snap.roi_id)
 
         coord = GeoCoord(float(rng.uniform(-95, -85)), float(rng.uniform(20, 30)))
         grown = add_sensor(net, coord)
@@ -261,8 +254,8 @@ def test_criterion_06_optimizer_ground_truth():
     # scenario sanity: one RoI, at p, in every snapshot; sensor far away
     assert len(net.snapshots) == 3
     for snap in net.snapshots:
-        assert len(snap.roi_ids) == 1
-    assert net.roi_registry[0].geolocation == p
+        assert len(snap.roi_id) == 1
+    assert roi_coords(net)[0] == p
     assert great_circle_distance(FAR_SENSOR, p) >= 1000.0
 
     baseline = coverage_report(net).average_km
@@ -343,7 +336,7 @@ def robustness_scenario(co_located):
 def test_criterion_08_robustness_direction():
     net = robustness_scenario(co_located=False)
     cent = degree_centrality(net)
-    total_edges = sum(len(s.edges) for s in net.snapshots)
+    total_edges = sum(len(s.roi_id) for s in net.snapshots)
     share = cent.overall[1] / total_edges
     assert share >= 0.90
     rep = evaluate_robustness(net, k=1)

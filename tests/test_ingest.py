@@ -42,7 +42,7 @@ from gstbn.network import (
 )
 from gstbn.placement import PlacedSensor, PlacementResult
 from conftest import make_grid
-from oracles import geojson_document, sequential_sum
+from oracles import edge_rows, geojson_document, payloads, roi_coords, sequential_sum
 
 
 def random_sensor(rng, sid):
@@ -600,11 +600,10 @@ class TestExportGeojson:
         snap = small_network.snapshot_at(ts)
         active = sorted(s.id for s in small_network.active_sensors)
         assert len(sensors) == len(active)
-        assert len(rois) == len(snap.roi_ids)
-        assert len(edges) == len(snap.edges)
+        assert len(rois) == len(edges) == len(snap.roi_id)
         assert [f["properties"]["id"] for f in sensors] == active
-        assert [f["properties"]["id"] for f in rois] == sorted(snap.roi_ids)
-        assert [f["properties"]["roi_id"] for f in edges] == [e.roi_id for e in snap.edges]
+        assert [f["properties"]["id"] for f in rois] == snap.roi_id.tolist()
+        assert [f["properties"]["roi_id"] for f in edges] == snap.roi_id.tolist()
 
     def test_coordinates_are_lon_lat(self, small_network):
         ts = small_network.snapshots[0].timestamp
@@ -632,23 +631,23 @@ class TestExportGeojson:
             if f["properties"].get("node_type") == "sensor"
         }
         manual = {s.id: 0 for s in small_network.active_sensors}
-        for e in snap.edges:
-            manual[e.sensor_id] += 1
+        for sensor_id in snap.sensor_id.tolist():
+            manual[sensor_id] += 1
         assert degs == manual
         weights = [
             f["properties"]["weight_km"]
             for f in doc["features"]
             if "weight_km" in f["properties"]
         ]
-        assert weights == [e.weight_km for e in snap.edges]
+        assert weights == snap.weight_km.tolist()
 
     def test_roi_features_carry_residuals(self, small_network):
-        ts = small_network.snapshots[0].timestamp
-        doc = export_geojson(small_network, ts)
+        snap = small_network.snapshots[0]
+        by_id = dict(zip(snap.roi_id.tolist(), payloads(snap)))
+        doc = export_geojson(small_network, snap.timestamp)
         for f in doc["features"]:
             if f["properties"].get("node_type") == "roi":
-                node = small_network.roi_registry[f["properties"]["id"] - 1]
-                payload = node.snapshots[ts]
+                payload = by_id[f["properties"]["id"]]
                 assert f["properties"]["residuals"] == {
                     k.value: v for k, v in payload.items()
                 }
@@ -666,11 +665,13 @@ class TestExportGeojson:
         snap = small_network.snapshot_at(ts)
         doc = export_geojson(small_network, ts)
         lines = [f for f in doc["features"] if f["geometry"]["type"] == "LineString"]
-        for f, e in zip(lines, snap.edges):
-            roi = small_network.roi_registry[e.roi_id - 1]
-            sensor = small_network.sensors_by_id[e.sensor_id]
+        coords = roi_coords(small_network)
+        assert len(lines) == len(snap.roi_id)
+        for f, (roi_id, sensor_id, _) in zip(lines, edge_rows(snap)):
+            roi = coords[roi_id - 1]
+            sensor = small_network.sensors_by_id[sensor_id]
             assert f["geometry"]["coordinates"] == [
-                [roi.geolocation.lon, roi.geolocation.lat],
+                [roi.lon, roi.lat],
                 [sensor.geolocation.lon, sensor.geolocation.lat],
             ]
 
@@ -688,15 +689,16 @@ def _float_in(lo, hi, specials=_SPECIAL):
 _magnitudes = _float_in(
     0.0, 1e307, st.one_of(_SPECIAL, st.sampled_from([1e16, 12345678901234567.0, 1e300]))
 )
+_positive = _magnitudes.filter(lambda v: v > 0.0)
 
 
 @st.composite
 def small_networks(draw):
     """A network built directly from its parts: sensors of both memberships
     and statuses (inactive ones stay out of every snapshot), RoIs with one to
-    four residuals (or none, which the network also accepts) and their sum
-    as the RoI value, snapshots with and without RoIs, and zero-degree
-    sensors. RoIs fire only where some sensor is active, since every RoI in
+    four residuals, at least one of them positive (a snapshot derives each
+    RoI value from them and needs it positive), snapshots with and without
+    RoIs, and zero-degree sensors. RoIs fire only where some sensor is active, since every RoI in
     a snapshot has an edge."""
 
     def coord():
@@ -726,16 +728,17 @@ def small_networks(draw):
     snapshots = []
     for ts in timestamps:
         members = sorted(draw(st.sets(st.integers(1, len(coords))))) if coords and active else []
-        linked, weights, residual, roi_value = [], [], [], []
+        linked, weights, residual = [], [], []
         for _ in members:
-            kinds = draw(st.lists(st.sampled_from(list(ObservationKind)), max_size=4, unique=True))
+            kinds = draw(st.lists(st.sampled_from(list(ObservationKind)), min_size=1, max_size=4,
+                                  unique=True))
             payload = {k: draw(_magnitudes) for k in kinds}
+            payload[draw(st.sampled_from(kinds))] = draw(_positive)
             residual.append([payload.get(k, math.nan) for k in ObservationKind])
-            roi_value.append(sequential_sum(payload[k] for k in ObservationKind if k in payload))
             linked.append(draw(st.sampled_from(active)))
             weights.append(draw(_magnitudes))
         residual = np.reshape(residual, (-1, len(ObservationKind)))
-        snapshots.append(GstbnSnapshot(ts, members, linked, weights, residual, roi_value))
+        snapshots.append(GstbnSnapshot(ts, members, linked, weights, residual))
     return TemporalGstbn(tuple(snapshots), tuple(sensors), rois)
 
 
@@ -751,7 +754,8 @@ class TestFormatGeojson:
             assert export_geojson(net, snap.timestamp) == json.loads(text)
 
     def test_empty_collection(self):
-        net = TemporalGstbn((GstbnSnapshot(5, (), (), ()),), (), RoITable((), (), ()))
+        empty = GstbnSnapshot(5, (), (), (), np.empty((0, len(ObservationKind))))
+        net = TemporalGstbn((empty,), (), RoITable((), (), ()))
         text = format_geojson(net, 5)
         assert text == '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
         assert text == dump_json(geojson_document(net, 5))

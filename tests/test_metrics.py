@@ -61,10 +61,11 @@ class TestCoverage:
 
     def test_static_coverage_sums_edge_weights(self, small_network):
         for snap in small_network.snapshots:
-            assert static_coverage(snap) == sequential_sum(e.weight_km for e in snap.edges)
+            assert static_coverage(snap) == sequential_sum(snap.weight_km.tolist())
 
     def test_empty_snapshot_scores_zero(self, small_network):
-        snap = GstbnSnapshot(small_network.snapshots[0].timestamp, (), (), ())
+        no_rows = np.empty((0, len(ObservationKind)))
+        snap = GstbnSnapshot(small_network.snapshots[0].timestamp, (), (), (), no_rows)
         assert static_coverage(snap) == 0.0
 
     def test_total_is_sum_of_statics(self, small_network):
@@ -104,8 +105,8 @@ class TestDegreeCentrality:
         rep = degree_centrality(small_network)
         for snap in small_network.snapshots:
             manual = {s.id: 0 for s in small_network.active_sensors}
-            for e in snap.edges:
-                manual[e.sensor_id] += 1
+            for sensor_id in snap.sensor_id.tolist():
+                manual[sensor_id] += 1
             assert rep.static_per_snapshot[snap.timestamp] == manual
 
     def test_degree_conservation(self):
@@ -115,9 +116,7 @@ class TestDegreeCentrality:
             net = scenario_network(random_scenario(rng))
             rep = degree_centrality(net)
             for snap in net.snapshots:
-                assert sum(rep.static_per_snapshot[snap.timestamp].values()) == len(
-                    snap.roi_ids
-                )
+                assert sum(rep.static_per_snapshot[snap.timestamp].values()) == len(snap.roi_id)
 
     def test_overall_is_sum_across_snapshots(self, small_network):
         rep = degree_centrality(small_network)

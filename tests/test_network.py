@@ -12,16 +12,14 @@ from gstbn.errors import (
     ParameterError,
     StructuralError,
 )
-from gstbn.field import FieldSnapshot, ObservationKind
+from gstbn.field import FieldSnapshot, ObservationKind, compute_residual_field, extract_roi_events
 from gstbn import network
 from gstbn.geo import EARTH, GeoCoord, great_circle_distance, haversine_km, lonlat_arrays
 from gstbn.network import (
-    GstbnEdge,
     GstbnSnapshot,
     Membership,
     Mobility,
     OperationalStatus,
-    RoIEventNode,
     RoITable,
     SensorNode,
     TemporalGstbn,
@@ -34,7 +32,7 @@ from conftest import make_grid, random_scenario, scenario_network
 from gstbn.metrics import average_temporal_coverage
 from gstbn.placement import candidate_score
 from gstbn.synth import scenario_field_series, scenario_sensor_nodes
-from oracles import brute_force_edges, dense_relaxed
+from oracles import brute_force_edges, dense_relaxed, edge_rows, payloads, roi_coords
 
 
 def sensor(sid, lon, lat, status=OperationalStatus.ACTIVE,
@@ -51,35 +49,29 @@ def sensor(sid, lon, lat, status=OperationalStatus.ACTIVE,
     )
 
 
-def roi(rid, lon, lat, snapshots=None):
-    return RoIEventNode(id=rid, geolocation=GeoCoord(lon, lat), snapshots=snapshots or {})
-
-
-def roi_columns(rois):
-    """The (id, lon, lat) arrays of RoI nodes, as `build_edges` takes them."""
-    lon, lat = lonlat_arrays(r.geolocation for r in rois)
-    return [r.id for r in rois], lon, lat
-
-
-def roi_table(rois):
-    """The RoITable of RoI nodes with ids 1..n in order, one grid cell each."""
-    ids, lon, lat = roi_columns(rois)
-    assert ids == list(range(1, len(rois) + 1))
-    return RoITable(lon, lat, cell=range(len(rois)))
-
-
 def fired_mask(kind_sets):
-    """The `fired` argument of `build_edges`: one row of kinds per RoI."""
+    """The `fired` argument of `build_edges`: one row of kinds per point."""
     rows = [[kind in kinds for kind in ObservationKind] for kinds in kind_sets]
     return np.array(rows, dtype=bool).reshape(-1, len(ObservationKind))
 
 
-def edge_rows(arrays):
-    """(roi id, sensor id, weight km) triples of `build_edges` arrays."""
+def links(arrays):
+    """(sensor id, weight km) pairs of `build_edges` arrays."""
     return list(zip(*(a.tolist() for a in arrays)))
 
 
+def temperature_only(n):
+    """The `residual` of `n` snapshot rows where only temperature fired, at 1.0."""
+    return np.tile([1.0] + [np.nan] * (len(ObservationKind) - 1), (n, 1))
+
+
 class TestSensorNode:
+    def test_id_must_fit_int64(self):
+        assert sensor(2**63 - 1, 0.0, 0.0).id == 2**63 - 1
+        for bad in (-1, 2**63):
+            with pytest.raises(ParameterError):
+                sensor(bad, 0.0, 0.0)
+
     def test_active_sensor_needs_observations(self):
         with pytest.raises(ParameterError):
             sensor(1, 0.0, 0.0, observations=frozenset())
@@ -94,42 +86,32 @@ class TestSensorNode:
         assert OperationalStatus("inactive") is OperationalStatus.INACTIVE
 
 
-@pytest.mark.parametrize("node", [sensor, roi])
-def test_node_ids_must_fit_int64(node):
-    assert node(2**63 - 1, 0.0, 0.0).id == 2**63 - 1
-    for bad in (-1, 2**63):
-        with pytest.raises(ParameterError):
-            node(bad, 0.0, 0.0)
-
-
 class TestBuildEdges:
     def test_empty_sensor_list_raises(self):
         with pytest.raises(NoObserversError):
-            build_edges(*roi_columns([roi(1, 0.0, 0.0)]), [])
+            build_edges([0.0], [0.0], [])
 
     def test_empty_sensor_list_raises_even_without_rois(self):
         with pytest.raises(NoObserversError):
-            build_edges([], [], [], [])
+            build_edges([], [], [])
 
     def test_no_rois_gives_no_edges(self):
-        assert edge_rows(build_edges([], [], [], [sensor(1, 0.0, 0.0)])) == []
+        assert links(build_edges([], [], [sensor(1, 0.0, 0.0)])) == []
 
     def test_single_pair(self):
-        edges = build_edges(*roi_columns([roi(1, -90.07, 29.95)]), [sensor(5, -82.46, 27.95)])
-        assert edge_rows(edges) == [
-            (1, 5, great_circle_distance(GeoCoord(-90.07, 29.95), GeoCoord(-82.46, 27.95)))
+        edges = build_edges([-90.07], [29.95], [sensor(5, -82.46, 27.95)])
+        assert links(edges) == [
+            (5, great_circle_distance(GeoCoord(-90.07, 29.95), GeoCoord(-82.46, 27.95)))
         ]
 
     def test_tie_breaks_to_lowest_sensor_id(self):
         # sensors at (0,1) and (1,0) are equidistant from (0,0) by symmetry
-        _, sensor_id, _ = build_edges(
-            *roi_columns([roi(1, 0.0, 0.0)]), [sensor(7, 0.0, 1.0), sensor(3, 1.0, 0.0)]
-        )
+        sensor_id, _ = build_edges([0.0], [0.0], [sensor(7, 0.0, 1.0), sensor(3, 1.0, 0.0)])
         assert sensor_id.tolist() == [3]
 
     def test_co_located_sensors_tie_break(self):
-        _, sensor_id, _ = build_edges(
-            *roi_columns([roi(1, 10.0, 10.0)]), [sensor(9, 11.0, 11.0), sensor(4, 11.0, 11.0)]
+        sensor_id, _ = build_edges(
+            [10.0], [10.0], [sensor(9, 11.0, 11.0), sensor(4, 11.0, 11.0)]
         )
         assert sensor_id.tolist() == [4]
 
@@ -142,25 +124,23 @@ class TestBuildEdges:
                 sensor(int(sid), float(rng.uniform(-30, 30)), float(rng.uniform(-30, 30)))
                 for sid in rng.choice(1000, size=n_sensors, replace=False)
             ]
-            rois = [
-                roi(r + 1, float(rng.uniform(-30, 30)), float(rng.uniform(-30, 30)))
-                for r in range(n_rois)
+            points = [
+                GeoCoord(float(rng.uniform(-30, 30)), float(rng.uniform(-30, 30)))
+                for _ in range(n_rois)
             ]
             # engineered exact ties: duplicate an existing sensor position
             if n_sensors >= 2 and trial % 3 == 0:
                 dupe = sensors[0].geolocation
                 sensors.append(sensor(1001, dupe.lon, dupe.lat))
-            got = edge_rows(build_edges(*roi_columns(rois), sensors))
-            want = brute_force_edges(rois, sensors, EARTH)
+            got = links(build_edges(*lonlat_arrays(points), sensors))
+            want = brute_force_edges(points, sensors, EARTH)
             assert got == want
 
     def test_strict_matching_restricts_eligible_sensors(self):
         temp_only = sensor(1, 0.1, 0.0, observations=frozenset({ObservationKind.TEMPERATURE}))
         salt_only = sensor(2, 5.0, 0.0, observations=frozenset({ObservationKind.SALINITY}))
         fired = fired_mask([{ObservationKind.SALINITY}])
-        _, sensor_id, _ = build_edges(
-            *roi_columns([roi(1, 0.0, 0.0)]), [temp_only, salt_only], fired=fired
-        )
+        sensor_id, _ = build_edges([0.0], [0.0], [temp_only, salt_only], fired=fired)
         # the nearer sensor does not observe salinity, so the far one wins
         assert sensor_id.tolist() == [2]
 
@@ -168,15 +148,26 @@ class TestBuildEdges:
         temp_only = sensor(1, 0.1, 0.0, observations=frozenset({ObservationKind.TEMPERATURE}))
         fired = fired_mask([{ObservationKind.CURRENT_U}])
         with pytest.raises(NoObserversError):
-            build_edges(*roi_columns([roi(1, 0.0, 0.0)]), [temp_only], fired=fired)
+            build_edges([0.0], [0.0], [temp_only], fired=fired)
 
-    def test_edges_sorted_by_roi_id(self):
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_rows_come_back_in_the_order_given(self, strict):
         rng = np.random.default_rng(3)
-        rois = [roi(int(r), float(rng.uniform(-10, 10)), float(rng.uniform(-10, 10)))
-                for r in rng.choice(500, size=30, replace=False)]
-        roi_id, _, _ = build_edges(*roi_columns(rois), [sensor(1, 0.0, 0.0), sensor(2, 5.0, 5.0)])
-        ids = roi_id.tolist()
-        assert ids == sorted(ids)
+        kinds = (ObservationKind.TEMPERATURE, ObservationKind.SALINITY)
+        sensors = [sensor(1, 0.0, 0.0), sensor(2, 5.0, 5.0, observations=frozenset(kinds[:1])),
+                   sensor(3, -5.0, 5.0, observations=frozenset(kinds[1:]))]
+        lon, lat = rng.uniform(-10, 10, size=30), rng.uniform(-10, 10, size=30)
+        fired = fired_mask([{kinds[k]} for k in rng.integers(0, 2, size=30)])
+        order = rng.permutation(30)
+        got = build_edges(lon[order], lat[order], sensors, fired=fired[order] if strict else None)
+        # row k is the point given k-th, whatever group its kinds put it in
+        points = [GeoCoord(lon[k], lat[k]) for k in order.tolist()]
+        eligible = [
+            [s for s in sensors if not strict or s.observations & {kinds[int(fired[k, 1])]}]
+            for k in order.tolist()
+        ]
+        want = [brute_force_edges([p], e, EARTH)[0] for p, e in zip(points, eligible)]
+        assert links(got) == want
 
 
 class TestGstbnSnapshot:
@@ -192,27 +183,66 @@ class TestGstbnSnapshot:
     )
     def test_rejects_malformed_rows(self, roi_id, sensor_id, weight_km):
         with pytest.raises(StructuralError):
-            GstbnSnapshot(0, roi_id, sensor_id, weight_km)
+            GstbnSnapshot(0, roi_id, sensor_id, weight_km, temperature_only(len(roi_id)))
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 3), (2, len(ObservationKind))])
+    def test_rejects_a_residual_not_one_row_per_edge(self, shape):
+        with pytest.raises(StructuralError):
+            GstbnSnapshot(0, [1], [1], [10.0], np.ones(shape))
 
     def test_arrays_are_read_only_copies(self):
         weights = np.array([10.0, 20.0])
-        snap = GstbnSnapshot(0, [3, 5], [2, 1], weights)
+        residual = temperature_only(2)
+        snap = GstbnSnapshot(0, [3, 5], [2, 1], weights, residual)
         weights[0] = -1.0
+        residual[0, 0] = 2.0
         assert snap.weight_km.tolist() == [10.0, 20.0]
-        for a in (snap.roi_id, snap.sensor_id, snap.weight_km):
+        assert snap.roi_value.tolist() == [1.0, 1.0]
+        for a in (snap.roi_id, snap.sensor_id, snap.weight_km, snap.residual, snap.roi_value):
             with pytest.raises(ValueError):
                 a[0] = 0
 
-    def test_views_match_the_arrays(self):
-        snap = GstbnSnapshot(0, [3, 5], [2, 1], [10.0, 20.0])
-        assert snap.roi_ids == frozenset({3, 5})
-        assert snap.edges == (GstbnEdge(3, 2, 10.0), GstbnEdge(5, 1, 20.0))
+    def test_residual_is_required_and_roi_value_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            GstbnSnapshot(0, [1], [1], [10.0])
+        with pytest.raises(TypeError):
+            GstbnSnapshot(0, [1], [1], [10.0], temperature_only(1), [1.0])
+        with pytest.raises(TypeError):
+            GstbnSnapshot(0, [1], [1], [10.0], temperature_only(1), roi_value=[1.0])
+
+    def test_roi_value_adds_the_fired_residuals_left_to_right_in_kind_order(self):
+        nan = np.nan
+        residual = [[0.1, nan, 0.2, 0.3], [nan, 1e16, nan, 1.0], [0.0, nan, nan, 5e-324]]
+        snap = GstbnSnapshot(0, [1, 2, 3], [1, 1, 1], [1.0, 1.0, 1.0], residual)
+        # from +0.0: (0.1 + 0.2) + 0.3 is not 0.1 + (0.2 + 0.3), and 1e16 + 1.0 rounds back
+        assert snap.roi_value.tolist() == [(0.1 + 0.2) + 0.3, 1e16, 5e-324]
+
+    @pytest.mark.parametrize(
+        "fired",
+        [
+            pytest.param([np.nan] * 4, id="nothing-fired"),
+            pytest.param([0.0, 0.0, np.nan, np.nan], id="only-zeros-fired"),
+            pytest.param([1e308] * 4, id="sum-is-inf"),
+        ],
+    )
+    def test_rejects_a_row_whose_value_is_not_finite_and_positive(self, fired):
+        # an RoI is an event because its value is positive
+        residual = np.vstack([temperature_only(1), fired])
+        with pytest.raises(StructuralError, match="roi 4 .* not finite and positive"):
+            GstbnSnapshot(0, [3, 4], [1, 1], [1.0, 1.0], residual)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, -np.inf])
+    def test_rejects_a_residual_that_is_not_a_distance(self, bad):
+        residual = temperature_only(1)
+        residual[0, 1] = bad
+        with pytest.raises(StructuralError, match="is not a distance"):
+            GstbnSnapshot(0, [1], [1], [1.0], residual)
 
 
 def one_snapshot_network(n_rois, roi_id, sensor_id):
     """A network with one snapshot at t=0 linking `roi_id` to `sensor_id`,
     over a table of `n_rois` RoIs. Sensor 1 is active, sensor 2 inactive."""
-    snap = GstbnSnapshot(0, roi_id, sensor_id, [1.0] * len(roi_id))
+    snap = GstbnSnapshot(0, roi_id, sensor_id, [1.0] * len(roi_id), temperature_only(len(roi_id)))
     rois = RoITable([0.0] * n_rois, [0.0] * n_rois, range(n_rois))
     catalog = (sensor(1, 0.0, 0.0), sensor(2, 1.0, 0.0, status=OperationalStatus.INACTIVE))
     return TemporalGstbn((snap,), catalog, rois)
@@ -240,8 +270,8 @@ class TestTemporalGstbn:
 
     def test_accepts_a_consistent_network(self):
         net = one_snapshot_network(3, [1, 3], [1, 1])
-        assert net.snapshots[0].roi_ids == frozenset({1, 3})
-        assert [r.id for r in net.roi_registry] == [1, 2, 3]
+        assert net.snapshots[0].roi_id.tolist() == [1, 3]
+        assert len(net.roi_table) == 3
 
 
 def zero_field_series(grid, timestamps):
@@ -266,61 +296,73 @@ class TestBuildTemporalGstbn:
         )
         assert [s.timestamp for s in net.snapshots] == [10, 20]
         for snap in net.snapshots:
-            assert snap.roi_ids == frozenset()
-            assert snap.edges == ()
-        assert net.roi_registry == ()
+            assert edge_rows(snap) == []
+            assert snap.residual.shape == (0, len(ObservationKind))
+        assert len(net.roi_table) == 0
 
     def test_roi_node_reused_across_intervals(self, small_scenario):
         net = scenario_network(small_scenario)
         # hotspot 1 fires in intervals 0 and 2; its centre cell must be one node
         grid = small_scenario.grid
         centre_cell_coord = grid.cell_coord(grid.cell_index(2, 2))
-        nodes = [n for n in net.roi_registry if n.geolocation == centre_cell_coord]
-        assert len(nodes) == 1
-        assert set(nodes[0].snapshots) == {3600, 10800}
+        ids = [rid for rid, c in enumerate(roi_coords(net), start=1) if c == centre_cell_coord]
+        assert len(ids) == 1
+        assert {s.timestamp for s in net.snapshots if ids[0] in s.roi_id} == {3600, 10800}
 
     def test_roi_ids_start_at_one_in_first_seen_order(self, small_network):
-        ids = [n.id for n in small_network.roi_registry]
-        assert ids == list(range(1, len(ids) + 1))
+        seen = [rid for snap in small_network.snapshots for rid in snap.roi_id.tolist()]
+        first_seen = list(dict.fromkeys(seen))
+        assert first_seen == list(range(1, len(small_network.roi_table) + 1))
 
     def test_bipartite_edges_and_roi_degree_one(self, small_network):
         active = {s.id for s in small_network.active_sensors}
         for snap in small_network.snapshots:
-            seen = set()
-            for e in snap.edges:
-                assert e.roi_id in snap.roi_ids
-                assert e.sensor_id in active
-                assert e.roi_id not in seen
-                seen.add(e.roi_id)
-            assert seen == set(snap.roi_ids)
+            rois = snap.roi_id.tolist()
+            assert len(set(rois)) == len(rois) == len(snap.sensor_id)
+            assert set(snap.sensor_id.tolist()) <= active
 
     def test_edge_weights_recomputable(self, small_network):
         net = small_network
+        coords = roi_coords(net)
         for snap in net.snapshots:
-            for e in snap.edges:
+            for roi_id, sensor_id, weight in edge_rows(snap):
                 want = great_circle_distance(
-                    net.roi_registry[e.roi_id - 1].geolocation,
-                    net.sensors_by_id[e.sensor_id].geolocation,
+                    coords[roi_id - 1], net.sensors_by_id[sensor_id].geolocation
                 )
-                assert e.weight_km == want
+                assert weight == want
 
     def test_nearest_assignment_holds_everywhere(self, small_network):
         net = small_network
+        coords = roi_coords(net)
         for snap in net.snapshots:
-            for e in snap.edges:
-                r = net.roi_registry[e.roi_id - 1]
+            for roi_id, _, weight in edge_rows(snap):
                 best = min(
-                    great_circle_distance(r.geolocation, s.geolocation)
+                    great_circle_distance(coords[roi_id - 1], s.geolocation)
                     for s in net.active_sensors
                 )
-                assert e.weight_km == best
+                assert weight == best
 
     def test_deterministic_rebuild(self, small_scenario):
         a = scenario_network(small_scenario)
         b = scenario_network(small_scenario)
-        assert a.snapshots == b.snapshots
-        assert a.sensor_catalog == b.sensor_catalog
-        assert [n.snapshots for n in a.roi_registry] == [n.snapshots for n in b.roi_registry]
+        assert_same_network(a, b)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_roi_values_are_the_extracted_values_bit_for_bit(self, small_scenario, strict):
+        rng = np.random.default_rng(99)
+        for spec in [small_scenario] + [random_scenario(rng) for _ in range(10)]:
+            series = scenario_field_series(spec)
+            catalog = scenario_sensor_nodes(spec)
+            net = build_temporal_gstbn(series, catalog, strict_observations=strict)
+            for k, snap in enumerate(net.snapshots):
+                fields = [compute_residual_field(s[k], s[k + 1]) for s in series.values()]
+                events = extract_roi_events(fields)
+                # the snapshot's rows in the events' (cell) order
+                cells = net.roi_table.cell[snap.roi_id - 1]
+                order = np.argsort(cells)
+                assert cells[order].tolist() == events.cell.tolist()
+                got = snap.roi_value[order]
+                assert got.view(np.uint64).tolist() == events.value.view(np.uint64).tolist()
 
     def test_inactive_sensors_get_no_edges(self, small_scenario):
         catalog = scenario_sensor_nodes(small_scenario)
@@ -331,7 +373,7 @@ class TestBuildTemporalGstbn:
         sid = catalog[1].id
         assert sid not in {s.id for s in net.active_sensors}
         for snap in net.snapshots:
-            assert all(e.sensor_id != sid for e in snap.edges)
+            assert (snap.sensor_id != sid).all()
         # still in the catalog for reporting
         assert net.sensors_by_id[sid].operational_status is OperationalStatus.INACTIVE
 
@@ -386,11 +428,8 @@ class TestBuildTemporalGstbn:
         )
         net = scenario_network_from(catalog, small_scenario, strict=True)
         for snap in net.snapshots:
-            for e in snap.edges:
-                node = net.roi_registry[e.roi_id - 1]
-                kinds = frozenset(node.snapshots[snap.timestamp])
-                s = net.sensors_by_id[e.sensor_id]
-                assert s.observations & kinds
+            for sensor_id, fired in zip(snap.sensor_id.tolist(), payloads(snap)):
+                assert net.sensors_by_id[sensor_id].observations & fired.keys()
 
     def test_mobile_sensor_treated_as_stationary(self, small_scenario):
         catalog = scenario_sensor_nodes(small_scenario)
@@ -425,21 +464,21 @@ class TestAddRemoveSensor:
             c = GeoCoord(float(rng.uniform(-92, -88)), float(rng.uniform(24, 28)))
             net2 = add_sensor(small_network, c)
             for before, after in zip(small_network.snapshots, net2.snapshots):
-                w_before = sum(e.weight_km for e in before.edges)
-                w_after = sum(e.weight_km for e in after.edges)
+                w_before = sum(before.weight_km.tolist())
+                w_after = sum(after.weight_km.tolist())
                 assert w_after <= w_before
 
     def test_add_sensor_keeps_original_untouched(self, small_network):
-        before = [s.edges for s in small_network.snapshots]
+        before = [edge_rows(s) for s in small_network.snapshots]
         add_sensor(small_network, GeoCoord(-90.0, 26.0))
-        assert [s.edges for s in small_network.snapshots] == before
+        assert [edge_rows(s) for s in small_network.snapshots] == before
 
     def test_remove_sensor_never_decreases_coverage(self, small_network):
         victim = small_network.active_sensors[0].id
         net2 = remove_sensor(small_network, victim)
         for before, after in zip(small_network.snapshots, net2.snapshots):
-            w_before = sum(e.weight_km for e in before.edges)
-            w_after = sum(e.weight_km for e in after.edges)
+            w_before = sum(before.weight_km.tolist())
+            w_after = sum(after.weight_km.tolist())
             assert w_after >= w_before
 
     def test_remove_sensor_deactivates_but_keeps_catalog_row(self, small_network):
@@ -481,7 +520,8 @@ class TestAddRemoveSensor:
         net2 = add_sensor(small_network, c)
         new_id = net2.sensor_catalog[-1].id
         net3 = remove_sensor(net2, new_id)
-        assert [s.edges for s in net3.snapshots] == [s.edges for s in small_network.snapshots]
+        before = [edge_rows(s) for s in small_network.snapshots]
+        assert [edge_rows(s) for s in net3.snapshots] == before
 
     def test_edits_share_the_parents_unchanged_columns(self, small_network):
         added = add_sensor(small_network, GeoCoord(-90.0, 26.0))
@@ -511,11 +551,11 @@ class TestAddRemoveSensor:
         for _ in range(10):
             spec = random_scenario(rng)
             net = scenario_network(spec)
+            coords = roi_coords(net)
             for snap in net.snapshots:
-                assert len(snap.edges) == len(snap.roi_ids)
-                got = [(e.roi_id, e.sensor_id, e.weight_km) for e in snap.edges]
-                rois = [net.roi_registry[r - 1] for r in sorted(snap.roi_ids)]
-                assert got == brute_force_edges(rois, net.active_sensors, net.earth)
+                got = list(zip(snap.sensor_id.tolist(), snap.weight_km.tolist()))
+                points = [coords[r - 1] for r in snap.roi_id.tolist()]
+                assert got == brute_force_edges(points, net.active_sensors, net.earth)
 
 
 def rebuild(net, series):
@@ -527,7 +567,7 @@ def assert_same_network(got, want):
     assert got.sensor_catalog == want.sensor_catalog
     for name in ("lon", "lat", "cell"):
         assert getattr(got.roi_table, name).tolist() == getattr(want.roi_table, name).tolist()
-    # snapshot equality compares weight_km, residual and roi_value with float ==
+    # snapshot equality compares weight_km and residual with float ==; roi_value follows from residual
     assert got.snapshots == want.snapshots
 
 
@@ -601,8 +641,8 @@ class TestIncrementalEditsMatchRebuild:
             grown = add_sensor(net, existing.geolocation)
             new_id = grown.sensor_catalog[-1].id
             # every tie stays with the lower, existing id
-            assert all(e.sensor_id != new_id for s in grown.snapshots for e in s.edges)
-            assert [s.edges for s in grown.snapshots] == [s.edges for s in net.snapshots]
+            assert all((s.sensor_id != new_id).all() for s in grown.snapshots)
+            assert [edge_rows(s) for s in grown.snapshots] == [edge_rows(s) for s in net.snapshots]
             assert_same_network(grown, rebuild(grown, series))
 
     @pytest.mark.parametrize("edit", ["add", "remove"])
@@ -628,9 +668,9 @@ class TestIncrementalEditsMatchRebuild:
         victim = net.active_sensors[0].id
         shrunk = remove_sensor(net, victim)
         for before, after in zip(net.snapshots, shrunk.snapshots):
-            moved = {e.roi_id for e in before.edges if e.sensor_id == victim}
-            kept_before = [e for e in before.edges if e.roi_id not in moved]
-            kept_after = [e for e in after.edges if e.roi_id not in moved]
+            moved = {rid for rid, sid, _ in edge_rows(before) if sid == victim}
+            kept_before = [row for row in edge_rows(before) if row[0] not in moved]
+            kept_after = [row for row in edge_rows(after) if row[0] not in moved]
             assert kept_before == kept_after
 
 
@@ -662,18 +702,16 @@ def networks(draw):
         kinds = draw(st.sets(st.sampled_from(KINDS), min_size=1))
         sensors.append(sensor(sid, *draw(near(centres)), observations=frozenset(kinds)))
     times = range(100, 100 * (draw(st.integers(0, 3)) + 1), 100)
-    table = roi_table([roi(rid, lon, lat) for rid, (lon, lat) in enumerate(coords, start=1)])
+    lon, lat = [p[0] for p in coords], [p[1] for p in coords]
+    table = RoITable(lon, lat, cell=range(len(coords)))
     snapshots = []
     for t in times:
         fired = fired_mask([draw(st.sets(st.sampled_from(KINDS))) for _ in coords])
         rows = np.flatnonzero(fired.any(axis=1))
         fired = fired[rows]
-        edges = build_edges(
-            rows + 1, table.lon[rows], table.lat[rows], sensors,
-            fired=fired if strict else None,
-        )
-        residual = np.where(fired, 1.0, np.nan)
-        snapshots.append(GstbnSnapshot(t, *edges, residual, fired.sum(axis=1)))
+        edges = build_edges(table.lon[rows], table.lat[rows], sensors,
+                            fired=fired if strict else None)
+        snapshots.append(GstbnSnapshot(t, rows + 1, *edges, np.where(fired, 1.0, np.nan)))
     net = TemporalGstbn(tuple(snapshots), tuple(sensors), table, strict_observations=strict)
     return net, centres
 
@@ -690,7 +728,7 @@ class TestSparseRelaxStep:
         with mock.patch.object(network, "_TILE_ROIS", tile_rois):
             net, centres = data.draw(networks())
             # candidates anywhere, on an RoI (d == 0) and on a sensor (d == w ties)
-            on_nodes = [r.geolocation for r in net.roi_registry]
+            on_nodes = roi_coords(net)
             on_nodes += [s.geolocation for s in net.sensor_catalog]
             candidates = data.draw(st.lists(
                 st.one_of(
@@ -720,11 +758,11 @@ class TestSparseRelaxStep:
         with mock.patch.object(network, "_TILE_ROIS", tile_rois):
             net, _ = data.draw(networks())
             tiles = net._tiles
-        assert sorted(tiles.order.tolist()) == list(range(len(net.roi_registry)))
+        assert sorted(tiles.order.tolist()) == list(range(len(net.roi_table)))
         r_lon, r_lat = net.roi_table.lon, net.roi_table.lat
         largest = {}
-        for e in (e for snap in net.snapshots for e in snap.edges):
-            largest[e.roi_id] = max(largest.get(e.roi_id, -np.inf), e.weight_km)
+        for roi_id, _, weight in (row for snap in net.snapshots for row in edge_rows(snap)):
+            largest[roi_id] = max(largest.get(roi_id, -np.inf), weight)
         for k, (start, count) in enumerate(zip(tiles.start, tiles.count)):
             rows = tiles.order[start : start + count]
             d = haversine_km(tiles.lon[k], tiles.lat[k], r_lon[rows], r_lat[rows])

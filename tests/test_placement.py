@@ -176,7 +176,7 @@ class TestScoresMemory:
         spec = random_scenario(np.random.default_rng(505), max_side=24, max_hotspots=4)
         net = scenario_network(spec)
         domain = SearchDomain.from_grid(spec.grid)
-        base = 4 * (BLOCK_PAIRS // len(net.roi_registry))
+        base = 4 * (BLOCK_PAIRS // len(net.roi_table))
         _scores(net, *_draw(domain, 1, 1))  # builds the network's cached tables
 
         def peak(trials):
@@ -355,7 +355,7 @@ class TestPlaceSequential:
         for placed in result.placed:
             chained = add_sensor(chained, placed.coord)
         assert result.network.sensor_catalog == chained.sensor_catalog
-        assert result.network.roi_registry == chained.roi_registry
+        assert result.network.roi_table is chained.roi_table is small_network.roi_table
         assert result.network.snapshots == chained.snapshots
         assert average_temporal_coverage(result.network) == result.placed[-1].coverage_after_km
 

@@ -17,6 +17,7 @@ from gstbn.synth import (
     scenario_spec_from_dict,
 )
 from conftest import make_grid
+from oracles import roi_coords
 
 
 def basic_spec(**overrides):
@@ -209,8 +210,9 @@ class TestManifestAgreement:
                 spec.grid.cell_coord(cell): value
                 for cell, value in zip(entry["cells"], entry["roi_values"])
             }
+            coords = roi_coords(net)
             got = {
-                net.roi_registry[rid - 1].geolocation: value
+                coords[rid - 1]: value
                 for rid, value in zip(snap.roi_id.tolist(), snap.roi_value.tolist())
             }
             assert set(got) == set(expected)
