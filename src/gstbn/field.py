@@ -4,7 +4,8 @@ A field snapshot is one variable sampled on a regular lat/lon grid at one
 timestamp. Consecutive snapshots of the same variable yield a residual
 field of per-cell squared differences; summing the residuals that clear a
 threshold across variables gives each cell's RoI value. Cells with a
-positive RoI value become observable events.
+positive RoI value become observable events. NaN is the one mark of a cell
+with no data; it propagates into the residuals and never fires.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ def kind_sort_key(kind: ObservationKind) -> int:
 class GridSpec:
     """Regular lat/lon grid; cell (i, j) is centred at
     (lat0 + i*d_lat, lon0 + j*d_lon). Values are stored row-major, so the
-    flat cell index is i*n_lon + j.
+    flat cell index is i*n_lon + j. `lat_at` and `lon_at` also take index
+    arrays.
     """
 
     n_lat: int
@@ -108,41 +110,34 @@ class GridSpec:
         return None
 
 
-def _as_grid_arrays(grid: GridSpec, values, valid):
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.shape != grid.shape:
-        raise StructuralError(f"values shape {vals.shape} does not match grid {grid.shape}")
-    if valid is None:
-        mask = np.isfinite(vals)
-    else:
-        mask = np.asarray(valid, dtype=bool)
-        if mask.shape != grid.shape:
-            raise StructuralError(f"validity mask shape {mask.shape} does not match grid {grid.shape}")
-    if not np.all(np.isfinite(vals[mask])):
-        raise StructuralError("non-finite value in a cell marked valid")
-    vals = vals.copy()
-    vals[~mask] = np.nan
-    return vals, mask
-
-
 @dataclass(eq=False)
 class FieldSnapshot:
     """One variable on one grid at one timestamp.
 
-    `values` is an (n_lat, n_lon) float array; cells where `valid` is False
-    carry no data and are stored as NaN. Pass valid=None to infer the mask
-    from non-finite values.
+    `values` is an (n_lat, n_lon) float64 copy of the input. NaN is the one
+    mark of a cell with no data: every non-finite input value is stored as
+    NaN. A caller holding a separate mask passes
+    `np.where(mask, values, np.nan)`.
     """
 
     timestamp: int
     variable: ObservationKind
     grid: GridSpec
     values: np.ndarray
-    valid: np.ndarray | None = None
 
     def __post_init__(self):
         self.timestamp = int(self.timestamp)
-        self.values, self.valid = _as_grid_arrays(self.grid, self.values, self.valid)
+        vals = np.array(self.values, dtype=np.float64)
+        if vals.shape != self.grid.shape:
+            raise StructuralError(f"values shape {vals.shape} does not match grid {self.grid.shape}")
+        vals[~np.isfinite(vals)] = np.nan
+        self.values = vals
+
+    @property
+    def valid(self) -> np.ndarray:
+        """True where the cell has data. Derived from `values` on each read,
+        so writing to the returned array changes nothing."""
+        return ~np.isnan(self.values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldSnapshot):
@@ -151,20 +146,25 @@ class FieldSnapshot:
             self.timestamp == other.timestamp
             and self.variable is other.variable
             and self.grid == other.grid
-            and np.array_equal(self.valid, other.valid)
-            and np.array_equal(self.values[self.valid], other.values[other.valid])
+            and np.array_equal(self.values, other.values, equal_nan=True)
         )
 
 
 @dataclass(eq=False)
 class ResidualField:
-    """Per-cell squared differences between two snapshots of one variable."""
+    """Per-cell squared differences between two snapshots of one variable;
+    NaN where either snapshot has no data."""
 
     interval: tuple[int, int]
     variable: ObservationKind
     grid: GridSpec
     residuals: np.ndarray
-    valid: np.ndarray
+
+    @property
+    def valid(self) -> np.ndarray:
+        """True where both snapshots have data, derived as in
+        :attr:`FieldSnapshot.valid`."""
+        return ~np.isnan(self.residuals)
 
 
 @dataclass(frozen=True)
@@ -198,12 +198,12 @@ class RoIEvents:
         return len(self.cell)
 
 
-def _check_finite(values, where, variable, interval, what) -> None:
-    """Raise if `values` is not finite in some cell where `where` holds.
-
-    A value that overflowed would otherwise reach the reports as Infinity.
+def _check_finite(values, variable, interval, what) -> None:
+    """Raise if some cell of `values` is infinite. NaN marks a missing cell
+    and passes; a value that overflowed would otherwise reach the reports
+    as Infinity.
     """
-    bad = np.flatnonzero(where & ~np.isfinite(values))
+    bad = np.flatnonzero(np.isinf(values))
     if bad.size:
         raise ParameterError(
             f"{variable.value} {what} over interval {interval[0]}-{interval[1]} "
@@ -214,8 +214,8 @@ def _check_finite(values, where, variable, interval, what) -> None:
 def compute_residual_field(earlier: FieldSnapshot, later: FieldSnapshot) -> ResidualField:
     """Squared per-cell change between two snapshots of the same variable.
 
-    A cell is valid only where both inputs are valid; missing data
-    propagates. Raises on mismatched variables or grids and on
+    A cell is NaN where either input is NaN; missing data propagates
+    through the subtraction. Raises on mismatched variables or grids and on
     non-increasing timestamps.
     """
     if earlier.variable is not later.variable:
@@ -228,19 +228,16 @@ def compute_residual_field(earlier: FieldSnapshot, later: FieldSnapshot) -> Resi
         raise OrderingError(
             f"timestamps must increase, got {earlier.timestamp} then {later.timestamp}"
         )
-    valid = earlier.valid & later.valid
     with np.errstate(over="ignore"):
         diff = later.values - earlier.values
         residuals = diff * diff
-    residuals[~valid] = np.nan
     interval = (earlier.timestamp, later.timestamp)
-    _check_finite(residuals, valid, earlier.variable, interval, "squared change")
+    _check_finite(residuals, earlier.variable, interval, "squared change")
     return ResidualField(
         interval=interval,
         variable=earlier.variable,
         grid=earlier.grid,
         residuals=residuals,
-        valid=valid,
     )
 
 
@@ -277,10 +274,10 @@ def extract_roi_events(
     total = np.zeros(grid.shape, dtype=np.float64)
     counted = []
     for rf in ordered:
-        keep = rf.valid & (rf.residuals >= thr)
+        keep = rf.residuals >= thr  # never true for NaN, a missing cell
         with np.errstate(over="ignore"):
             total = total + np.where(keep, rf.residuals, 0.0)
-        _check_finite(total, keep, rf.variable, interval, "RoI sum")
+        _check_finite(total, rf.variable, interval, "RoI sum")
         counted.append((rf, keep))
 
     flat = np.flatnonzero(total > 0.0)
@@ -288,7 +285,5 @@ def extract_roi_events(
     for rf, keep in counted:
         fired = keep.ravel()[flat]
         residual[:, _KIND_ORDER[rf.variable]] = np.where(fired, rf.residuals.ravel()[flat], np.nan)
-    # the centres are computed as GridSpec.cell_coord does
     i, j = np.divmod(flat, grid.n_lon)
-    lon, lat = grid.lon0 + j * grid.d_lon, grid.lat0 + i * grid.d_lat
-    return RoIEvents(flat, lon, lat, residual, total.ravel()[flat])
+    return RoIEvents(flat, grid.lon_at(j), grid.lat_at(i), residual, total.ravel()[flat])

@@ -522,12 +522,10 @@ def format_grid_snapshot(snap: FieldSnapshot) -> str:
             _fmt(grid.lon0), _fmt(grid.d_lon),
         ),
     ]
-    for i in range(grid.n_lat):
-        row = [
-            _fmt(snap.values[i, j]) if snap.valid[i, j] else "NaN"
-            for j in range(grid.n_lon)
-        ]
-        out.append(" ".join(row))
+    out.extend(
+        " ".join("NaN" if math.isnan(v) else repr(v) for v in row.tolist())
+        for row in snap.values
+    )
     return "\n".join(out) + "\n"
 
 

@@ -44,11 +44,9 @@ __all__ = [
     "place_sequential",
 ]
 
-def _clipped_edges(start: float, step: float, n: int, lo: float, hi: float):
-    """Low and high edges of `n` cells along one grid axis (centres
-    `start + k*step`, each box half a step either side), clipped to
-    [lo, hi]."""
-    centres = start + np.arange(n) * step
+def _clipped_edges(centres: np.ndarray, step: float, lo: float, hi: float):
+    """Low and high edges of the cells centred at `centres` along one grid
+    axis (each box half a step either side), clipped to [lo, hi]."""
     return np.maximum(centres - step / 2.0, lo), np.minimum(centres + step / 2.0, hi)
 
 
@@ -93,11 +91,11 @@ class SearchDomain:
             if not m.any():
                 raise StructuralError("mask admits no cells")
             g = self.mask_grid
-            lat_lo, lat_hi = _clipped_edges(g.lat0, g.d_lat, g.n_lat, self.lat_min, self.lat_max)
-            lon_lo, lon_hi = _clipped_edges(g.lon0, g.d_lon, g.n_lon, self.lon_min, self.lon_max)
             i, j = np.nonzero(m)
-            lo = np.column_stack([lon_lo[j], lat_lo[i]])
-            hi = np.column_stack([lon_hi[j], lat_hi[i]])
+            lat_lo, lat_hi = _clipped_edges(g.lat_at(i), g.d_lat, self.lat_min, self.lat_max)
+            lon_lo, lon_hi = _clipped_edges(g.lon_at(j), g.d_lon, self.lon_min, self.lon_max)
+            lo = np.column_stack([lon_lo, lat_lo])
+            hi = np.column_stack([lon_hi, lat_hi])
             keep = (hi > lo).all(axis=1)
             if not keep.any():
                 raise ParameterError(

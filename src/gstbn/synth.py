@@ -153,10 +153,8 @@ class ScenarioFiles:
 
 
 def _bump_grid(grid: GridSpec, hotspot: Hotspot) -> np.ndarray:
-    lats = np.array([grid.lat_at(i) for i in range(grid.n_lat)])
-    lons = np.array([grid.lon_at(j) for j in range(grid.n_lon)])
-    dlat = lats[:, None] - hotspot.center.lat
-    dlon = lons[None, :] - hotspot.center.lon
+    dlat = grid.lat_at(np.arange(grid.n_lat))[:, None] - hotspot.center.lat
+    dlon = grid.lon_at(np.arange(grid.n_lon))[None, :] - hotspot.center.lon
     r2 = dlat * dlat + dlon * dlon
     return hotspot.amplitude * np.exp(-r2 / (2.0 * hotspot.radius_deg * hotspot.radius_deg))
 

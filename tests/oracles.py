@@ -117,7 +117,7 @@ def naive_interval_analysis(snapshot_pairs, threshold):
         for i in range(grid.n_lat):
             row = []
             for j in range(grid.n_lon):
-                if bool(earlier.valid[i, j]) and bool(later.valid[i, j]):
+                if not (math.isnan(earlier.values[i, j]) or math.isnan(later.values[i, j])):
                     diff = float(later.values[i, j]) - float(earlier.values[i, j])
                     row.append(diff * diff)
                 else:

@@ -353,7 +353,6 @@ def tiled_dir(tmp_path_factory):
     for snaps in scenario_field_series(spec).values():
         for snap in snaps:
             snap.values[10:, 5:9] = np.nan
-            snap.valid[10:, 5:9] = False
             write_grid_snapshot(snap, out / f"{snap.variable.value}-{snap.timestamp}.grid")
     sensors = scenario_sensor_nodes(spec)
     for k in (2, 4):

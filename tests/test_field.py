@@ -1,11 +1,13 @@
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gstbn.cli import _search_domain
 from gstbn.errors import OrderingError, ParameterError, StructuralError
 from gstbn.field import (
     FieldSnapshot,
@@ -16,6 +18,7 @@ from gstbn.field import (
     extract_roi_events,
 )
 from gstbn.geo import GeoCoord
+from gstbn.ingest import format_grid_snapshot, parse_grid_snapshot, write_grid_snapshot
 from gstbn.network import Membership, Mobility, OperationalStatus, SensorNode, build_temporal_gstbn
 from conftest import make_grid
 from oracles import naive_interval_analysis
@@ -46,8 +49,8 @@ def observer():
     )
 
 
-def snap(grid, t, values, variable=ObservationKind.TEMPERATURE, valid=None):
-    return FieldSnapshot(timestamp=t, variable=variable, grid=grid, values=values, valid=valid)
+def snap(grid, t, values, variable=ObservationKind.TEMPERATURE):
+    return FieldSnapshot(timestamp=t, variable=variable, grid=grid, values=values)
 
 
 def random_snapshot_pair(rng, grid, variable):
@@ -105,20 +108,35 @@ class TestGridSpec:
 
 
 class TestFieldSnapshot:
-    def test_mask_inferred_from_nan(self):
+    @pytest.mark.parametrize("missing", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_mask_inferred_from_nan(self, missing):
+        # every non-finite input is stored as NaN, the one mark of a missing cell
         grid = GridSpec(n_lat=1, n_lon=3, lat0=0.0, d_lat=1.0, lon0=0.0, d_lon=1.0)
-        s = snap(grid, 0, [[1.0, np.nan, 3.0]])
+        s = snap(grid, 0, [[1.0, missing, 3.0]])
         assert s.valid.tolist() == [[True, False, True]]
+        assert math.isnan(s.values[0, 1])
 
     def test_rejects_shape_mismatch(self):
         grid = GridSpec(n_lat=2, n_lon=2, lat0=0.0, d_lat=1.0, lon0=0.0, d_lon=1.0)
         with pytest.raises(StructuralError):
             snap(grid, 0, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
-    def test_rejects_inf_marked_valid(self):
-        grid = GridSpec(n_lat=1, n_lon=2, lat0=0.0, d_lat=1.0, lon0=0.0, d_lon=1.0)
-        with pytest.raises(StructuralError):
-            snap(grid, 0, [[1.0, np.inf]], valid=[[True, True]])
+    def test_nan_written_after_construction_is_missing_everywhere(self, tmp_path):
+        # NaN in `values` alone marks the cell missing: no mask must be
+        # written with it
+        grid = GridSpec(n_lat=1, n_lon=3, lat0=0.0, d_lat=1.0, lon0=0.0, d_lon=1.0)
+        a, b = snap(grid, 0, [[1.0, 2.0, 3.0]]), snap(grid, 10, [[5.0, 6.0, 7.0]])
+        b.values[0, 1] = np.nan
+        rf = compute_residual_field(a, b)
+        assert math.isnan(rf.residuals[0, 1])
+        assert extract_roi_events([rf]).cell.tolist() == [0, 2]
+        args = SimpleNamespace(unmasked_search=False, bbox=None)
+        domain = _search_domain(args, {ObservationKind.TEMPERATURE: [a, b]})
+        assert domain.mask.tolist() == [[True, False, True]]
+        assert format_grid_snapshot(b).splitlines()[3] == "5.0 NaN 7.0"
+        path = tmp_path / "b.grid"
+        write_grid_snapshot(b, path)
+        assert parse_grid_snapshot(path) == b
 
 
 class TestRoIThreshold:
