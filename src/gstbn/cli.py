@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int,
         default=1,
-        help="accepted and ignored: trials are scored serially in blocks",
+        help="accepted and ignored: trials are scored serially in blocks, and grid"
+        " parsing does not read it",
     )
     p_opt.add_argument("--trace", type=Path, help="write per-trial CSV here")
     p_opt.add_argument(

@@ -23,7 +23,9 @@ power of ten, divided once in x87 extended precision, and the rare
 quotient that lies halfway between two doubles goes through `float` (see
 `_parse_body`). Any other body, and any body on another platform, is read
 by `np.loadtxt`; one that loadtxt rejects goes to a token loop, which
-reports the first bad row and column.
+reports the first bad row and column. `parse_grid_series` runs the bulk
+reader on a helper thread too when two CPUs are usable; the loadtxt and
+token-loop readers run on the calling thread only.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import threading
 import warnings
 from collections import Counter
 from json.encoder import encode_basestring_ascii
@@ -247,6 +251,14 @@ def parse_grid_snapshot(path, digests: dict[str, str] | None = None) -> FieldSna
     """Read one grid snapshot file. `digests` as in :func:`read_utf8`."""
     path = Path(path)
     data = _read(path, digests)
+    return _grid_snapshot(path, data, _grid_head(path, data))
+
+
+def _grid_head(path: Path, data: bytes) -> tuple:
+    """The grid file's header and, when its body is in the bulk grammar, its
+    values: (timestamp, variable, grid, values or None, lines), where lines
+    are the file's lines when it is not ASCII and None otherwise. This part
+    is safe to run off the calling thread."""
     head = _ascii_header(data)
     lines = _decode(path, data).splitlines() if head is None else head[0]
     if not lines or lines[0] != _GRID_MAGIC:
@@ -287,10 +299,19 @@ def parse_grid_snapshot(path, digests: dict[str, str] | None = None) -> FieldSna
         )
     except ValueError as exc:
         raise ParseError(path, 3, str(exc)) from None
+    if head is None:
+        return timestamp, variable, grid, None, lines
+    return timestamp, variable, grid, _parse_body(data, head[1], grid.shape), None
 
-    values = None if head is None else _parse_body(data, head[1], grid.shape)
+
+def _grid_snapshot(path: Path, data: bytes, head: tuple) -> FieldSnapshot:
+    """The snapshot of the file `data`, given its `_grid_head`. A body the
+    bulk reader left is read here, by loadtxt or else the token loop, which
+    must stay on the calling thread: `_parse_rows_fast` swaps the
+    process-wide warning filters, and that is not thread-safe."""
+    timestamp, variable, grid, values, lines = head
     if values is None:
-        if head is not None:
+        if lines is None:
             lines = data.decode("ascii").splitlines()
         body = lines[3:]
         if len(body) != grid.n_lat:
@@ -533,25 +554,139 @@ def write_grid_snapshot(snap: FieldSnapshot, path) -> None:
     Path(path).write_text(format_grid_snapshot(snap), encoding="utf-8")
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _read_grid(p, hashed: bool) -> tuple[str | None, object]:
+    """The part of reading grid file `p` that may run off the calling
+    thread: (the sha256 of its bytes if `hashed` and they were read, then
+    the error raised or the arguments of `_grid_snapshot`). The bytes are
+    kept only when the body is left to `_grid_snapshot`."""
+    digest = None
+    try:
+        path = Path(p)
+        data = _read(path, None)
+        if hashed:
+            digest = hashlib.sha256(data).hexdigest()
+        head = _grid_head(path, data)
+        return digest, (path, data if head[3] is None else b"", head)
+    except Exception as exc:  # raised again by the caller, in path order
+        return digest, exc
+
+
+class _GridReads:
+    """`_read_grid` on each of `paths`, shared by the calling thread and any
+    helper threads. Files are taken in path order, only among the `window`
+    files from the one the caller waits for or works on, so that a slow
+    fallback body on the caller does not let a helper pile up file bytes,
+    and none after a file whose read failed. Each result is held until the
+    caller takes it."""
+
+    def __init__(self, paths: list, hashed: bool, window: int):
+        self._paths = paths
+        self._hashed = hashed
+        self._window = window
+        self._done: dict[int, tuple] = {}
+        self._next = 0  # the next file to take
+        self._end = len(paths)  # no file from here on is taken
+        self._wanted = 0  # the file the caller waits for or works on
+        self._cond = threading.Condition()
+
+    def _may_take(self) -> bool:
+        """Whether the next file may be taken now; the lock is held."""
+        return self._next < min(self._end, self._wanted + self._window)
+
+    def _run(self, i: int) -> None:
+        result = _read_grid(self._paths[i], self._hashed)
+        with self._cond:
+            if isinstance(result[1], Exception):
+                self._end = min(self._end, i + 1)
+            self._done[i] = result
+            self._cond.notify_all()
+
+    def help(self) -> None:
+        """A helper thread's loop: read files until none is left to take."""
+        while True:
+            with self._cond:
+                self._cond.wait_for(lambda: self._next >= self._end or self._may_take())
+                if self._next >= self._end:
+                    return
+                i = self._next
+                self._next += 1
+            self._run(i)
+
+    def result(self, i: int) -> tuple[str | None, object]:
+        """File i's result, for i = 0, 1, ... in turn. While a helper reads
+        file i, the caller reads a later file itself."""
+        with self._cond:
+            self._wanted = i
+            self._cond.notify_all()
+        while True:
+            with self._cond:
+                if i not in self._done and not self._may_take():
+                    self._cond.wait_for(lambda: i in self._done)  # a helper has file i
+                if i in self._done:
+                    return self._done.pop(i)
+                j = self._next
+                self._next += 1
+            self._run(j)
+
+    def stop(self) -> None:
+        """Take no new file."""
+        with self._cond:
+            self._end = 0
+            self._cond.notify_all()
+
+
 def parse_grid_series(paths: Iterable, digests=None) -> dict[ObservationKind, list[FieldSnapshot]]:
     """Read many grid files into per-variable, time-ordered series.
-    `digests` as in :func:`read_utf8`."""
+    `digests` as in :func:`read_utf8`.
+
+    When the process may use two CPUs or more and there are two files or
+    more, one helper thread reads files (bytes, digest, header and a bulk
+    body) beside the calling thread. Results are taken in path order, so
+    the snapshots, the order of `digests` and the error raised (the first
+    in path order) are those of reading the files one by one.
+    """
+    paths = list(paths)
+    n_helpers = 1 if min(_usable_cpus(), len(paths)) > 1 else 0
+    reads = _GridReads(paths, digests is not None, window=1 + n_helpers)
+    helpers = [
+        threading.Thread(target=reads.help, name="gstbn-grid-reader", daemon=True)
+        for _ in range(n_helpers)
+    ]
     series: dict[ObservationKind, list[FieldSnapshot]] = {}
     sources: dict[tuple[ObservationKind, int], Path] = {}
-    for p in paths:
-        snap = parse_grid_snapshot(p, digests)
-        key = (snap.variable, snap.timestamp)
-        if key in sources:
-            raise ParseError(
-                p, None,
-                f"duplicate snapshot for {snap.variable.value} at t={snap.timestamp}"
-                f" (first seen in {sources[key]})",
-            )
-        sources[key] = Path(p)
-        bucket = series.setdefault(snap.variable, [])
-        if bucket and bucket[0].grid != snap.grid:
-            raise ParseError(p, 3, f"grid differs from other {snap.variable.value} snapshots")
-        bucket.append(snap)
+    for helper in helpers:
+        helper.start()
+    try:
+        for i, p in enumerate(paths):
+            digest, read = reads.result(i)
+            if digest is not None:
+                digests[str(Path(p))] = digest
+            if isinstance(read, Exception):
+                raise read
+            snap = _grid_snapshot(*read)
+            key = (snap.variable, snap.timestamp)
+            if key in sources:
+                raise ParseError(
+                    p, None,
+                    f"duplicate snapshot for {snap.variable.value} at t={snap.timestamp}"
+                    f" (first seen in {sources[key]})",
+                )
+            sources[key] = Path(p)
+            bucket = series.setdefault(snap.variable, [])
+            if bucket and bucket[0].grid != snap.grid:
+                raise ParseError(p, 3, f"grid differs from other {snap.variable.value} snapshots")
+            bucket.append(snap)
+    finally:
+        reads.stop()
+        for helper in helpers:
+            helper.join()
     for bucket in series.values():
         bucket.sort(key=lambda s: s.timestamp)
     return {k: series[k] for k in sorted(series, key=kind_sort_key)}

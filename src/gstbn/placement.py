@@ -17,7 +17,8 @@ construction. The relax step prunes by RoI tile, so one trial costs one
 distance per tile plus one per RoI of the tiles it may relax, instead of
 one per RoI node or a network rebuild. Trials are scored serially in
 blocks of at most BLOCK_PAIRS (trial, RoI) pairs; the `workers` argument
-is accepted for compatibility and ignored.
+is accepted for compatibility and ignored (it does not set the threads
+that parse grids either).
 """
 
 from __future__ import annotations
@@ -234,11 +235,15 @@ def monte_carlo_place(
 
     Returns (coordinate, average temporal coverage after adding it); ties
     on score go to the earliest trial. `workers` is validated and ignored:
-    trials are scored serially in blocks. Pass `trace` to collect every
-    trial's record.
+    trials are scored serially in blocks, and it does not set the threads
+    that parse grids. Pass `trace` to collect every trial's record.
+    ParameterError if the `trials` draws do not fit in memory.
     """
     _check_common(trials, seed, workers)
-    lon, lat = _draw(domain, seed, trials)
+    try:
+        lon, lat = _draw(domain, seed, trials)
+    except MemoryError as exc:
+        raise ParameterError(f"cannot draw {trials} trials at once: {exc}") from None
     scores = _scores(net, lon, lat)
     lon, lat = lon.tolist(), lat.tolist()
     if trace is not None:

@@ -8,11 +8,14 @@ something.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import mpmath as mp
 
+from gstbn.errors import ParseError
 from gstbn.field import ObservationKind, kind_sort_key
 from gstbn.geo import GeoCoord, great_circle_distance
+from gstbn.ingest import parse_grid_snapshot
 
 mp.mp.dps = 40
 
@@ -188,3 +191,28 @@ def geojson_document(net, timestamp):
         properties = {"roi_id": rid, "sensor_id": sid, "weight_km": weight}
         features.append({"type": "Feature", "geometry": geometry, "properties": properties})
     return {"type": "FeatureCollection", "features": features}
+
+
+def serial_grid_series(paths, digests=None):
+    """`parse_grid_series` as one loop on one thread: each file in path
+    order through `parse_grid_snapshot`, then the duplicate and grid checks,
+    so the first bad file in path order is the error raised."""
+    series, sources = {}, {}
+    for p in paths:
+        snap = parse_grid_snapshot(p, digests)
+        key = (snap.variable, snap.timestamp)
+        if key in sources:
+            raise ParseError(
+                p, None,
+                f"duplicate snapshot for {snap.variable.value} at t={snap.timestamp}"
+                f" (first seen in {sources[key]})",
+            )
+        sources[key] = Path(p)
+        bucket = series.setdefault(snap.variable, [])
+        if bucket and bucket[0].grid != snap.grid:
+            raise ParseError(p, 3, f"grid differs from other {snap.variable.value} snapshots")
+        bucket.append(snap)
+    return {
+        kind: sorted(series[kind], key=lambda s: s.timestamp)
+        for kind in sorted(series, key=kind_sort_key)
+    }

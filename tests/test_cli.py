@@ -306,6 +306,27 @@ class TestOptimize:
         ]
 
 
+    def test_trials_past_memory_end_as_a_domain_error(self, scenario_dir, tmp_path, monkeypatch, capsys):
+        # numpy's own message for 10**12 draws; no array that large is ever requested
+        def out_of_memory(domain, seed, trials):
+            raise MemoryError(
+                f"Unable to allocate 21.8 TiB for an array with shape ({trials}, 3)"
+                " and data type float64"
+            )
+
+        monkeypatch.setattr(gstbn.placement, "_draw", out_of_memory)
+        out = tmp_path / "run.json"
+        code = main([
+            "optimize", *network_args(scenario_dir), "--trials", "1000000000000",
+            "--out", str(out),
+        ])
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "gstbn: error: cannot draw 1000000000000 trials at once: Unable to allocate"
+            " 21.8 TiB for an array with shape (1000000000000, 3) and data type float64"
+        ]
+
+
     def test_masked_sliver_bbox_places_every_trial(self, tmp_path):
         # cell 1 is missing in both snapshots, so only cell 0, lon
         # [-90.05, -89.95], is admissible; the box overlaps it by 1e-7 deg,

@@ -1,6 +1,12 @@
 import hashlib
+import importlib.util
 import json
 import math
+import sys
+import threading
+import time
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -42,7 +48,14 @@ from gstbn.network import (
 )
 from gstbn.placement import PlacedSensor, PlacementResult
 from conftest import make_grid
-from oracles import edge_rows, geojson_document, payloads, roi_coords, sequential_sum
+from oracles import (
+    edge_rows,
+    geojson_document,
+    payloads,
+    roi_coords,
+    sequential_sum,
+    serial_grid_series,
+)
 
 
 def random_sensor(rng, sid):
@@ -272,15 +285,21 @@ class TestGridParsing:
         assert not snap.valid[1, 1]
 
 
+def write_grid_text(path, variable, timestamp, n_lat, n_lon, body):
+    path.write_bytes((
+        f"GSTBN-GRID v1\nvariable={variable.value} timestamp={timestamp}\n"
+        f"nlat={n_lat} nlon={n_lon} lat0=1.0 dlat=0.5 lon0=2.0 dlon=0.5\n" + body
+    ).encode("utf-8"))
+    return path
+
+
 def assert_body_matches_reference(directory, n_lat, n_lon, body, chunk):
     """The grid with `body` parses, in chunks of about `chunk` bytes, to
     the reference loop's values bit for bit, or raises its ParseError."""
-    text = (
-        "GSTBN-GRID v1\nvariable=salinity timestamp=3\n"
-        f"nlat={n_lat} nlon={n_lon} lat0=1.0 dlat=0.5 lon0=2.0 dlon=0.5\n" + body
+    path = write_grid_text(
+        directory / "differential.grid", ObservationKind.SALINITY, 3, n_lat, n_lon, body
     )
-    path = directory / "differential.grid"
-    path.write_bytes(text.encode("utf-8"))
+    text = path.read_bytes().decode("utf-8")
     try:
         want = reference_grid_values(path, text, n_lat, n_lon)
     except ParseError as exc:
@@ -583,6 +602,253 @@ class TestParseGridSeries:
         )
         with pytest.raises(ParseError, match="grid differs"):
             parse_grid_series(paths)
+
+
+def load_bench_scenario():
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenario.py"
+    spec = importlib.util.spec_from_file_location("bench_scenario", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, {spec.name: module}):  # dataclasses look it up
+        spec.loader.exec_module(module)
+    return module
+
+
+def serial_outcome(paths):
+    """The serial loop's (series or ParseError text, digests)."""
+    digests = {}
+    try:
+        return serial_grid_series(paths, digests), digests
+    except ParseError as exc:
+        return str(exc), digests
+
+
+def parse_on(cpus, paths):
+    """`parse_grid_series` as seen with `cpus` usable CPUs, as
+    (series or ParseError text, digests); no thread outlives the call."""
+    digests = {}
+    threads = threading.active_count()
+    with mock.patch.object(gstbn.ingest, "_usable_cpus", lambda: cpus):
+        try:
+            got = parse_grid_series(paths, digests)
+        except ParseError as exc:
+            got = str(exc)
+    assert threading.active_count() == threads
+    return got, digests
+
+
+def assert_same_outcome(got, want):
+    """The same error text, or the same series with bit-identical values,
+    and the same digests in the same order."""
+    (series, digests), (ref, ref_digests) = got, want
+    assert list(digests.items()) == list(ref_digests.items())
+    if isinstance(ref, str):
+        assert series == ref
+        return
+    assert list(series) == list(ref)
+    for kind, snaps in ref.items():
+        assert [(s.timestamp, s.grid) for s in series[kind]] == [(s.timestamp, s.grid) for s in snaps]
+        for a, b in zip(series[kind], snaps):
+            assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
+
+
+def spy_reads(monkeypatch, together=()):
+    """Record the thread of each `_read_grid`, and make the reads of the
+    paths in `together` (two of them) wait for each other, so that each is
+    read by its own thread. Returns (threads, the reads that waited in vain)."""
+    meet = threading.Barrier(2, timeout=10)
+    threads, alone = [], []
+    real = gstbn.ingest._read_grid
+
+    def read(p, hashed):
+        threads.append(threading.current_thread())
+        if p in together:
+            try:
+                meet.wait()
+            except threading.BrokenBarrierError:
+                alone.append(p)
+        return real(p, hashed)
+
+    monkeypatch.setattr(gstbn.ingest, "_read_grid", read)
+    return threads, alone
+
+
+class TestParseGridSeriesThreads:
+    """With one helper thread or none, the series, digests and errors are
+    those of the serial loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(files=st.lists(
+        st.tuples(grid_bodies(), st.sampled_from(list(ObservationKind)), st.integers(0, 2)),
+        min_size=3, max_size=5,
+    ))
+    def test_random_bodies_parse_alike_on_one_and_two_cpus(self, tmp_path_factory, files):
+        directory = tmp_path_factory.getbasetemp()
+        paths = [
+            write_grid_text(directory / f"series-{k}.grid", kind, t, n_lat, n_lon, body)
+            for k, ((n_lat, n_lon, body), kind, t) in enumerate(files)
+        ]
+        want = serial_outcome(paths)
+        for cpus in (1, 2):
+            assert_same_outcome(parse_on(cpus, paths), want)
+
+    @pytest.mark.parametrize("land", [False, True], ids=["plain", "nan-block"])
+    def test_bench_tiny_spec_parses_alike_on_one_and_two_cpus(self, tmp_path, land):
+        scenario = load_bench_scenario()
+        spec = scenario.load_spec("tiny")
+        if not land:
+            del spec["land_block"]
+        paths = sorted(scenario.generate(spec, 1, tmp_path).grids)
+        want = serial_outcome(paths)
+        assert not isinstance(want[0], str)
+        assert any(np.isnan(s.values).any() for snaps in want[0].values() for s in snaps) == land
+        for cpus in (1, 2):
+            assert_same_outcome(parse_on(cpus, paths), want)
+
+    @pytest.mark.parametrize(
+        "cpus, n_files, helpers",
+        [(1, 4, 0), (2, 1, 0), (2, 4, 1), (8, 4, 1)],
+    )
+    def test_one_helper_with_two_cpus_and_two_files(
+        self, tmp_path, monkeypatch, cpus, n_files, helpers
+    ):
+        paths = [
+            write_grid_text(tmp_path / f"{t}.grid", ObservationKind.SALINITY, t, 2, 2, GOOD_BODY)
+            for t in range(n_files)
+        ]
+        threads, alone = spy_reads(monkeypatch, paths[:2] if helpers else ())
+        assert_same_outcome(parse_on(cpus, paths), serial_outcome(paths))
+        assert len(threads) == n_files and not alone
+        assert threading.current_thread() in threads
+        assert len(set(threads)) == 1 + helpers
+
+    def test_many_files_under_a_short_switch_interval(self, tmp_path):
+        # thread switches at nearly every bytecode; a lost update to the shared
+        # reader state would drop, repeat or misorder a file, or hang
+        rng = np.random.default_rng(5)
+        paths = []
+        for t in range(40):
+            kind = list(ObservationKind)[t % 4]
+            values = rng.normal(0.0, 50.0, (3, 4))
+            snap = FieldSnapshot(timestamp=t // 4, variable=kind, grid=make_grid(3, 4), values=values)
+            paths.append(tmp_path / f"{t}.grid")
+            write_grid_snapshot(snap, paths[-1])
+        want = serial_outcome(paths)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert_same_outcome(parse_on(2, paths), want)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_helper_reads_at_most_one_file_past_the_caller(self, tmp_path, monkeypatch):
+        # an exponent sends each body to loadtxt on the caller, which is slow here
+        paths = [
+            write_grid_text(tmp_path / f"{t}.grid", ObservationKind.TEMPERATURE, t, 2, 2,
+                            "1.5 1e-05\n3.5 NaN\n")
+            for t in range(6)
+        ]
+        want = serial_outcome(paths)
+        threads, _ = spy_reads(monkeypatch)
+        ahead = []
+
+        def slow_snapshot(path, *args, real=gstbn.ingest._grid_snapshot):
+            time.sleep(0.05)
+            ahead.append(len(threads) - paths.index(path) - 1)
+            return real(path, *args)
+
+        monkeypatch.setattr(gstbn.ingest, "_grid_snapshot", slow_snapshot)
+        assert_same_outcome(parse_on(2, paths), want)
+        assert len(ahead) == len(paths) and max(ahead) <= 1
+
+    @staticmethod
+    def error_case(directory, case):
+        """(paths, the file that is the first bad one in path order); the
+        file after it fails as it is read (its magic line is wrong), and two
+        good files follow."""
+        def write(name, t, body=GOOD_BODY):
+            return write_grid_text(directory / name, ObservationKind.SALINITY, t, 2, 2, body)
+
+        bad = write("z.grid", 30)
+        bad.write_bytes(bad.read_bytes().replace(b"GSTBN", b"GSTBM"))
+        tail = [bad, write("x.grid", 40), write("y.grid", 50)]
+        if case == "two-bad-files":  # the token loop finds b's error, on the caller
+            paths = [write("b.grid", 10, "1.5 abc\n3.0 NaN\n"), *tail]
+        elif case == "duplicate-then-corrupt":
+            paths = [write("a.grid", 0), write("b.grid", 0), *tail]
+        else:
+            (directory / "b.grid").mkdir()
+            paths = [directory / "b.grid", *tail]
+        return paths, directory / "b.grid"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("case, message, step", [
+        ("two-bad-files", "b.grid:4: bad value 'abc' in column 2", "_grid_snapshot"),
+        ("duplicate-then-corrupt", "b.grid: duplicate snapshot for salinity at t=0 (first seen in",
+         "_grid_snapshot"),
+        ("directory", "b.grid: cannot read file: [Errno 21] Is a directory", "_read_grid"),
+    ], ids=["two-bad-files", "duplicate-then-corrupt", "directory"])
+    def test_first_error_in_path_order_is_raised(
+        self, tmp_path, monkeypatch, case, message, step, cpus
+    ):
+        paths, first_bad = self.error_case(tmp_path, case)
+        later_bad = paths[paths.index(first_bad) + 1]
+        want = serial_outcome(paths)
+        assert message in want[0]
+        assert isinstance(gstbn.ingest._read_grid(later_bad, True)[1], ParseError)
+        read_grid = gstbn.ingest._read_grid
+        later_failed, late, read = threading.Event(), [], []
+
+        def hold(p):
+            # on two CPUs, the step that finds the first error waits for the later failure
+            if cpus == 2 and p == first_bad and not later_failed.wait(timeout=10):
+                late.append(p)
+
+        def spy_read(p, hashed):
+            read.append(p)
+            if step == "_read_grid":
+                hold(p)
+            result = read_grid(p, hashed)
+            if p == later_bad:
+                later_failed.set()
+            return result
+
+        def spy_snapshot(path, *args, real=gstbn.ingest._grid_snapshot):
+            hold(path)
+            return real(path, *args)
+
+        monkeypatch.setattr(gstbn.ingest, "_read_grid", spy_read)
+        monkeypatch.setattr(gstbn.ingest, "_grid_snapshot", spy_snapshot)
+        assert_same_outcome(parse_on(cpus, paths), want)
+        assert not late
+        assert later_failed.is_set() == (cpus == 2)
+        # no file is taken after one whose read failed
+        assert set(read) <= set(paths[:paths.index(later_bad) + 1])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_fallback_readers_run_on_the_calling_thread(self, tmp_path, monkeypatch, cpus):
+        # a CRLF body and an exponent go to loadtxt; 1_0 goes on to the token loop
+        bodies = ["1.5 2.5\r\n3.5 NaN\r\n", "1.5 1e-05\n3.5 NaN\n", "1_0 2.5\n3.5 NaN\n", GOOD_BODY]
+        paths = [
+            write_grid_text(tmp_path / f"{t}.grid", ObservationKind.TEMPERATURE, t, 2, 2, body)
+            for t, body in enumerate(bodies)
+        ]
+        want = serial_outcome(paths)
+        # files 0 and 1 are read at once on two CPUs, so a helper reads one of them
+        _, alone = spy_reads(monkeypatch, paths[:2] if cpus == 2 else ())
+        seen = {"_parse_rows_fast": [], "_parse_rows": []}
+        for name, threads in seen.items():
+            def spy(*args, real=getattr(gstbn.ingest, name), threads=threads):
+                threads.append(threading.current_thread())
+                return real(*args)
+
+            monkeypatch.setattr(gstbn.ingest, name, spy)
+        filters = list(warnings.filters)
+        assert_same_outcome(parse_on(cpus, paths), want)
+        assert list(warnings.filters) == filters
+        assert not alone
+        assert len(seen["_parse_rows_fast"]) == 3 and len(seen["_parse_rows"]) == 1
+        assert set(seen["_parse_rows_fast"] + seen["_parse_rows"]) == {threading.current_thread()}
 
 
 class TestExportGeojson:
