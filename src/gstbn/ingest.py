@@ -744,7 +744,7 @@ def _roi_features(snap, lon: list[str], lat: list[str], roi_id: list[str]) -> li
     group = ~np.isnan(residual) @ (1 << np.arange(len(_BY_NAME)))
     columns = (lon, lat, roi_id, _floats(snap.roi_value))
     out = [""] * len(group)
-    for key in np.unique(group).tolist():
+    for key in np.flatnonzero(np.bincount(group)).tolist():
         fired = [j for j in range(len(_BY_NAME)) if key >> j & 1]
         slots = dict.fromkeys((_BY_NAME[j].value for j in fired), "%s")
         template = _point_template("roi", "id", "roi_value", residuals=slots)

@@ -236,7 +236,7 @@ class TemporalGstbn:
             raise StructuralError("duplicate sensor ids in catalog")
         active = {s.id for s in self.active_sensors}
         for snap in self.snapshots:
-            stray = set(np.unique(snap.sensor_id).tolist()) - active
+            stray = set(snap.sensor_id.tolist()) - active
             if stray:
                 raise StructuralError(
                     f"snapshot {snap.timestamp} links sensor {min(stray)}, not active in the catalog"
@@ -289,7 +289,8 @@ class TemporalGstbn:
         lon, lat = self.roi_table.lon, self.roi_table.lat
         keys = _tile_keys(lon, lat)
         order = np.argsort(keys, kind="stable")
-        _, start, count = np.unique(keys[order], return_index=True, return_counts=True)
+        start = np.flatnonzero(np.diff(keys[order], prepend=-1))  # keys are non-negative
+        count = np.diff(start, append=len(order))
         lon_lo, lon_hi = np.minimum.reduceat(lon[order], start), np.maximum.reduceat(lon[order], start)
         lat_lo, lat_hi = np.minimum.reduceat(lat[order], start), np.maximum.reduceat(lat[order], start)
         equatorward = np.where(lat_lo * lat_hi <= 0.0, 0.0, np.minimum(abs(lat_lo), abs(lat_hi)))
@@ -335,6 +336,35 @@ def _nearest(
     return np.array([s.id for s in ordered], dtype=np.int64)[best], dist
 
 
+def _bit_sets(fired: np.ndarray) -> np.ndarray:
+    """Each row of a boolean (points x kinds) `fired` array as a bit set:
+    bit j for the j-th :class:`ObservationKind` in declaration order."""
+    return np.asarray(fired, dtype=bool) @ (1 << np.arange(len(ObservationKind)))
+
+
+def _distinct(bit_sets: np.ndarray) -> list[int]:
+    """The distinct values of an array of bit sets, in increasing order."""
+    return np.flatnonzero(np.bincount(bit_sets)).tolist()
+
+
+def _eligible(sensors: Sequence[SensorNode], kinds: int) -> list[SensorNode]:
+    """The sensors observing at least one kind of the bit set `kinds`;
+    NoObserversError if none does."""
+    named = {kind for j, kind in enumerate(ObservationKind) if kinds >> j & 1}
+    eligible = [s for s in sensors if s.observations & named]
+    if not eligible:
+        names = ",".join(sorted(k.value for k in named))
+        raise NoObserversError(f"no active sensor observes any of: {names}")
+    return eligible
+
+
+def _check_observed(sensors: Sequence[SensorNode], fired: np.ndarray) -> None:
+    """Raise the NoObserversError `build_edges(..., fired=fired)` would:
+    the one for the lowest bit set of `fired` that no sensor observes."""
+    for kinds in _distinct(_bit_sets(fired)):
+        _eligible(sensors, kinds)
+
+
 def build_edges(
     lon,
     lat,
@@ -356,23 +386,48 @@ def build_edges(
         raise NoObserversError("no active sensors to link against")
 
     lon, lat = np.asarray(lon, dtype=np.float64), np.asarray(lat, dtype=np.float64)
-    # points that fired the same kinds (one bit each) share a group and its eligible sensors
-    group = np.zeros(len(lon), dtype=np.int64)
-    if fired is not None:
-        group = np.asarray(fired, dtype=bool) @ (1 << np.arange(len(ObservationKind)))
+    # points that fired the same kinds share a group and its eligible sensors
+    group = np.zeros(len(lon), dtype=np.int64) if fired is None else _bit_sets(fired)
     sensor_id = np.empty(len(lon), dtype=np.int64)
     weight_km = np.empty(len(lon), dtype=np.float64)
-    for key in np.unique(group).tolist():
-        eligible = sensors
-        if fired is not None:
-            kinds = {kind for j, kind in enumerate(ObservationKind) if key >> j & 1}
-            eligible = [s for s in sensors if s.observations & kinds]
-            if not eligible:
-                names = ",".join(sorted(k.value for k in kinds))
-                raise NoObserversError(f"no active sensor observes any of: {names}")
+    for key in _distinct(group):
+        eligible = sensors if fired is None else _eligible(sensors, key)
         rows = group == key
         sensor_id[rows], weight_km[rows] = _nearest(lon[rows], lat[rows], eligible)
     return sensor_id, weight_km
+
+
+def _link(
+    table: RoITable,
+    rows: Sequence[np.ndarray],
+    fired: Sequence[np.ndarray] | None,
+    sensors: Sequence[SensorNode],
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per snapshot k, the arrays `build_edges` gives for the table rows
+    `rows[k]` that fired `fired[k]` (None: any sensor qualifies), with each
+    distinct key linked once across all snapshots.
+
+    A row's key is the row itself, or under strict matching the row and its
+    fired-kind set: its edge depends on nothing else, since a point's
+    nearest eligible sensor and its distance do not depend on the points
+    linked beside it (the determinism contract). So `build_edges` runs
+    once on the distinct keys, and each snapshot gathers its rows' results.
+    """
+    if fired is None:
+        groups, keys = 1, list(rows)
+    else:
+        groups = 1 << len(ObservationKind)
+        keys = [r * groups + _bit_sets(f) for r, f in zip(rows, fired)]
+    seen = np.zeros(len(table) * groups, dtype=bool)
+    for key in keys:
+        seen[key] = True
+    distinct = np.flatnonzero(seen)
+    row, kinds = np.divmod(distinct, groups)
+    if fired is not None:
+        fired = (kinds[:, None] >> np.arange(len(ObservationKind)) & 1).astype(bool)
+    sensor_id, weight_km = build_edges(table.lon[row], table.lat[row], sensors, fired=fired)
+    at = (np.searchsorted(distinct, key) for key in keys)
+    return [(sensor_id[k], weight_km[k]) for k in at]
 
 
 def _series_intervals(
@@ -421,7 +476,9 @@ def build_temporal_gstbn(
     interval end. RoI nodes are keyed by grid cell, so a cell firing in
     several intervals reuses one node id; ids are assigned in first-firing
     order. With `strict_observations`, RoIs only link to sensors that
-    observe at least one variable that fired there.
+    observe at least one variable that fired there. Each RoI, or under
+    strict matching each RoI and fired-kind set, is linked once for all
+    the snapshots it fires in.
     """
     catalog = tuple(catalog)  # TemporalGstbn rejects duplicate ids
     if not catalog:
@@ -434,7 +491,7 @@ def build_temporal_gstbn(
 
     cells = np.zeros(0, dtype=np.int64)  # the cells given ids so far: id k + 1 at k
     coords = []  # (lon, lat) of the cells each interval gives ids
-    snapshots = []
+    intervals = []  # (timestamp, roi ids, residual) per snapshot, rows in roi-id order
     for k, t_end in enumerate(timestamps[1:]):
         fields = [compute_residual_field(snaps[k], snaps[k + 1]) for snaps in ordered.values()]
         events = extract_roi_events(fields, threshold)
@@ -444,17 +501,23 @@ def build_temporal_gstbn(
         coords.append((events.lon[new], events.lat[new]))
         by_cell = np.argsort(cells)
         ids = by_cell[np.searchsorted(cells, events.cell, sorter=by_cell)] + 1
-        # a snapshot's rows are in roi-id order
         order = np.argsort(ids, kind="stable")
-        fired = ~np.isnan(events.residual[order]) if strict_observations else None
-        edges = build_edges(events.lon[order], events.lat[order], actives, fired=fired)
-        snapshots.append(GstbnSnapshot(t_end, ids[order], *edges, events.residual[order]))
+        residual = events.residual[order]
+        if strict_observations:  # here, so no later interval's error can come first
+            _check_observed(actives, ~np.isnan(residual))
+        intervals.append((t_end, ids[order], residual))
 
     lon, lat = (np.concatenate(column) for column in zip(*coords))
+    table = RoITable(lon=lon, lat=lat, cell=cells)
+    fired = [~np.isnan(r) for _, _, r in intervals] if strict_observations else None
+    edges = _link(table, [ids - 1 for _, ids, _ in intervals], fired, actives)
     return TemporalGstbn(
-        snapshots=tuple(snapshots),
+        snapshots=tuple(
+            GstbnSnapshot(t, ids, *linked, residual)
+            for (t, ids, residual), linked in zip(intervals, edges)
+        ),
         sensor_catalog=catalog,
-        roi_table=RoITable(lon=lon, lat=lat, cell=cells),
+        roi_table=table,
         strict_observations=strict_observations,
     )
 
@@ -500,7 +563,8 @@ def _tile_keys(lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
         i = np.minimum(dlat // side, n).astype(np.int64)
         j = np.minimum(dlon // side, n).astype(np.int64)
         keys = i * (n + 1) + j
-        if len(lon) <= _TILE_ROIS * len(np.unique(keys)):
+        occupied = 1 + np.count_nonzero(np.diff(np.sort(keys)))
+        if len(lon) <= _TILE_ROIS * occupied:
             break
     return keys
 
@@ -586,10 +650,13 @@ def add_sensor(net: TemporalGstbn, coord: GeoCoord) -> TemporalGstbn:
 def remove_sensor(net: TemporalGstbn, sensor_id: int) -> TemporalGstbn:
     """New network with the given sensor deactivated.
 
-    Only the RoIs it served are relinked, through :func:`build_edges`;
-    every other RoI keeps its nearest sensor. The sensor stays in the
-    catalog for reporting; it just stops receiving edges. Removing the
-    last active sensor is refused.
+    Only the RoIs it served are relinked, through :func:`build_edges`,
+    each distinct key (the RoI, or under strict matching the RoI and its
+    fired-kind set) once for all snapshots; every other RoI keeps its
+    nearest sensor. The sensor stays in the catalog for reporting; it just
+    stops receiving edges. Removing the last active sensor is refused, and
+    under strict matching so is leaving an orphaned RoI no sensor observes:
+    the NoObserversError names the first snapshot's unobserved kinds.
     """
     target = net.sensors_by_id.get(sensor_id)
     if target is None:
@@ -603,12 +670,12 @@ def remove_sensor(net: TemporalGstbn, sensor_id: int) -> TemporalGstbn:
     actives = [s for s in catalog if s.is_active]
     if not actives:
         raise NoObserversError("removal would leave no active sensors")
-    changes = []
-    for snap in net.snapshots:
-        served = snap.sensor_id == sensor_id
-        rows = snap.roi_id[served] - 1
-        lon, lat = net.roi_table.lon[rows], net.roi_table.lat[rows]
-        fired = ~np.isnan(snap.residual[served]) if net.strict_observations else None
-        linked, weights = build_edges(lon, lat, actives, fired=fired)
-        changes.append((served, linked, weights))
-    return _relinked(net, catalog, changes)
+    served = [snap.sensor_id == sensor_id for snap in net.snapshots]
+    fired = None
+    if net.strict_observations:
+        fired = [~np.isnan(snap.residual[mask]) for snap, mask in zip(net.snapshots, served)]
+        for kinds in fired:
+            _check_observed(actives, kinds)
+    rows = [snap.roi_id[mask] - 1 for snap, mask in zip(net.snapshots, served)]
+    edges = _link(net.roi_table, rows, fired, actives)
+    return _relinked(net, catalog, ((mask, *linked) for mask, linked in zip(served, edges)))

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -67,3 +68,36 @@ def test_a_command_runs_on_one_thread(small_scenario, tmp_path):
     code = f"import gstbn.cli; code = gstbn.cli.main({argv!r}); print(code, {TASKS})"
     assert run_python(code) == "0 1"
     assert (tmp_path / "report.json").exists()
+
+
+@pytest.fixture
+def bench_scenario(monkeypatch):
+    """`bench/scenario.py`, which generates the benchmark's scenarios."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenario.py"
+    spec = importlib.util.spec_from_file_location("bench_scenario", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("command", [
+    ["score"],
+    ["robustness", "--remove", "2"],
+    ["optimize", "--trials", "20", "--trace", "trace.csv"],
+])
+def test_a_command_leaves_numpy_ma_unimported(command, bench_scenario, tmp_path):
+    # numpy 2.x imports numpy.ma on the first hash-based np.unique, about 11 ms a run
+    files = bench_scenario.generate(bench_scenario.load_spec("tiny"), 1, tmp_path / "in")
+    argv = [
+        *command,
+        "--sensors", str(files.catalog),
+        "--grids", *map(str, files.grids),
+        "--out", str(tmp_path / "out" / "report.json"),
+    ]
+    code = (
+        "import os, sys, gstbn.cli; "
+        f"os.chdir({str(tmp_path)!r}); "
+        f"code = gstbn.cli.main({argv!r}); print(code, 'numpy.ma' in sys.modules)"
+    )
+    assert run_python(code) == "0 False"

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,7 @@ from gstbn.network import (
 from conftest import make_grid, random_scenario, scenario_network
 from gstbn.metrics import average_temporal_coverage
 from gstbn.placement import candidate_score
-from gstbn.synth import scenario_field_series, scenario_sensor_nodes
+from gstbn.synth import Hotspot, scenario_field_series, scenario_sensor_nodes
 from oracles import brute_force_edges, dense_relaxed, edge_rows, payloads, roi_coords
 
 
@@ -550,12 +551,24 @@ class TestAddRemoveSensor:
         rng = np.random.default_rng(42)
         for _ in range(10):
             spec = random_scenario(rng)
-            net = scenario_network(spec)
-            coords = roi_coords(net)
-            for snap in net.snapshots:
-                got = list(zip(snap.sensor_id.tolist(), snap.weight_km.tolist()))
-                points = [coords[r - 1] for r in snap.roi_id.tolist()]
-                assert got == brute_force_edges(points, net.active_sensors, net.earth)
+            for strict in (False, True):
+                catalog = scenario_sensor_nodes(spec)
+                if strict:
+                    # all but the first observe one variable, so eligibility varies
+                    catalog = [replace(s, observations={spec.variables[k % 2]}) if k else s
+                               for k, s in enumerate(catalog)]
+                net = scenario_network_from(catalog, spec, strict=strict)
+                coords = roi_coords(net)
+                for snap in net.snapshots:
+                    want = [
+                        brute_force_edges(
+                            [coords[r - 1]],
+                            [s for s in net.active_sensors if not strict or s.observations & fired.keys()],
+                            net.earth,
+                        )[0]
+                        for r, fired in zip(snap.roi_id.tolist(), payloads(snap))
+                    ]
+                    assert links((snap.sensor_id, snap.weight_km)) == want
 
 
 def rebuild(net, series):
@@ -672,6 +685,109 @@ class TestIncrementalEditsMatchRebuild:
             kept_before = [row for row in edge_rows(before) if row[0] not in moved]
             kept_after = [row for row in edge_rows(after) if row[0] not in moved]
             assert kept_before == kept_after
+
+
+def kind_series(grid, values_by_kind):
+    """Field series over `grid` at timestamps 0, 10, 20, ...: under each kind,
+    one snapshot per value, that value in the centre cell and 0 elsewhere."""
+    series = {}
+    for kind, values in values_by_kind.items():
+        snaps = []
+        for k, v in enumerate(values):
+            field = np.zeros(grid.shape)
+            field[grid.n_lat // 2, grid.n_lon // 2] = v
+            snaps.append(FieldSnapshot(timestamp=10 * k, variable=kind, grid=grid, values=field))
+        series[kind] = snaps
+    return series
+
+
+class TestLinkEachKeyOnce:
+    """Builds and removals link each distinct key once, across snapshots:
+    the table row, or under strict matching the row and its fired-kind set."""
+
+    @pytest.fixture
+    def overlapping(self, small_scenario):
+        """(catalog, spec): the small scenario plus a salinity bump over the
+        temperature one in interval 2, so its cells fire {temperature} there in
+        interval 0 and {temperature, salinity} in interval 2; in the catalog,
+        sensor 1 observes salinity only."""
+        first = small_scenario.hotspots[0]
+        salt = Hotspot(center=first.center, amplitude=1.5, radius_deg=0.6,
+                       active_intervals=frozenset({2}), variable=ObservationKind.SALINITY)
+        spec = replace(small_scenario, hotspots=small_scenario.hotspots + (salt,))
+        catalog = scenario_sensor_nodes(spec)
+        catalog[0] = replace(catalog[0], observations={ObservationKind.SALINITY})
+        return catalog, spec
+
+    @pytest.fixture
+    def linked(self, monkeypatch):
+        """The number of points each `network._nearest` call receives."""
+        sent = []
+        nearest = network._nearest
+
+        def spy(lon, lat, sensors):
+            sent.append(len(lon))
+            return nearest(lon, lat, sensors)
+
+        monkeypatch.setattr(network, "_nearest", spy)
+        return sent
+
+    @staticmethod
+    def keys(net, snap_rows):
+        """The distinct link keys of the given (snapshot, rows) pairs."""
+        return {
+            (int(roi_id), tuple(fired) if net.strict_observations else ())
+            for snap, rows in snap_rows
+            for roi_id, fired in zip(snap.roi_id[rows], ~np.isnan(snap.residual[rows]))
+        }
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_a_build_links_each_key_once(self, overlapping, linked, strict):
+        net = scenario_network_from(*overlapping, strict=strict)
+        keys = self.keys(net, [(snap, slice(None)) for snap in net.snapshots])
+        assert sum(linked) == len(keys)
+        if strict:
+            assert len(keys) > len(net.roi_table)  # some cell fired two kind sets
+        else:
+            assert len(keys) == len(net.roi_table)
+        assert sum(len(snap.roi_id) for snap in net.snapshots) > len(keys)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_a_removal_links_each_orphaned_key_once(self, overlapping, linked, strict):
+        net = scenario_network_from(*overlapping, strict=strict)
+        victim = max(net.active_sensors, key=lambda s: sum((snap.sensor_id == s.id).sum()
+                                                           for snap in net.snapshots)).id
+        orphans = [(snap, snap.sensor_id == victim) for snap in net.snapshots]
+        linked.clear()
+        remove_sensor(net, victim)
+        keys = self.keys(net, orphans)
+        assert sum(linked) == len(keys)
+        assert sum(rows.sum() for _, rows in orphans) > len(keys)
+
+    # interval 1 fires salinity alone and interval 2 temperature alone: the
+    # error names the first interval's set, not the lowest set overall
+    SALINITY_THEN_TEMPERATURE = {
+        ObservationKind.TEMPERATURE: [0.0, 0.0, 5.0],
+        ObservationKind.SALINITY: [0.0, 5.0, 5.0],
+    }
+    FIRST_ERROR = "^no active sensor observes any of: salinity$"
+
+    def test_a_strict_build_raises_for_the_first_snapshot_without_observers(self):
+        grid = make_grid(n_lat=3, n_lon=3)
+        series = kind_series(grid, self.SALINITY_THEN_TEMPERATURE)
+        current = sensor(1, -91.5, 24.5, observations={ObservationKind.CURRENT_U})
+        with pytest.raises(NoObserversError, match=self.FIRST_ERROR):
+            build_temporal_gstbn(series, [current], strict_observations=True)
+
+    def test_a_strict_removal_raises_for_the_first_snapshot_without_observers(self):
+        grid = make_grid(n_lat=3, n_lon=3)
+        series = kind_series(grid, self.SALINITY_THEN_TEMPERATURE)
+        catalog = [sensor(1, -91.5, 24.5),
+                   sensor(2, -91.0, 25.0, observations={ObservationKind.CURRENT_U})]
+        net = build_temporal_gstbn(series, catalog, strict_observations=True)
+        assert [len(snap.roi_id) for snap in net.snapshots] == [1, 1]
+        with pytest.raises(NoObserversError, match=self.FIRST_ERROR):
+            remove_sensor(net, 1)
 
 
 lons = st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 180.0, -179.99, 179.99]))
