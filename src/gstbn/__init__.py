@@ -3,6 +3,7 @@
 Build a temporal bipartite network from gridded field snapshots and a
 sensor catalog, score how closely the network observes its regions of
 interest, and search for new sensor placements with Monte Carlo trials.
+Synthetic scenarios come from `gstbn.synth`, which this package does not import.
 """
 
 __version__ = "0.1.0"
@@ -86,16 +87,6 @@ from .ingest import (
     write_grid_snapshot,
     write_sensor_catalog,
 )
-from .synth import (
-    Hotspot,
-    ScenarioFiles,
-    ScenarioSpec,
-    generate_scenario,
-    scenario_field_series,
-    scenario_sensor_nodes,
-    scenario_spec_from_dict,
-    scenario_spec_to_dict,
-)
 
 __all__ = [
     "__version__",
@@ -164,13 +155,4 @@ __all__ = [
     "parse_grid_series",
     "export_geojson",
     "format_geojson",
-    # synth
-    "Hotspot",
-    "ScenarioSpec",
-    "ScenarioFiles",
-    "scenario_field_series",
-    "scenario_sensor_nodes",
-    "generate_scenario",
-    "scenario_spec_to_dict",
-    "scenario_spec_from_dict",
 ]

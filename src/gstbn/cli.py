@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 from dataclasses import replace
@@ -34,7 +35,6 @@ from .metrics import coverage_report, degree_centrality, evaluate_robustness
 # add_sensor stays importable from here: bench/tracing.py patches gstbn.cli.add_sensor
 from .network import TemporalGstbn, add_sensor, build_temporal_gstbn  # noqa: F401
 from .placement import SearchDomain, place_sequential
-from .synth import generate_scenario, scenario_spec_from_dict
 
 __all__ = ["main"]
 
@@ -256,6 +256,8 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> None:
+    from .synth import generate_scenario, scenario_spec_from_dict  # only synth loads it
+
     text = read_utf8(args.spec)
     try:
         doc = json.loads(text)
@@ -275,6 +277,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # The process entry: no full collection, nor interpreter exit, walks
+        # the import heap again. A caller passing argv keeps its collector.
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

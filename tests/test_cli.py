@@ -519,7 +519,40 @@ class TestGeojsonFiles:
         self.check(tmp_path, "run-gstbn", result.network)
 
 
+class TestFreshProcess:
+    """`python -m gstbn.cli` enters through main() with no argv, which
+    freezes the import heap; the files it writes are main(argv)'s."""
+
+    @pytest.mark.parametrize("command", [
+        ["build", "--out", "{out}"],
+        ["score", "--out", "{out}/report.json"],
+        ["score", "--strict-observations", "--out", "{out}/report.json"],
+        ["robustness", "--remove", "1", "--out", "{out}/report.json"],  # of its 2 sensors
+        ["optimize", "--trials", "20", "--trace", "{out}/trace.csv", "--out", "{out}/report.json"],
+    ])
+    def test_writes_what_main_writes(self, command, scenario_dir, tmp_path):
+        def argv(out):
+            return [command[0], *network_args(scenario_dir),
+                    *(a.format(out=out) for a in command[1:])]
+
+        fresh, in_process = tmp_path / "fresh", tmp_path / "in-process"
+        proc = run_fresh(argv(fresh))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert main(argv(in_process)) == 0
+        assert read_all(fresh) == read_all(in_process)
+
+
 class TestSynthCommand:
+    def test_fresh_process_writes_the_scenario(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(scenario_spec_to_dict(cli_spec())))
+        proc = run_fresh(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "fresh")])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "in-process")]) == 0
+        written = read_all(tmp_path / "fresh")
+        assert {"sensors.csv", "manifest.json"} <= written.keys()
+        assert written == read_all(tmp_path / "in-process")
+
     def test_generates_buildable_scenario(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(scenario_spec_to_dict(cli_spec())))

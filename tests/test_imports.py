@@ -30,6 +30,18 @@ def run_python(code, **env):
     return proc.stdout.strip()
 
 
+@pytest.mark.parametrize("module", ["gstbn", "gstbn.cli"])
+def test_import_leaves_the_scenario_generator_unloaded(module):
+    # only `gstbn synth` runs it, and every other command would pay its import
+    assert run_python(f"import sys, {module}; print('gstbn.synth' in sys.modules)") == "False"
+
+
+def test_star_import_binds_every_public_name():
+    names = {}
+    exec("from gstbn import *", names)
+    assert set(gstbn.__all__) <= names.keys()
+
+
 def test_import_loads_neither_scipy_nor_a_process_pool():
     # every CLI call pays the import, and scipy alone used to add about 0.4 s
     code = (
@@ -56,17 +68,33 @@ def test_a_process_that_loaded_numpy_first_is_left_alone():
     assert run_python(code) == "None"
 
 
-@needs_proc_tasks
-def test_a_command_runs_on_one_thread(small_scenario, tmp_path):
-    files = generate_scenario(small_scenario, tmp_path / "in")
-    argv = [
+def score_argv(scenario, tmp_path):
+    files = generate_scenario(scenario, tmp_path / "in")
+    return [
         "score",
         "--sensors", str(files.catalog_path),
         "--grids", *map(str, files.grid_paths),
         "--out", str(tmp_path / "report.json"),
     ]
+
+
+@needs_proc_tasks
+def test_a_command_runs_on_one_thread(small_scenario, tmp_path):
+    argv = score_argv(small_scenario, tmp_path)
     code = f"import gstbn.cli; code = gstbn.cli.main({argv!r}); print(code, {TASKS})"
     assert run_python(code) == "0 1"
+    assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("call, frozen", [
+    # `python -m gstbn.cli` and the `gstbn` script call main() with no argv
+    ("sys.argv = ['gstbn', *{argv!r}]; code = gstbn.cli.main()", True),
+    ("code = gstbn.cli.main({argv!r})", False),
+], ids=["entry", "argv"])
+def test_only_the_process_entry_freezes_the_import_heap(call, frozen, small_scenario, tmp_path):
+    argv = score_argv(small_scenario, tmp_path)
+    code = f"import gc, sys, gstbn.cli; {call.format(argv=argv)}; print(code, gc.get_freeze_count() > 0)"
+    assert run_python(code) == f"0 {frozen}"
     assert (tmp_path / "report.json").exists()
 
 
@@ -87,7 +115,8 @@ def bench_scenario(monkeypatch):
     ["optimize", "--trials", "20", "--trace", "trace.csv"],
 ])
 def test_a_command_leaves_numpy_ma_unimported(command, bench_scenario, tmp_path):
-    # numpy 2.x imports numpy.ma on the first hash-based np.unique, about 11 ms a run
+    # numpy 2.x imports numpy.ma on the first hash-based np.unique, about 11 ms a
+    # run, and the scenario generator is only for `gstbn synth`
     files = bench_scenario.generate(bench_scenario.load_spec("tiny"), 1, tmp_path / "in")
     argv = [
         *command,
@@ -98,6 +127,7 @@ def test_a_command_leaves_numpy_ma_unimported(command, bench_scenario, tmp_path)
     code = (
         "import os, sys, gstbn.cli; "
         f"os.chdir({str(tmp_path)!r}); "
-        f"code = gstbn.cli.main({argv!r}); print(code, 'numpy.ma' in sys.modules)"
+        f"code = gstbn.cli.main({argv!r}); "
+        "print(code, [m for m in ('numpy.ma', 'gstbn.synth') if m in sys.modules])"
     )
-    assert run_python(code) == "0 False"
+    assert run_python(code) == "0 []"
