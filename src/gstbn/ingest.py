@@ -16,16 +16,13 @@ Grid snapshot (text, one variable at one timestamp)::
     <n_lon space-separated values> x n_lat rows, NaN marks missing
 
 Floats are written with repr so parse(format(x)) reproduces x exactly.
-A body laid out as `format_grid_snapshot` writes it, each value NaN or a
-plain decimal (an optional minus, digits and at most one dot), is read
-from the file's bytes in bulk, exactly: each value is its digits over a
-power of ten, divided once in x87 extended precision, and the rare
-quotient that lies halfway between two doubles goes through `float` (see
-`_parse_body`). Any other body, and any body on another platform, is read
-by `np.loadtxt`; one that loadtxt rejects goes to a token loop, which
-reports the first bad row and column. `parse_grid_series` runs the bulk
-reader on a helper thread too when two CPUs are usable; the loadtxt and
-token-loop readers run on the calling thread only.
+A grid body has two readers. The bulk reader (`_parse_body`) reads a body
+laid out as `format_grid_snapshot` writes it straight from the file's
+bytes, exactly, exponents included. Any other body, and every body where
+longdouble is not x87 extended, goes to the reference token loop
+(`_parse_rows`), which gives the same values or reports the first bad row
+and column. One function, `_grid_file`, reads a file on whichever thread
+`parse_grid_series` gives it.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ import json
 import math
 import os
 import threading
-import warnings
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -250,15 +246,14 @@ def _parse_kv(token: str, key: str, path, line: int) -> str:
 def parse_grid_snapshot(path, digests: dict[str, str] | None = None) -> FieldSnapshot:
     """Read one grid snapshot file. `digests` as in :func:`read_utf8`."""
     path = Path(path)
-    data = _read(path, digests)
-    return _grid_snapshot(path, data, _grid_head(path, data))
+    return FieldSnapshot(*_grid_file(path, _read(path, digests)))
 
 
-def _grid_head(path: Path, data: bytes) -> tuple:
-    """The grid file's header and, when its body is in the bulk grammar, its
-    values: (timestamp, variable, grid, values or None, lines), where lines
-    are the file's lines when it is not ASCII and None otherwise. This part
-    is safe to run off the calling thread."""
+def _grid_file(path: Path, data: bytes) -> tuple:
+    """The grid file `data` as (timestamp, variable, grid, values), the
+    arguments of its `FieldSnapshot`; ParseError for the first fault. The
+    body goes to the bulk reader, and to the token loop when that declines
+    it. Safe to run on any thread."""
     head = _ascii_header(data)
     lines = _decode(path, data).splitlines() if head is None else head[0]
     if not lines or lines[0] != _GRID_MAGIC:
@@ -299,29 +294,17 @@ def _grid_head(path: Path, data: bytes) -> tuple:
         )
     except ValueError as exc:
         raise ParseError(path, 3, str(exc)) from None
-    if head is None:
-        return timestamp, variable, grid, None, lines
-    return timestamp, variable, grid, _parse_body(data, head[1], grid.shape), None
-
-
-def _grid_snapshot(path: Path, data: bytes, head: tuple) -> FieldSnapshot:
-    """The snapshot of the file `data`, given its `_grid_head`. A body the
-    bulk reader left is read here, by loadtxt or else the token loop, which
-    must stay on the calling thread: `_parse_rows_fast` swaps the
-    process-wide warning filters, and that is not thread-safe."""
-    timestamp, variable, grid, values, lines = head
+    values = None if head is None else _parse_body(data, head[1], grid.shape)
     if values is None:
-        if lines is None:
+        if head is not None:
             lines = data.decode("ascii").splitlines()
         body = lines[3:]
         if len(body) != grid.n_lat:
             raise ParseError(
                 path, len(lines), f"expected {grid.n_lat} data rows, found {len(body)}"
             )
-        values = _parse_rows_fast(body, grid.shape)
-        if values is None:
-            values = _parse_rows(body, grid.n_lon, path)
-    return FieldSnapshot(timestamp=timestamp, variable=variable, grid=grid, values=values)
+        values = _parse_rows(body, grid.n_lon, path)
+    return timestamp, variable, grid, values
 
 
 def _ascii_header(data: bytes) -> tuple[list[str], int] | None:
@@ -350,10 +333,11 @@ def _ascii_header(data: bytes) -> tuple[list[str], int] | None:
 # the quotient is rounded once, to 64 bits (Clinger, PLDI 1990). Rounding it
 # again to binary64 gives float(token) unless the extended quotient lies
 # exactly halfway between two doubles; such tokens (1 in 2,000 random
-# ones) and the longer ones go through float() one by one. A body outside
-# this grammar, one where float() overflows a long token to inf, or a
-# longdouble of another format, is left to the loadtxt and token-loop
-# readers, which also report every error.
+# ones) and the longer ones go through float() one by one. So does a
+# token that holds an 'e', 'E' or '+', or a '-' past its first byte, as
+# repr writes values below 1e-4 and from 1e16. A body outside this
+# grammar, one where float() rejects a token or gives inf, or a longdouble
+# of another format, is left to the token loop, which reports every error.
 
 # x87 extended precision: a 64-bit significand in the low 8 of 16 bytes
 _EXTENDED = (
@@ -374,6 +358,7 @@ _KEEP = np.array(
     [[0x0F * (col >= j) for col in range(_WIDTH)] for j in range(_WIDTH + 1)], dtype=np.uint8
 ).view(np.uint64)
 _WINDOW = np.dtype((np.void, _WIDTH))
+_FLOAT_MARKS = np.array([ord(c) for c in "eE+-"], dtype=np.uint8)
 
 
 def _parse_body(data: bytes, start: int, shape: tuple[int, int]) -> np.ndarray | None:
@@ -424,19 +409,30 @@ def _parse_tokens(data: bytes, start: int, end: int, done: int, n_lon: int):
     dotted = np.searchsorted(sep, dot)
     has_dot = np.zeros(len(sep), dtype=bool)
     has_dot[dotted] = True
-    # a token holds at most one dot and a digit unless it is NaN, and the
-    # digits, separators, dots, leading minus signs and NaNs (disjoint sets
-    # of bytes) add up to every byte
+    # a token holds at most one dot and a digit unless it is NaN
     if not (
         np.count_nonzero(has_dot) == len(dot)
         and ((length - has_dot - neg > 0) | nan).all()
         and (chunk[nan_at + 1] == ord("a")).all() and (chunk[nan_at + 2] == ord("N")).all()
-        and np.count_nonzero(chunk - np.uint8(ord("0")) < 10)
-        + len(sep) + len(dot) + np.count_nonzero(neg) + 3 * len(nan_at) == len(chunk)
     ):
         return None
-    # the values of NaNs and of tokens over _MAX_BYTES come out wrong and are replaced
-    exact = length - neg <= _MAX_BYTES
+    # the values of NaNs, of tokens over _MAX_BYTES and of float() tokens
+    # come out wrong and are replaced
+    inexact = length - neg > _MAX_BYTES
+    # when the digits, separators, dots, leading minus signs and NaNs
+    # (disjoint sets of bytes) miss a byte, that byte must be an 'e', 'E',
+    # '+' or a '-' past its token's first byte, and float() reads the token
+    n_digits = np.count_nonzero(chunk - np.uint8(ord("0")) < 10)
+    if n_digits + len(sep) + len(dot) + np.count_nonzero(neg) + 3 * len(nan_at) != len(chunk):
+        odd = (chunk > ord(" ")) & (chunk != ord(".")) & (chunk - np.uint8(ord("0")) >= 10)
+        odd[first[neg]] = False
+        at = np.flatnonzero(odd)
+        token = np.searchsorted(sep, at)
+        by_float = np.zeros(len(sep), dtype=bool)
+        by_float[token[np.isin(chunk[at], _FLOAT_MARKS)]] = True
+        if not (by_float | nan)[token].all():
+            return None
+        inexact |= by_float
     scale = np.full(len(sep), _MAX_BYTES)
     scale[dotted] = np.minimum(sep[dotted] - dot - 1, _MAX_BYTES)
     # each token's window is the _WIDTH bytes before its separator, as three
@@ -453,13 +449,15 @@ def _parse_tokens(data: bytes, start: int, end: int, done: int, n_lon: int):
     # its 64 significand bits: 0x400 in the 11 it drops is a tie
     halfway = quotient.view(np.uint64)[::2] & np.uint64(0x7FF) == np.uint64(0x400)
     np.negative(values, out=values, where=neg)
-    for k in np.flatnonzero(~exact | halfway).tolist():
-        value = float(data[start + first[k]:start + sep[k]])
-        if math.isinf(value):  # only a long token overflows; the token loop reports it
-            return None
-        values[k] = value
+    redo = np.flatnonzero(inexact | halfway)
+    bounds = zip((start + first[redo]).tolist(), (start + sep[redo]).tolist())
+    try:
+        values[redo] = [float(data[a:b]) for a, b in bounds]
+    except ValueError:  # a bad float() token; the token loop reports it
+        return None
     values[nan] = np.nan
-    return values
+    # only float() gives inf, for an overflow; the token loop reports it
+    return None if np.isinf(values).any() else values
 
 
 def _eight_digits(words: np.ndarray) -> np.ndarray:
@@ -486,29 +484,6 @@ def _mantissa(groups: np.ndarray, scale: np.ndarray) -> np.ndarray:
     n = with_dot - _DOT_VALUE.take(scale)
     fraction = n % _MOD.take(scale)
     return (n - fraction) // np.uint64(10) + fraction
-
-
-def _parse_rows_fast(body: list[str], shape: tuple[int, int]) -> np.ndarray | None:
-    """The body's values in one `np.loadtxt` call, or None when loadtxt
-    rejects it or its result is not a finite-or-NaN array of `shape`.
-
-    loadtxt splits on the same whitespace as `str.split` and converts each
-    field with the same correctly rounded decimal-to-double routine as
-    `float`, so an accepted body holds exactly the values `_parse_rows`
-    would return. loadtxt rejects what `float` alone takes (`1_0`,
-    non-ASCII digits) and skips blank lines; those bodies, and every
-    malformed one, go to `_parse_rows`, which decides and reports.
-    """
-    with warnings.catch_warnings():
-        # a warning (such as "input contained no data") also means: rescan
-        warnings.simplefilter("error")
-        try:
-            values = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
-        except (ValueError, Warning):
-            return None
-    if values.shape != shape or np.isinf(values).any():
-        return None
-    return values
 
 
 def _parse_rows(body: list[str], n_lon: int, path) -> np.ndarray:
@@ -561,30 +536,24 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _read_grid(p, hashed: bool) -> tuple[str | None, object]:
-    """The part of reading grid file `p` that may run off the calling
-    thread: (the sha256 of its bytes if `hashed` and they were read, then
-    the error raised or the arguments of `_grid_snapshot`). The bytes are
-    kept only when the body is left to `_grid_snapshot`."""
-    digest = None
+def _read_grid(p, hashed: bool) -> tuple[dict[str, str] | None, object]:
+    """Grid file `p`, read on any thread: (if `hashed`, its `digests` entry
+    as `_read` sets it, then the error raised or its `_grid_file` tuple)."""
+    digests = {} if hashed else None
     try:
         path = Path(p)
-        data = _read(path, None)
-        if hashed:
-            digest = hashlib.sha256(data).hexdigest()
-        head = _grid_head(path, data)
-        return digest, (path, data if head[3] is None else b"", head)
+        return digests, _grid_file(path, _read(path, digests))
     except Exception as exc:  # raised again by the caller, in path order
-        return digest, exc
+        return digests, exc
 
 
 class _GridReads:
     """`_read_grid` on each of `paths`, shared by the calling thread and any
     helper threads. Files are taken in path order, only among the `window`
-    files from the one the caller waits for or works on, so that a slow
-    fallback body on the caller does not let a helper pile up file bytes,
-    and none after a file whose read failed. Each result is held until the
-    caller takes it."""
+    files from the one the caller waits for or works on, so that a helper
+    does not pile up parsed grids while the caller is slow, and none after
+    a file whose read failed. Each result is held until the caller takes
+    it."""
 
     def __init__(self, paths: list, hashed: bool, window: int):
         self._paths = paths
@@ -647,10 +616,11 @@ def parse_grid_series(paths: Iterable, digests=None) -> dict[ObservationKind, li
     `digests` as in :func:`read_utf8`.
 
     When the process may use two CPUs or more and there are two files or
-    more, one helper thread reads files (bytes, digest, header and a bulk
-    body) beside the calling thread. Results are taken in path order, so
-    the snapshots, the order of `digests` and the error raised (the first
-    in path order) are those of reading the files one by one.
+    more, one helper thread reads files (bytes, digest, header and body)
+    beside the calling thread. Results are taken in path order, so the
+    snapshots, the order of `digests` and the error raised (the first in
+    path order) are those of reading the files one by one. The calling
+    thread builds each `FieldSnapshot` from its file's result.
     """
     paths = list(paths)
     n_helpers = 1 if min(_usable_cpus(), len(paths)) > 1 else 0
@@ -665,12 +635,12 @@ def parse_grid_series(paths: Iterable, digests=None) -> dict[ObservationKind, li
         helper.start()
     try:
         for i, p in enumerate(paths):
-            digest, read = reads.result(i)
-            if digest is not None:
-                digests[str(Path(p))] = digest
+            hashed, read = reads.result(i)
+            if hashed:
+                digests.update(hashed)
             if isinstance(read, Exception):
                 raise read
-            snap = _grid_snapshot(*read)
+            snap = FieldSnapshot(*read)
             key = (snap.variable, snap.timestamp)
             if key in sources:
                 raise ParseError(

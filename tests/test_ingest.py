@@ -351,7 +351,7 @@ HALFWAY_TOKENS = ("9007199254740993", "-9007199254740995", "9007199254740993.0",
                   "43.647423898929123")
 EXPONENT_TOKENS = ("2.5E+3", "1e-05", "1e-320", "5e-324", "-1.5e+16")
 NAN_TOKENS = ("nan", "-nan", "+NaN", "-NaN")
-FLOAT_ONLY_TOKENS = ("1_0", "\u0661\u0662", "+1")  # float() takes them, np.loadtxt does not
+FLOAT_ONLY_TOKENS = ("1_0", "\u0661\u0662", "+1")  # float() takes them, plain decimals do not
 BAD_TOKENS = ("inf", "-Infinity", "1e500", "9" * 400, "-" + "9" * 309 + ".5", "#", "1#2", "abc",
               "0x1", "1,5", "\x00", "-", ".", "-.", "--1", "1-", "1.2.3", "NaNa", "NaN5", "N",
               "aNN", "NNN", "Naa")
@@ -384,28 +384,35 @@ def long_decimals(draw):
 
 @st.composite
 def bulk_tokens(draw):
-    """A token the bulk reader takes: the repr of a double written without
-    an exponent, a long decimal, a midpoint, NaN or another plain decimal."""
+    """A token the bulk reader takes: the repr of a double (with an exponent
+    below 1e-4 and from 1e16, maybe spelled with 'E' or a leading '+'), a
+    long decimal, a midpoint, NaN or another plain decimal."""
     pick = draw(st.integers(0, 3))
     if pick == 0:
-        size = draw(st.one_of(st.just(0.0), st.floats(1e-4, 1e16, exclude_max=True)))
-        return repr(draw(st.sampled_from((1.0, -1.0))) * size)
+        size = draw(st.one_of(
+            st.just(0.0),
+            st.floats(1e-4, 1e16, exclude_max=True),
+            st.floats(0.0, 1e-4, exclude_min=True, exclude_max=True),
+            st.floats(1e16, allow_infinity=False),
+        ))
+        text = repr(size)
+        return draw(st.sampled_from(("", "-", "+"))) + draw(st.sampled_from((text, text.upper())))
     if pick == 1:
         return draw(long_decimals())
     return draw(st.sampled_from(FINITE_TOKENS + HALFWAY_TOKENS + ("NaN",)))
 
 
 @st.composite
-def grid_bodies(draw):
+def grid_bodies(draw, max_defects=2):
     """(n_lat, n_lon, body text): rows laid out as format_grid_snapshot
-    writes them, of tokens the bulk reader takes, with up to two defects:
+    writes them, of tokens the bulk reader takes, with up to `max_defects`:
     any double's repr or an odd token, an odd separator, a short, long,
     blank or early-broken row, or another ending."""
     n_lat = draw(st.integers(1, 4))
     n_lon = draw(st.integers(1, 4))
     rows = [[draw(bulk_tokens()) for _ in range(n_lon)] for _ in range(n_lat)]
     ending, odd_separators = "\n", []
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, max_defects))):
         i = draw(st.integers(0, len(rows) - 1))
         row = rows[i]
         defect = draw(st.sampled_from(
@@ -435,6 +442,10 @@ def grid_bodies(draw):
             m = at[k % len(at)]
             text = text[:m] + odd + text[m + 1:]
     return n_lat, n_lon, text
+
+
+def no_token_loop(*args):
+    raise AssertionError("the token loop ran on a body in the bulk grammar")
 
 
 def valid_grid_bytes():
@@ -473,6 +484,17 @@ class TestParserFuzz:
     def test_grid_body_matches_reference_loop(self, tmp_path_factory, case, chunk):
         assert_body_matches_reference(tmp_path_factory.getbasetemp(), *case, chunk)
 
+    # a chunk of 40 bytes holds a whole token of bulk_tokens, so the body stays in bulk
+    @settings(max_examples=300, deadline=None)
+    @given(case=grid_bodies(max_defects=0), chunk=st.sampled_from((1 << 18, 40)),
+           extended=st.booleans())
+    def test_bulk_bodies_never_need_the_token_loop(self, tmp_path_factory, case, chunk, extended):
+        # without x87 long double every body goes to the token loop instead
+        loop = gstbn.ingest._parse_rows if not extended else no_token_loop
+        with mock.patch.object(gstbn.ingest, "_EXTENDED", extended), \
+                mock.patch.object(gstbn.ingest, "_parse_rows", loop):
+            assert_body_matches_reference(tmp_path_factory.getbasetemp(), *case, chunk)
+
     @pytest.mark.parametrize("chunk", [1 << 18, 7])
     @pytest.mark.parametrize("body", ODD_BODIES)
     def test_each_odd_body_matches_reference_loop(self, tmp_path, body, chunk):
@@ -480,7 +502,7 @@ class TestParserFuzz:
 
     @pytest.mark.parametrize("body", ODD_BODIES)
     def test_each_odd_body_matches_reference_loop_without_x87(self, tmp_path, monkeypatch, body):
-        # the chain every platform without x87 long double takes: loadtxt, then the token loop
+        # the path every platform without x87 long double takes: the token loop
         monkeypatch.setattr(gstbn.ingest, "_EXTENDED", False)
         assert_body_matches_reference(tmp_path, 2, 2, body, 1 << 18)
 
@@ -517,11 +539,7 @@ class TestParserFuzz:
     # 150 x 120 is over 300 KB, so the bulk reader takes it in two chunks
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 5), (150, 120)])
     def test_written_grids_never_need_the_token_loop(self, tmp_path, monkeypatch, shape):
-        def no_fallback(*args):
-            raise AssertionError("a fallback reader ran on a well-formed grid")
-
-        monkeypatch.setattr(gstbn.ingest, "_parse_rows", no_fallback)
-        monkeypatch.setattr(gstbn.ingest, "_parse_rows_fast", no_fallback)
+        monkeypatch.setattr(gstbn.ingest, "_parse_rows", no_token_loop)
         snap = self.written_grid(shape)
         path = tmp_path / "fast.grid"
         write_grid_snapshot(snap, path)
@@ -539,11 +557,11 @@ class TestParserFuzz:
 
     @staticmethod
     def written_grid(shape):
-        """Values with negatives, -0.0 and NaN, all written without an
-        exponent (repr uses one below 1e-4 and from 1e16)."""
+        """Values with negatives, -0.0 and NaN, a fifth of them scaled to
+        where repr writes an exponent (below 1e-4 and from 1e16)."""
         rng = np.random.default_rng(sum(shape))
         values = rng.normal(0.0, 50.0, shape)
-        values[abs(values) < 1e-4] = 1e-4
+        values *= rng.choice([1.0, 1e-8, 1e16], shape, p=[0.8, 0.1, 0.1])
         values[rng.random(shape) < 0.3] = np.nan
         values.flat[0] = -0.0
         return FieldSnapshot(
@@ -692,7 +710,9 @@ class TestParseGridSeriesThreads:
             assert_same_outcome(parse_on(cpus, paths), want)
 
     @pytest.mark.parametrize("land", [False, True], ids=["plain", "nan-block"])
-    def test_bench_tiny_spec_parses_alike_on_one_and_two_cpus(self, tmp_path, land):
+    def test_bench_tiny_spec_parses_alike_on_one_and_two_cpus(self, tmp_path, monkeypatch, land):
+        # and every file the bench writes stays in the bulk reader
+        monkeypatch.setattr(gstbn.ingest, "_parse_rows", no_token_loop)
         scenario = load_bench_scenario()
         spec = scenario.load_spec("tiny")
         if not land:
@@ -742,22 +762,22 @@ class TestParseGridSeriesThreads:
             sys.setswitchinterval(interval)
 
     def test_the_helper_reads_at_most_one_file_past_the_caller(self, tmp_path, monkeypatch):
-        # an exponent sends each body to loadtxt on the caller, which is slow here
+        # the caller is slow with each file it takes, so a helper could run ahead
         paths = [
-            write_grid_text(tmp_path / f"{t}.grid", ObservationKind.TEMPERATURE, t, 2, 2,
-                            "1.5 1e-05\n3.5 NaN\n")
+            write_grid_text(tmp_path / f"{t}.grid", ObservationKind.TEMPERATURE, t, 2, 2, GOOD_BODY)
             for t in range(6)
         ]
         want = serial_outcome(paths)
         threads, _ = spy_reads(monkeypatch)
         ahead = []
 
-        def slow_snapshot(path, *args, real=gstbn.ingest._grid_snapshot):
+        def slow_result(reads, i, real=gstbn.ingest._GridReads.result):
+            got = real(reads, i)
             time.sleep(0.05)
-            ahead.append(len(threads) - paths.index(path) - 1)
-            return real(path, *args)
+            ahead.append(len(threads) - i - 1)
+            return got
 
-        monkeypatch.setattr(gstbn.ingest, "_grid_snapshot", slow_snapshot)
+        monkeypatch.setattr(gstbn.ingest._GridReads, "result", slow_result)
         assert_same_outcome(parse_on(2, paths), want)
         assert len(ahead) == len(paths) and max(ahead) <= 1
 
@@ -772,7 +792,7 @@ class TestParseGridSeriesThreads:
         bad = write("z.grid", 30)
         bad.write_bytes(bad.read_bytes().replace(b"GSTBN", b"GSTBM"))
         tail = [bad, write("x.grid", 40), write("y.grid", 50)]
-        if case == "two-bad-files":  # the token loop finds b's error, on the caller
+        if case == "two-bad-files":  # the token loop finds b's error as b is read
             paths = [write("b.grid", 10, "1.5 abc\n3.0 NaN\n"), *tail]
         elif case == "duplicate-then-corrupt":
             paths = [write("a.grid", 0), write("b.grid", 0), *tail]
@@ -783,10 +803,10 @@ class TestParseGridSeriesThreads:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("case, message, step", [
-        ("two-bad-files", "b.grid:4: bad value 'abc' in column 2", "_grid_snapshot"),
+        ("two-bad-files", "b.grid:4: bad value 'abc' in column 2", "read"),
         ("duplicate-then-corrupt", "b.grid: duplicate snapshot for salinity at t=0 (first seen in",
-         "_grid_snapshot"),
-        ("directory", "b.grid: cannot read file: [Errno 21] Is a directory", "_read_grid"),
+         "caller"),
+        ("directory", "b.grid: cannot read file: [Errno 21] Is a directory", "read"),
     ], ids=["two-bad-files", "duplicate-then-corrupt", "directory"])
     def test_first_error_in_path_order_is_raised(
         self, tmp_path, monkeypatch, case, message, step, cpus
@@ -806,19 +826,21 @@ class TestParseGridSeriesThreads:
 
         def spy_read(p, hashed):
             read.append(p)
-            if step == "_read_grid":
+            if step == "read":
                 hold(p)
             result = read_grid(p, hashed)
             if p == later_bad:
                 later_failed.set()
             return result
 
-        def spy_snapshot(path, *args, real=gstbn.ingest._grid_snapshot):
-            hold(path)
-            return real(path, *args)
+        def spy_result(reads, i, real=gstbn.ingest._GridReads.result):
+            got = real(reads, i)  # the caller's step after it takes file i's result
+            if step == "caller":
+                hold(paths[i])
+            return got
 
         monkeypatch.setattr(gstbn.ingest, "_read_grid", spy_read)
-        monkeypatch.setattr(gstbn.ingest, "_grid_snapshot", spy_snapshot)
+        monkeypatch.setattr(gstbn.ingest._GridReads, "result", spy_result)
         assert_same_outcome(parse_on(cpus, paths), want)
         assert not late
         assert later_failed.is_set() == (cpus == 2)
@@ -826,29 +848,28 @@ class TestParseGridSeriesThreads:
         assert set(read) <= set(paths[:paths.index(later_bad) + 1])
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_fallback_readers_run_on_the_calling_thread(self, tmp_path, monkeypatch, cpus):
-        # a CRLF body and an exponent go to loadtxt; 1_0 goes on to the token loop
-        bodies = ["1.5 2.5\r\n3.5 NaN\r\n", "1.5 1e-05\n3.5 NaN\n", "1_0 2.5\n3.5 NaN\n", GOOD_BODY]
+    def test_token_loop_bodies_parse_alike_on_one_and_two_cpus(self, tmp_path, monkeypatch, cpus):
+        # a CRLF body and 1_0 go to the token loop; an exponent stays in the bulk reader
+        bodies = ["1.5 2.5\r\n3.5 NaN\r\n", "1_0 2.5\n3.5 NaN\n", "1.5 1e-05\n3.5 NaN\n", GOOD_BODY]
         paths = [
             write_grid_text(tmp_path / f"{t}.grid", ObservationKind.TEMPERATURE, t, 2, 2, body)
             for t, body in enumerate(bodies)
         ]
         want = serial_outcome(paths)
-        # files 0 and 1 are read at once on two CPUs, so a helper reads one of them
+        # files 0 and 1 are read at once on two CPUs, each by its own thread
         _, alone = spy_reads(monkeypatch, paths[:2] if cpus == 2 else ())
-        seen = {"_parse_rows_fast": [], "_parse_rows": []}
-        for name, threads in seen.items():
-            def spy(*args, real=getattr(gstbn.ingest, name), threads=threads):
-                threads.append(threading.current_thread())
-                return real(*args)
+        looped = []
 
-            monkeypatch.setattr(gstbn.ingest, name, spy)
+        def spy(*args, real=gstbn.ingest._parse_rows):
+            looped.append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(gstbn.ingest, "_parse_rows", spy)
         filters = list(warnings.filters)
         assert_same_outcome(parse_on(cpus, paths), want)
         assert list(warnings.filters) == filters
         assert not alone
-        assert len(seen["_parse_rows_fast"]) == 3 and len(seen["_parse_rows"]) == 1
-        assert set(seen["_parse_rows_fast"] + seen["_parse_rows"]) == {threading.current_thread()}
+        assert len(looped) == 2 and len(set(looped)) == cpus
 
 
 class TestExportGeojson:
