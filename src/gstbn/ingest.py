@@ -21,8 +21,9 @@ laid out as `format_grid_snapshot` writes it straight from the file's
 bytes, exactly, exponents included. Any other body, and every body where
 longdouble is not x87 extended, goes to the reference token loop
 (`_parse_rows`), which gives the same values or reports the first bad row
-and column. One function, `_grid_file`, reads a file on whichever thread
-`parse_grid_series` gives it.
+and column. One function, `_grid_file`, reads a file on either thread:
+`parse_grid_series` reads files in pairs, the first of each on the calling
+thread and, with two usable CPUs or more, the second on one helper thread.
 """
 
 from __future__ import annotations
@@ -547,100 +548,49 @@ def _read_grid(p, hashed: bool) -> tuple[dict[str, str] | None, object]:
         return digests, exc
 
 
-class _GridReads:
-    """`_read_grid` on each of `paths`, shared by the calling thread and any
-    helper threads. Files are taken in path order, only among the `window`
-    files from the one the caller waits for or works on, so that a helper
-    does not pile up parsed grids while the caller is slow, and none after
-    a file whose read failed. Each result is held until the caller takes
-    it."""
-
-    def __init__(self, paths: list, hashed: bool, window: int):
-        self._paths = paths
-        self._hashed = hashed
-        self._window = window
-        self._done: dict[int, tuple] = {}
-        self._next = 0  # the next file to take
-        self._end = len(paths)  # no file from here on is taken
-        self._wanted = 0  # the file the caller waits for or works on
-        self._cond = threading.Condition()
-
-    def _may_take(self) -> bool:
-        """Whether the next file may be taken now; the lock is held."""
-        return self._next < min(self._end, self._wanted + self._window)
-
-    def _run(self, i: int) -> None:
-        result = _read_grid(self._paths[i], self._hashed)
-        with self._cond:
-            if isinstance(result[1], Exception):
-                self._end = min(self._end, i + 1)
-            self._done[i] = result
-            self._cond.notify_all()
-
-    def help(self) -> None:
-        """A helper thread's loop: read files until none is left to take."""
-        while True:
-            with self._cond:
-                self._cond.wait_for(lambda: self._next >= self._end or self._may_take())
-                if self._next >= self._end:
-                    return
-                i = self._next
-                self._next += 1
-            self._run(i)
-
-    def result(self, i: int) -> tuple[str | None, object]:
-        """File i's result, for i = 0, 1, ... in turn. While a helper reads
-        file i, the caller reads a later file itself."""
-        with self._cond:
-            self._wanted = i
-            self._cond.notify_all()
-        while True:
-            with self._cond:
-                if i not in self._done and not self._may_take():
-                    self._cond.wait_for(lambda: i in self._done)  # a helper has file i
-                if i in self._done:
-                    return self._done.pop(i)
-                j = self._next
-                self._next += 1
-            self._run(j)
-
-    def stop(self) -> None:
-        """Take no new file."""
-        with self._cond:
-            self._end = 0
-            self._cond.notify_all()
-
-
 def parse_grid_series(paths: Iterable, digests=None) -> dict[ObservationKind, list[FieldSnapshot]]:
     """Read many grid files into per-variable, time-ordered series.
     `digests` as in :func:`read_utf8`.
 
-    When the process may use two CPUs or more and there are two files or
-    more, one helper thread reads files (bytes, digest, header and body)
-    beside the calling thread. Results are taken in path order, so the
-    snapshots, the order of `digests` and the error raised (the first in
-    path order) are those of reading the files one by one. The calling
-    thread builds each `FieldSnapshot` from its file's result.
+    Files 2k and 2k+1 form a pair. When the process may use two CPUs or
+    more, one helper thread reads file 2k+1 (bytes, digest, header and
+    body) while the calling thread reads file 2k and builds its
+    `FieldSnapshot`; the caller then joins the helper and takes file 2k+1's
+    result. The next pair starts only then. With one usable CPU, and for
+    the last file of an odd series, the caller reads the file itself.
+
+    No thread is more than one file ahead, no file is started after a
+    failed read, and results are taken in path order, so the snapshots,
+    the order of `digests` and the error raised (the first in path order)
+    are those of reading the files one by one. No thread outlives the call.
     """
     paths = list(paths)
-    n_helpers = 1 if min(_usable_cpus(), len(paths)) > 1 else 0
-    reads = _GridReads(paths, digests is not None, window=1 + n_helpers)
-    helpers = [
-        threading.Thread(target=reads.help, name="gstbn-grid-reader", daemon=True)
-        for _ in range(n_helpers)
-    ]
+    hashed = digests is not None
+    paired = _usable_cpus() > 1
     series: dict[ObservationKind, list[FieldSnapshot]] = {}
     sources: dict[tuple[ObservationKind, int], Path] = {}
-    for helper in helpers:
-        helper.start()
+    helper, ahead = None, []
     try:
         for i, p in enumerate(paths):
-            hashed, read = reads.result(i)
-            if hashed:
-                digests.update(hashed)
+            if helper is not None:  # file i, the second of its pair, was read on the helper
+                helper.join()
+                helper = None
+                hashes, read = ahead.pop()
+            else:
+                if paired and i + 1 < len(paths):
+                    helper = threading.Thread(
+                        target=lambda q=paths[i + 1]: ahead.append(_read_grid(q, hashed)),
+                        name="gstbn-grid-reader",
+                        daemon=True,
+                    )
+                    helper.start()
+                hashes, read = _read_grid(p, hashed)
+            if hashes:
+                digests.update(hashes)
             if isinstance(read, Exception):
                 raise read
             snap = FieldSnapshot(*read)
+            del read  # the snapshot holds a copy; free the parsed one before the next read
             key = (snap.variable, snap.timestamp)
             if key in sources:
                 raise ParseError(
@@ -654,8 +604,7 @@ def parse_grid_series(paths: Iterable, digests=None) -> dict[ObservationKind, li
                 raise ParseError(p, 3, f"grid differs from other {snap.variable.value} snapshots")
             bucket.append(snap)
     finally:
-        reads.stop()
-        for helper in helpers:
+        if helper is not None:
             helper.join()
     for bucket in series.values():
         bucket.sort(key=lambda s: s.timestamp)

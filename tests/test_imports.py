@@ -116,7 +116,8 @@ def bench_scenario(monkeypatch):
 ])
 def test_a_command_leaves_numpy_ma_unimported(command, bench_scenario, tmp_path):
     # numpy 2.x imports numpy.ma on the first hash-based np.unique, about 11 ms a
-    # run, and the scenario generator is only for `gstbn synth`
+    # run, the scenario generator is only for `gstbn synth`, and the grid reads
+    # run on a plain thread: concurrent.futures would bring logging, about 3 ms
     files = bench_scenario.generate(bench_scenario.load_spec("tiny"), 1, tmp_path / "in")
     argv = [
         *command,
@@ -124,10 +125,11 @@ def test_a_command_leaves_numpy_ma_unimported(command, bench_scenario, tmp_path)
         "--grids", *map(str, files.grids),
         "--out", str(tmp_path / "out" / "report.json"),
     ]
+    unloaded = ("numpy.ma", "gstbn.synth", "concurrent.futures", "logging")
     code = (
         "import os, sys, gstbn.cli; "
         f"os.chdir({str(tmp_path)!r}); "
         f"code = gstbn.cli.main({argv!r}); "
-        "print(code, [m for m in ('numpy.ma', 'gstbn.synth') if m in sys.modules])"
+        f"print(code, [m for m in {unloaded!r} if m in sys.modules])"
     )
     assert run_python(code) == "0 []"

@@ -669,16 +669,21 @@ def assert_same_outcome(got, want):
             assert np.array_equal(a.values.view(np.uint64), b.values.view(np.uint64))
 
 
+def live_helpers():
+    return sum(t.name == "gstbn-grid-reader" and t.is_alive() for t in threading.enumerate())
+
+
 def spy_reads(monkeypatch, together=()):
-    """Record the thread of each `_read_grid`, and make the reads of the
-    paths in `together` (two of them) wait for each other, so that each is
-    read by its own thread. Returns (threads, the reads that waited in vain)."""
+    """Record (path, thread, helper threads alive) as each `_read_grid`
+    starts, and make the reads of the paths in `together` (two of them) wait
+    for each other, so that each is read by its own thread. Returns (the
+    records, the reads that waited in vain)."""
     meet = threading.Barrier(2, timeout=10)
-    threads, alone = [], []
+    reads, alone = [], []
     real = gstbn.ingest._read_grid
 
     def read(p, hashed):
-        threads.append(threading.current_thread())
+        reads.append((p, threading.current_thread(), live_helpers()))
         if p in together:
             try:
                 meet.wait()
@@ -687,7 +692,21 @@ def spy_reads(monkeypatch, together=()):
         return real(p, hashed)
 
     monkeypatch.setattr(gstbn.ingest, "_read_grid", read)
-    return threads, alone
+    return reads, alone
+
+
+def spy_snapshots(monkeypatch, step):
+    """Run `step(i)` as the caller takes file i's result, just before it
+    builds file i's `FieldSnapshot`."""
+    real = gstbn.ingest.FieldSnapshot
+    built = []
+
+    def snapshot(*args):
+        step(len(built))
+        built.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(gstbn.ingest, "FieldSnapshot", snapshot)
 
 
 class TestParseGridSeriesThreads:
@@ -697,7 +716,7 @@ class TestParseGridSeriesThreads:
     @settings(max_examples=150, deadline=None)
     @given(files=st.lists(
         st.tuples(grid_bodies(), st.sampled_from(list(ObservationKind)), st.integers(0, 2)),
-        min_size=3, max_size=5,
+        min_size=1, max_size=5,
     ))
     def test_random_bodies_parse_alike_on_one_and_two_cpus(self, tmp_path_factory, files):
         directory = tmp_path_factory.getbasetemp()
@@ -735,15 +754,19 @@ class TestParseGridSeriesThreads:
             write_grid_text(tmp_path / f"{t}.grid", ObservationKind.SALINITY, t, 2, 2, GOOD_BODY)
             for t in range(n_files)
         ]
-        threads, alone = spy_reads(monkeypatch, paths[:2] if helpers else ())
+        reads, alone = spy_reads(monkeypatch, paths[:2] if helpers else ())
         assert_same_outcome(parse_on(cpus, paths), serial_outcome(paths))
-        assert len(threads) == n_files and not alone
-        assert threading.current_thread() in threads
-        assert len(set(threads)) == 1 + helpers
+        assert sorted(p for p, _, _ in reads) == sorted(paths) and not alone
+        # the caller reads the even-numbered files, a helper the odd ones
+        caller = threading.current_thread()
+        assert all((t is caller) == (not helpers or paths.index(p) % 2 == 0) for p, t, _ in reads)
+        # at most one helper is alive during any read
+        assert max(alive for _, _, alive in reads) == helpers
 
     def test_many_files_under_a_short_switch_interval(self, tmp_path):
-        # thread switches at nearly every bytecode; a lost update to the shared
-        # reader state would drop, repeat or misorder a file, or hang
+        # thread switches at nearly every bytecode; a result taken from the
+        # wrong file or before its read ended would drop, repeat or misorder
+        # a file, or hang
         rng = np.random.default_rng(5)
         paths = []
         for t in range(40):
@@ -768,24 +791,22 @@ class TestParseGridSeriesThreads:
             for t in range(6)
         ]
         want = serial_outcome(paths)
-        threads, _ = spy_reads(monkeypatch)
+        reads, _ = spy_reads(monkeypatch)
         ahead = []
 
-        def slow_result(reads, i, real=gstbn.ingest._GridReads.result):
-            got = real(reads, i)
+        def slow(i):
             time.sleep(0.05)
-            ahead.append(len(threads) - i - 1)
-            return got
+            ahead.append(len(reads) - i - 1)
 
-        monkeypatch.setattr(gstbn.ingest._GridReads, "result", slow_result)
+        spy_snapshots(monkeypatch, slow)
         assert_same_outcome(parse_on(2, paths), want)
         assert len(ahead) == len(paths) and max(ahead) <= 1
 
     @staticmethod
     def error_case(directory, case):
         """(paths, the file that is the first bad one in path order); the
-        file after it fails as it is read (its magic line is wrong), and two
-        good files follow."""
+        file after it, and in the same pair, fails as it is read (its magic
+        line is wrong), and two good files follow."""
         def write(name, t, body=GOOD_BODY):
             return write_grid_text(directory / name, ObservationKind.SALINITY, t, 2, 2, body)
 
@@ -795,7 +816,7 @@ class TestParseGridSeriesThreads:
         if case == "two-bad-files":  # the token loop finds b's error as b is read
             paths = [write("b.grid", 10, "1.5 abc\n3.0 NaN\n"), *tail]
         elif case == "duplicate-then-corrupt":
-            paths = [write("a.grid", 0), write("b.grid", 0), *tail]
+            paths = [write("a.grid", 0), write("c.grid", 5), write("b.grid", 0), *tail]
         else:
             (directory / "b.grid").mkdir()
             paths = [directory / "b.grid", *tail]
@@ -833,19 +854,39 @@ class TestParseGridSeriesThreads:
                 later_failed.set()
             return result
 
-        def spy_result(reads, i, real=gstbn.ingest._GridReads.result):
-            got = real(reads, i)  # the caller's step after it takes file i's result
-            if step == "caller":
-                hold(paths[i])
-            return got
-
         monkeypatch.setattr(gstbn.ingest, "_read_grid", spy_read)
-        monkeypatch.setattr(gstbn.ingest._GridReads, "result", spy_result)
+        if step == "caller":
+            spy_snapshots(monkeypatch, lambda i: hold(paths[i]))
         assert_same_outcome(parse_on(cpus, paths), want)
         assert not late
         assert later_failed.is_set() == (cpus == 2)
         # no file is taken after one whose read failed
         assert set(read) <= set(paths[:paths.index(later_bad) + 1])
+
+    def test_an_interrupt_in_the_callers_read_joins_the_helper(self, tmp_path, monkeypatch):
+        paths = [
+            write_grid_text(tmp_path / f"{t}.grid", ObservationKind.SALINITY, t, 2, 2, GOOD_BODY)
+            for t in range(4)
+        ]
+        real = gstbn.ingest._read_grid
+        started, finished = threading.Event(), []
+
+        def read(p, hashed):
+            if p == paths[0]:
+                assert started.wait(timeout=10)  # file 1 is being read on the helper
+                raise KeyboardInterrupt
+            started.set()
+            time.sleep(0.05)
+            finished.append(p)
+            return real(p, hashed)
+
+        monkeypatch.setattr(gstbn.ingest, "_read_grid", read)
+        threads = threading.active_count()
+        with mock.patch.object(gstbn.ingest, "_usable_cpus", lambda: 2):
+            with pytest.raises(KeyboardInterrupt):
+                parse_grid_series(paths, {})
+        assert threading.active_count() == threads
+        assert finished == [paths[1]]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_token_loop_bodies_parse_alike_on_one_and_two_cpus(self, tmp_path, monkeypatch, cpus):
