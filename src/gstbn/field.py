@@ -114,10 +114,12 @@ class GridSpec:
 class FieldSnapshot:
     """One variable on one grid at one timestamp.
 
-    `values` is an (n_lat, n_lon) float64 copy of the input. NaN is the one
-    mark of a cell with no data: every non-finite input value is stored as
-    NaN. A caller holding a separate mask passes
-    `np.where(mask, values, np.nan)`.
+    `values` is an (n_lat, n_lon) float64 copy of the caller's input, so
+    writing to the input later leaves the snapshot as it was. NaN is the
+    one mark of a cell with no data: every non-finite input value is stored
+    as NaN. A caller holding a separate mask passes
+    `np.where(mask, values, np.nan)`. The grid parser hands over the array
+    it has just made instead, through `_adopt`, and nothing is copied.
     """
 
     timestamp: int
@@ -126,8 +128,20 @@ class FieldSnapshot:
     values: np.ndarray
 
     def __post_init__(self):
+        self._own(np.array(self.values, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, timestamp, variable, grid, values: np.ndarray) -> "FieldSnapshot":
+        """The snapshot `cls(timestamp, variable, grid, values)` gives,
+        holding `values` itself: a float64 array that no one else holds,
+        which gets NaN in place of its non-finite values."""
+        snap = cls.__new__(cls)
+        snap.timestamp, snap.variable, snap.grid = timestamp, variable, grid
+        snap._own(values)
+        return snap
+
+    def _own(self, vals: np.ndarray) -> None:
         self.timestamp = int(self.timestamp)
-        vals = np.array(self.values, dtype=np.float64)
         if vals.shape != self.grid.shape:
             raise StructuralError(f"values shape {vals.shape} does not match grid {self.grid.shape}")
         vals[~np.isfinite(vals)] = np.nan

@@ -247,7 +247,7 @@ def _parse_kv(token: str, key: str, path, line: int) -> str:
 def parse_grid_snapshot(path, digests: dict[str, str] | None = None) -> FieldSnapshot:
     """Read one grid snapshot file. `digests` as in :func:`read_utf8`."""
     path = Path(path)
-    return FieldSnapshot(*_grid_file(path, _read(path, digests)))
+    return FieldSnapshot._adopt(*_grid_file(path, _read(path, digests)))
 
 
 def _grid_file(path: Path, data: bytes) -> tuple:
@@ -257,6 +257,28 @@ def _grid_file(path: Path, data: bytes) -> tuple:
     it. Safe to run on any thread."""
     head = _ascii_header(data)
     lines = _decode(path, data).splitlines() if head is None else head[0]
+    try:
+        timestamp, variable, grid = _grid_header(path, lines)
+    except ParseError:
+        if head is not None:
+            _decode(path, data)  # a byte that is not UTF-8 is reported first
+        raise
+    values = None if head is None else _parse_body(data, head[1], grid.shape)
+    if values is None:
+        if head is not None:
+            lines = _decode(path, data).splitlines()
+        body = lines[3:]
+        if len(body) != grid.n_lat:
+            raise ParseError(
+                path, len(lines), f"expected {grid.n_lat} data rows, found {len(body)}"
+            )
+        values = _parse_rows(body, grid.n_lon, path)
+    return timestamp, variable, grid, values
+
+
+def _grid_header(path: Path, lines: list[str]) -> tuple:
+    """(timestamp, variable, grid) from a grid file's first lines;
+    ParseError for the first fault."""
     if not lines or lines[0] != _GRID_MAGIC:
         raise ParseError(path, 1, f"missing magic line {_GRID_MAGIC!r}")
     if len(lines) < 3:
@@ -295,31 +317,24 @@ def _grid_file(path: Path, data: bytes) -> tuple:
         )
     except ValueError as exc:
         raise ParseError(path, 3, str(exc)) from None
-    values = None if head is None else _parse_body(data, head[1], grid.shape)
-    if values is None:
-        if head is not None:
-            lines = data.decode("ascii").splitlines()
-        body = lines[3:]
-        if len(body) != grid.n_lat:
-            raise ParseError(
-                path, len(lines), f"expected {grid.n_lat} data rows, found {len(body)}"
-            )
-        values = _parse_rows(body, grid.n_lon, path)
-    return timestamp, variable, grid, values
+    return timestamp, variable, grid
 
 
 def _ascii_header(data: bytes) -> tuple[list[str], int] | None:
-    """The first three lines of an ASCII file and the offset of its body,
-    when its first three b"\n" end them as `str.splitlines` would end
-    them (no other line break in the header); else None."""
-    if not data.isascii():
-        return None
+    """The first three lines of a file and the offset of its body, when
+    those lines are ASCII and its first three b"\n" end them as
+    `str.splitlines` would end them (no other line break in the header);
+    else None. The body is not scanned: the bulk reader declines a byte
+    of 0x80 or above."""
     end = -1
     for _ in range(3):
         end = data.find(b"\n", end + 1)
         if end < 0:
             return None
-    lines = data[:end + 1].decode("ascii").splitlines()
+    header = data[:end + 1]
+    if not header.isascii():
+        return None
+    lines = header.decode("ascii").splitlines()
     return (lines, end + 1) if len(lines) == 3 else None
 
 
@@ -348,7 +363,7 @@ _EXTENDED = (
 )
 _WIDTH = 24  # bytes of the window that ends each token: three uint64 words
 _MAX_BYTES = 19  # bytes after the sign that keep M below 10**19
-_CHUNK = 1 << 18  # body bytes per pass, so the temporaries stay small
+_CHUNK = 1 << 19  # body bytes per pass: the temporaries stay within a 2 MiB L2
 # indexed by the digits after the dot, or by _MAX_BYTES for a token with
 # none: then M is read as it is (divisor 1, no dot, a modulus above any M)
 _TEN_POW = np.array([10**k for k in range(_MAX_BYTES)] + [1], dtype=np.longdouble)
@@ -392,7 +407,7 @@ def _parse_tokens(data: bytes, start: int, end: int, done: int, n_lon: int):
     chunk = np.frombuffer(data, np.uint8, end - start, start)
     # every control byte splits tokens here, and must then be a ' ' or, after
     # each n_lon-th token, a '\n'
-    sep = np.flatnonzero(chunk <= ord(" "))
+    sep = (chunk <= ord(" ")).nonzero()[0]
     if not len(sep) or sep[-1] != len(chunk) - 1:
         return None
     kind = chunk[sep]
@@ -400,14 +415,16 @@ def _parse_tokens(data: bytes, start: int, end: int, done: int, n_lon: int):
     if not ((newline == ord("\n")).all()
             and np.count_nonzero(kind == ord(" ")) == len(sep) - len(newline)):
         return None
-    length = np.diff(sep, prepend=-1) - 1
-    first = sep - length
+    first = np.empty_like(sep)
+    first[0] = 0
+    np.add(sep[:-1], 1, out=first[1:])
+    length = sep - first
     head = chunk[first]
     neg = head == ord("-")
     nan = (length == 3) & (head == ord("N"))
     nan_at = first[nan]
-    dot = np.flatnonzero(chunk == ord("."))
-    dotted = np.searchsorted(sep, dot)
+    dot = (chunk == ord(".")).nonzero()[0]
+    dotted = sep.searchsorted(dot)
     has_dot = np.zeros(len(sep), dtype=bool)
     has_dot[dotted] = True
     # a token holds at most one dot and a digit unless it is NaN
@@ -427,8 +444,8 @@ def _parse_tokens(data: bytes, start: int, end: int, done: int, n_lon: int):
     if n_digits + len(sep) + len(dot) + np.count_nonzero(neg) + 3 * len(nan_at) != len(chunk):
         odd = (chunk > ord(" ")) & (chunk != ord(".")) & (chunk - np.uint8(ord("0")) >= 10)
         odd[first[neg]] = False
-        at = np.flatnonzero(odd)
-        token = np.searchsorted(sep, at)
+        at = odd.nonzero()[0]
+        token = sep.searchsorted(at)
         by_float = np.zeros(len(sep), dtype=bool)
         by_float[token[np.isin(chunk[at], _FLOAT_MARKS)]] = True
         if not (by_float | nan)[token].all():
@@ -450,7 +467,7 @@ def _parse_tokens(data: bytes, start: int, end: int, done: int, n_lon: int):
     # its 64 significand bits: 0x400 in the 11 it drops is a tie
     halfway = quotient.view(np.uint64)[::2] & np.uint64(0x7FF) == np.uint64(0x400)
     np.negative(values, out=values, where=neg)
-    redo = np.flatnonzero(inexact | halfway)
+    redo = (inexact | halfway).nonzero()[0]
     bounds = zip((start + first[redo]).tolist(), (start + sep[redo]).tolist())
     try:
         values[redo] = [float(data[a:b]) for a, b in bounds]
@@ -589,8 +606,7 @@ def parse_grid_series(paths: Iterable, digests=None) -> dict[ObservationKind, li
                 digests.update(hashes)
             if isinstance(read, Exception):
                 raise read
-            snap = FieldSnapshot(*read)
-            del read  # the snapshot holds a copy; free the parsed one before the next read
+            snap = FieldSnapshot._adopt(*read)
             key = (snap.variable, snap.timestamp)
             if key in sources:
                 raise ParseError(

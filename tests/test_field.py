@@ -121,6 +121,15 @@ class TestFieldSnapshot:
         with pytest.raises(StructuralError):
             snap(grid, 0, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
 
+    def test_the_constructor_copies_the_callers_array(self):
+        grid = GridSpec(n_lat=1, n_lon=3, lat0=0.0, d_lat=1.0, lon0=0.0, d_lon=1.0)
+        a = np.array([[1.0, np.inf, 3.0]])
+        s = snap(grid, 0, a)
+        # the inf becomes NaN in the snapshot only
+        assert a[0, 1] == np.inf and math.isnan(s.values[0, 1])
+        a[0, 0] = 9.0
+        assert s.values[0, 0] == 1.0
+
     def test_nan_written_after_construction_is_missing_everywhere(self, tmp_path):
         # NaN in `values` alone marks the cell missing: no mask must be
         # written with it

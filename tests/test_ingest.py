@@ -286,10 +286,12 @@ class TestGridParsing:
 
 
 def write_grid_text(path, variable, timestamp, n_lat, n_lon, body):
+    """The grid file with `body`, where a lone surrogate such as "\\udcff"
+    stands for the byte that is not UTF-8 (0xff)."""
     path.write_bytes((
         f"GSTBN-GRID v1\nvariable={variable.value} timestamp={timestamp}\n"
         f"nlat={n_lat} nlon={n_lon} lat0=1.0 dlat=0.5 lon0=2.0 dlon=0.5\n" + body
-    ).encode("utf-8"))
+    ).encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -299,9 +301,8 @@ def assert_body_matches_reference(directory, n_lat, n_lon, body, chunk):
     path = write_grid_text(
         directory / "differential.grid", ObservationKind.SALINITY, 3, n_lat, n_lon, body
     )
-    text = path.read_bytes().decode("utf-8")
     try:
-        want = reference_grid_values(path, text, n_lat, n_lon)
+        want = reference_grid_values(path, read_utf8(path), n_lat, n_lon)
     except ParseError as exc:
         with pytest.raises(ParseError) as got, mock.patch.object(gstbn.ingest, "_CHUNK", chunk):
             parse_grid_snapshot(path)
@@ -351,17 +352,18 @@ HALFWAY_TOKENS = ("9007199254740993", "-9007199254740995", "9007199254740993.0",
                   "43.647423898929123")
 EXPONENT_TOKENS = ("2.5E+3", "1e-05", "1e-320", "5e-324", "-1.5e+16")
 NAN_TOKENS = ("nan", "-nan", "+NaN", "-NaN")
-FLOAT_ONLY_TOKENS = ("1_0", "\u0661\u0662", "+1")  # float() takes them, plain decimals do not
+# float() takes them, plain decimals do not
+FLOAT_ONLY_TOKENS = ("1_0", "\u0661\u0662", "+1", "1e\u0661")
 BAD_TOKENS = ("inf", "-Infinity", "1e500", "9" * 400, "-" + "9" * 309 + ".5", "#", "1#2", "abc",
               "0x1", "1,5", "\x00", "-", ".", "-.", "--1", "1-", "1.2.3", "NaNa", "NaN5", "N",
-              "aNN", "NNN", "Naa")
+              "aNN", "NNN", "Naa", "\udcff", "1e\udcc3")  # the last two: bytes not UTF-8
 ODD_TOKENS = EXPONENT_TOKENS + NAN_TOKENS + FLOAT_ONLY_TOKENS + BAD_TOKENS
 # in-row whitespace for str.split; splitlines() also breaks rows at the second group
 ROW_SEPARATORS = ("\t", "  ", "\x0c", "\x1f", "\xa0", "\u3000")
 LINE_BREAKS = ("\x0b", "\x1c", "\x85", "\r")
 # each takes the place of one space or newline; \x01 is no whitespace at all
 ODD_SEPARATORS = ROW_SEPARATORS + LINE_BREAKS + ("\r\n", " \n", "\n ", "\x01")
-CHUNK_BYTES = (1 << 18,) * 4 + (1, 7, 16, 40)  # small ones split bodies between tokens
+CHUNK_BYTES = (gstbn.ingest._CHUNK,) * 4 + (1, 7, 16, 40)  # small ones split bodies between tokens
 # a 2 x 2 body with one thing wrong, or right: each check of the bulk reader
 # has a body here that it alone turns away
 GOOD_BODY = "1.5 -2.25\n3.0 NaN\n"
@@ -486,7 +488,7 @@ class TestParserFuzz:
 
     # a chunk of 40 bytes holds a whole token of bulk_tokens, so the body stays in bulk
     @settings(max_examples=300, deadline=None)
-    @given(case=grid_bodies(max_defects=0), chunk=st.sampled_from((1 << 18, 40)),
+    @given(case=grid_bodies(max_defects=0), chunk=st.sampled_from((gstbn.ingest._CHUNK, 40)),
            extended=st.booleans())
     def test_bulk_bodies_never_need_the_token_loop(self, tmp_path_factory, case, chunk, extended):
         # without x87 long double every body goes to the token loop instead
@@ -495,7 +497,7 @@ class TestParserFuzz:
                 mock.patch.object(gstbn.ingest, "_parse_rows", loop):
             assert_body_matches_reference(tmp_path_factory.getbasetemp(), *case, chunk)
 
-    @pytest.mark.parametrize("chunk", [1 << 18, 7])
+    @pytest.mark.parametrize("chunk", [gstbn.ingest._CHUNK, 7])
     @pytest.mark.parametrize("body", ODD_BODIES)
     def test_each_odd_body_matches_reference_loop(self, tmp_path, body, chunk):
         assert_body_matches_reference(tmp_path, 2, 2, body, chunk)
@@ -504,7 +506,7 @@ class TestParserFuzz:
     def test_each_odd_body_matches_reference_loop_without_x87(self, tmp_path, monkeypatch, body):
         # the path every platform without x87 long double takes: the token loop
         monkeypatch.setattr(gstbn.ingest, "_EXTENDED", False)
-        assert_body_matches_reference(tmp_path, 2, 2, body, 1 << 18)
+        assert_body_matches_reference(tmp_path, 2, 2, body, gstbn.ingest._CHUNK)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.one_of(st.binary(max_size=200), mutated(valid_grid_bytes())))
@@ -536,8 +538,11 @@ class TestParserFuzz:
         with pytest.raises(ParseError, match="4: expected 1000000000000000 values, got 2"):
             parse_grid_snapshot_write(tmp_path, text)
 
-    # 150 x 120 is over 300 KB, so the bulk reader takes it in two chunks
-    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 5), (150, 120)])
+    # TWO_PASSES is written in more than _CHUNK bytes, so the bulk reader
+    # takes it in two passes (checked below)
+    TWO_PASSES = (250, 150)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 5), TWO_PASSES])
     def test_written_grids_never_need_the_token_loop(self, tmp_path, monkeypatch, shape):
         monkeypatch.setattr(gstbn.ingest, "_parse_rows", no_token_loop)
         snap = self.written_grid(shape)
@@ -547,13 +552,33 @@ class TestParserFuzz:
         assert back == snap
         assert back.values.tobytes() == snap.values.tobytes()
 
-    @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (150, 120)])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 5), TWO_PASSES])
     def test_other_longdouble_formats_read_the_same_bytes(self, tmp_path, monkeypatch, shape):
         path = tmp_path / "grid"
         write_grid_snapshot(self.written_grid(shape), path)
         bulk = parse_grid_snapshot(path)
         monkeypatch.setattr(gstbn.ingest, "_EXTENDED", False)
         assert parse_grid_snapshot(path).values.tobytes() == bulk.values.tobytes()
+
+    def test_the_two_pass_grid_needs_two_passes(self):
+        text = format_grid_snapshot(self.written_grid(self.TWO_PASSES))
+        assert gstbn.ingest._CHUNK < len(text.encode("utf-8")) < 2 * gstbn.ingest._CHUNK
+
+    @pytest.mark.parametrize("fault", [
+        ("", ""), ("GSTBN-GRID", "GSTBN-GRIT"), ("salinity", "wind"),
+        ("timestamp=3", "timestamp=x"), ("nlat=2", "nlat=0"), ("dlon=0.5", "dlon=0.5 x=1"),
+    ], ids=["none", "magic", "variable", "timestamp", "shape", "dims"])
+    def test_a_byte_not_utf8_is_reported_before_a_header_fault(self, tmp_path, fault):
+        # only the header is checked for ASCII before the header is read, but
+        # the first fault reported is still the byte, as `read_utf8` reports it
+        path = write_grid_text(tmp_path / "g.grid", ObservationKind.SALINITY, 3, 2, 2,
+                               "1.5 -2.25\n3.0 N\udcffN\n")
+        path.write_bytes(path.read_bytes().replace(*(part.encode() for part in fault)))
+        with pytest.raises(ParseError, match="5: not UTF-8: byte 0xff") as want:
+            read_utf8(path)
+        with pytest.raises(ParseError) as got:
+            parse_grid_snapshot(path)
+        assert str(got.value) == str(want.value)
 
     @staticmethod
     def written_grid(shape):
@@ -698,7 +723,7 @@ def spy_reads(monkeypatch, together=()):
 def spy_snapshots(monkeypatch, step):
     """Run `step(i)` as the caller takes file i's result, just before it
     builds file i's `FieldSnapshot`."""
-    real = gstbn.ingest.FieldSnapshot
+    real = gstbn.ingest.FieldSnapshot._adopt
     built = []
 
     def snapshot(*args):
@@ -706,7 +731,7 @@ def spy_snapshots(monkeypatch, step):
         built.append(None)
         return real(*args)
 
-    monkeypatch.setattr(gstbn.ingest, "FieldSnapshot", snapshot)
+    monkeypatch.setattr(gstbn.ingest.FieldSnapshot, "_adopt", snapshot)
 
 
 class TestParseGridSeriesThreads:
