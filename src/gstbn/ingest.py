@@ -18,12 +18,13 @@ Grid snapshot (text, one variable at one timestamp)::
 Floats are written with repr so parse(format(x)) reproduces x exactly.
 A grid body has two readers. The bulk reader (`_parse_body`) reads a body
 laid out as `format_grid_snapshot` writes it straight from the file's
-bytes, exactly, exponents included. Any other body, and every body where
-longdouble is not x87 extended, goes to the reference token loop
-(`_parse_rows`), which gives the same values or reports the first bad row
-and column. One function, `_grid_file`, reads a file on either thread:
-`parse_grid_series` reads files in pairs, the first of each on the calling
-thread and, with two usable CPUs or more, the second on one helper thread.
+bytes, exactly: decimals and NaN in bulk, any other token by float(). Any
+other file, and every file where longdouble is not x87 extended, takes the
+reference path to the token loop (`_parse_rows`), which gives the same
+values or reports the first fault. One function, `_grid_file`, reads a
+file on either thread: `parse_grid_series` reads files in pairs, the first
+of each on the calling thread and, with two usable CPUs or more, the second
+on one helper thread.
 """
 
 from __future__ import annotations
@@ -253,27 +254,20 @@ def parse_grid_snapshot(path, digests: dict[str, str] | None = None) -> FieldSna
 def _grid_file(path: Path, data: bytes) -> tuple:
     """The grid file `data` as (timestamp, variable, grid, values), the
     arguments of its `FieldSnapshot`; ParseError for the first fault. The
-    body goes to the bulk reader, and to the token loop when that declines
-    it. Safe to run on any thread."""
-    head = _ascii_header(data)
-    lines = _decode(path, data).splitlines() if head is None else head[0]
-    try:
-        timestamp, variable, grid = _grid_header(path, lines)
-    except ParseError:
-        if head is not None:
-            _decode(path, data)  # a byte that is not UTF-8 is reported first
-        raise
-    values = None if head is None else _parse_body(data, head[1], grid.shape)
-    if values is None:
-        if head is not None:
-            lines = _decode(path, data).splitlines()
-        body = lines[3:]
-        if len(body) != grid.n_lat:
-            raise ParseError(
-                path, len(lines), f"expected {grid.n_lat} data rows, found {len(body)}"
-            )
-        values = _parse_rows(body, grid.n_lon, path)
-    return timestamp, variable, grid, values
+    bulk reader reads the body when the header is ASCII and sound and it
+    accepts the body. Every other file takes the reference path (decode,
+    header, row count, token loop), which alone reports faults, in that
+    order. Safe to run on any thread."""
+    head = _ascii_header(path, data)
+    values = None if head is None else _parse_body(data, head[3], head[2].shape)
+    if values is not None:
+        return (*head[:3], values)
+    lines = _decode(path, data).splitlines()
+    timestamp, variable, grid = _grid_header(path, lines)
+    body = lines[3:]
+    if len(body) != grid.n_lat:
+        raise ParseError(path, len(lines), f"expected {grid.n_lat} data rows, found {len(body)}")
+    return timestamp, variable, grid, _parse_rows(body, grid.n_lon, path)
 
 
 def _grid_header(path: Path, lines: list[str]) -> tuple:
@@ -320,12 +314,12 @@ def _grid_header(path: Path, lines: list[str]) -> tuple:
     return timestamp, variable, grid
 
 
-def _ascii_header(data: bytes) -> tuple[list[str], int] | None:
-    """The first three lines of a file and the offset of its body, when
-    those lines are ASCII and its first three b"\n" end them as
-    `str.splitlines` would end them (no other line break in the header);
-    else None. The body is not scanned: the bulk reader declines a byte
-    of 0x80 or above."""
+def _ascii_header(path: Path, data: bytes) -> tuple | None:
+    """(timestamp, variable, grid, body offset) when a file's first three
+    lines are ASCII, its first three b"\n" end them as `str.splitlines`
+    would end them (no other line break in the header) and they parse;
+    else None, and the reference path reports the fault. The body is not
+    scanned: the bulk reader declines a byte of 0x80 or above."""
     end = -1
     for _ in range(3):
         end = data.find(b"\n", end + 1)
@@ -335,25 +329,29 @@ def _ascii_header(data: bytes) -> tuple[list[str], int] | None:
     if not header.isascii():
         return None
     lines = header.decode("ascii").splitlines()
-    return (lines, end + 1) if len(lines) == 3 else None
+    try:
+        return (*_grid_header(path, lines), end + 1) if len(lines) == 3 else None
+    except ParseError:
+        return None
 
 
 # --- the grid body as exact decimals in bulk -------------------------------
 #
 # A body written by `format_grid_snapshot` is n_lat rows of n_lon tokens,
-# one ' ' between tokens and a '\n' after each row, and each token matches
-# -?[0-9]*\.?[0-9]* with at least one digit, or is NaN. Such a token is the
-# decimal M / 10**a (its digits M, a of them after the dot), and when the
-# token holds at most 19 bytes after its sign, M < 10**19 < 2**64. In x87
-# extended precision (a 64-bit significand) M and 10**a are both exact, so
-# the quotient is rounded once, to 64 bits (Clinger, PLDI 1990). Rounding it
-# again to binary64 gives float(token) unless the extended quotient lies
-# exactly halfway between two doubles; such tokens (1 in 2,000 random
-# ones) and the longer ones go through float() one by one. So does a
-# token that holds an 'e', 'E' or '+', or a '-' past its first byte, as
-# repr writes values below 1e-4 and from 1e16. A body outside this
-# grammar, one where float() rejects a token or gives inf, or a longdouble
-# of another format, is left to the token loop, which reports every error.
+# one ' ' between tokens and a '\n' after each row. A token matching
+# -?[0-9]*\.?[0-9]* with at least one digit is the decimal M / 10**a (its
+# digits M, a of them after the dot), and when it holds at most 19 bytes
+# after its sign, M < 10**19 < 2**64. In x87 extended precision (a 64-bit
+# significand) M and 10**a are both exact, so the quotient is rounded once,
+# to 64 bits (Clinger, PLDI 1990). Rounding it again to binary64 gives
+# float(token) unless the extended quotient lies exactly halfway between
+# two doubles; such tokens (1 in 2,000 random ones), the longer ones and
+# every token that is neither such a decimal nor NaN (as the exponents repr
+# writes below 1e-4 and from 1e16) go through float() one by one. float()
+# of bytes takes only ASCII, where it reads a token as the token loop's
+# float() of text does. A body outside this layout, one where float()
+# rejects a token or gives inf, or a longdouble of another format, is left
+# to the token loop, which reports every error.
 
 # x87 extended precision: a 64-bit significand in the low 8 of 16 bytes
 _EXTENDED = (
@@ -363,7 +361,7 @@ _EXTENDED = (
 )
 _WIDTH = 24  # bytes of the window that ends each token: three uint64 words
 _MAX_BYTES = 19  # bytes after the sign that keep M below 10**19
-_CHUNK = 1 << 19  # body bytes per pass: the temporaries stay within a 2 MiB L2
+_CHUNK = 1 << 19  # a pass ends at the first row end from here: its temporaries fit a 2 MiB L2
 # indexed by the digits after the dot, or by _MAX_BYTES for a token with
 # none: then M is read as it is (divisor 1, no dot, a modulus above any M)
 _TEN_POW = np.array([10**k for k in range(_MAX_BYTES)] + [1], dtype=np.longdouble)
@@ -374,24 +372,20 @@ _KEEP = np.array(
     [[0x0F * (col >= j) for col in range(_WIDTH)] for j in range(_WIDTH + 1)], dtype=np.uint8
 ).view(np.uint64)
 _WINDOW = np.dtype((np.void, _WIDTH))
-_FLOAT_MARKS = np.array([ord(c) for c in "eE+-"], dtype=np.uint8)
 
 
 def _parse_body(data: bytes, start: int, shape: tuple[int, int]) -> np.ndarray | None:
-    """The grid body `data[start:]` read in chunks of whole tokens, or None
-    when it is outside the grammar above or longdouble is not x87 extended."""
+    """The grid body `data[start:]` read in passes of whole rows, each
+    ending at the first row end at or past _CHUNK bytes, or None when it
+    is outside the grammar above or longdouble is not x87 extended."""
     # each token takes at least two bytes, so a bad header cannot make a huge array
     if not _EXTENDED or 2 * shape[0] * shape[1] > len(data) - start:
         return None
     values = np.empty(shape).reshape(-1)
     done = 0
     while start < len(data):
-        end = min(start + _CHUNK, len(data))
-        if end < len(data):
-            end = max(data.rfind(b" ", start, end), data.rfind(b"\n", start, end)) + 1
-            if end <= start:
-                return None
-        parsed = _parse_tokens(data, start, end, done, shape[1])
+        end = data.find(b"\n", start + _CHUNK - 1) + 1 or len(data)
+        parsed = _parse_tokens(data, start, end, shape[1])
         if parsed is None or done + len(parsed) > len(values):
             return None
         values[done:done + len(parsed)] = parsed
@@ -400,10 +394,9 @@ def _parse_body(data: bytes, start: int, shape: tuple[int, int]) -> np.ndarray |
     return values.reshape(shape) if done == len(values) else None
 
 
-def _parse_tokens(data: bytes, start: int, end: int, done: int, n_lon: int):
-    """The values of the tokens in `data[start:end]`, which starts a token
-    and ends with a separator, `done` tokens into the body; None when the
-    bytes break the grammar."""
+def _parse_tokens(data: bytes, start: int, end: int, n_lon: int):
+    """The values of the tokens in `data[start:end]`, whole rows of `n_lon`
+    tokens; None when the bytes break the grammar."""
     chunk = np.frombuffer(data, np.uint8, end - start, start)
     # every control byte splits tokens here, and must then be a ' ' or, after
     # each n_lon-th token, a '\n'
@@ -411,7 +404,7 @@ def _parse_tokens(data: bytes, start: int, end: int, done: int, n_lon: int):
     if not len(sep) or sep[-1] != len(chunk) - 1:
         return None
     kind = chunk[sep]
-    newline = kind[(n_lon - 1 - done) % n_lon::n_lon]
+    newline = kind[n_lon - 1::n_lon]
     if not ((newline == ord("\n")).all()
             and np.count_nonzero(kind == ord(" ")) == len(sep) - len(newline)):
         return None
@@ -423,34 +416,27 @@ def _parse_tokens(data: bytes, start: int, end: int, done: int, n_lon: int):
     neg = head == ord("-")
     nan = (length == 3) & (head == ord("N"))
     nan_at = first[nan]
+    nan[nan] = (chunk[nan_at + 1] == ord("a")) & (chunk[nan_at + 2] == ord("N"))
+    nan_at = first[nan]
     dot = (chunk == ord(".")).nonzero()[0]
     dotted = sep.searchsorted(dot)
     has_dot = np.zeros(len(sep), dtype=bool)
     has_dot[dotted] = True
-    # a token holds at most one dot and a digit unless it is NaN
-    if not (
-        np.count_nonzero(has_dot) == len(dot)
-        and ((length - has_dot - neg > 0) | nan).all()
-        and (chunk[nan_at + 1] == ord("a")).all() and (chunk[nan_at + 2] == ord("N")).all()
-    ):
+    # a token holds at most one dot, and a byte besides it and a leading
+    # minus: float() rejects any other
+    if not (np.count_nonzero(has_dot) == len(dot) and (length - has_dot - neg > 0).all()):
         return None
     # the values of NaNs, of tokens over _MAX_BYTES and of float() tokens
     # come out wrong and are replaced
     inexact = length - neg > _MAX_BYTES
     # when the digits, separators, dots, leading minus signs and NaNs
-    # (disjoint sets of bytes) miss a byte, that byte must be an 'e', 'E',
-    # '+' or a '-' past its token's first byte, and float() reads the token
+    # (disjoint sets of bytes) miss a byte, float() reads that byte's token
     n_digits = np.count_nonzero(chunk - np.uint8(ord("0")) < 10)
     if n_digits + len(sep) + len(dot) + np.count_nonzero(neg) + 3 * len(nan_at) != len(chunk):
         odd = (chunk > ord(" ")) & (chunk != ord(".")) & (chunk - np.uint8(ord("0")) >= 10)
         odd[first[neg]] = False
-        at = odd.nonzero()[0]
-        token = sep.searchsorted(at)
-        by_float = np.zeros(len(sep), dtype=bool)
-        by_float[token[np.isin(chunk[at], _FLOAT_MARKS)]] = True
-        if not (by_float | nan)[token].all():
-            return None
-        inexact |= by_float
+        inexact[sep.searchsorted(odd.nonzero()[0])] = True
+        inexact[nan] = False  # a NaN's bytes are odd too, and its value is set below
     scale = np.full(len(sep), _MAX_BYTES)
     scale[dotted] = np.minimum(sep[dotted] - dot - 1, _MAX_BYTES)
     # each token's window is the _WIDTH bytes before its separator, as three

@@ -365,6 +365,13 @@ def _check_observed(sensors: Sequence[SensorNode], fired: np.ndarray) -> None:
         _eligible(sensors, kinds)
 
 
+def _observable(residual: np.ndarray, strict: bool) -> np.ndarray:
+    """The kinds each payload row may be observed through, as a boolean
+    (rows x kinds) array: under strict matching the kinds that fired (not
+    NaN), else every kind, so that any active sensor qualifies."""
+    return ~np.isnan(residual) if strict else np.ones(residual.shape, dtype=bool)
+
+
 def build_edges(
     lon,
     lat,
@@ -400,31 +407,28 @@ def build_edges(
 def _link(
     table: RoITable,
     rows: Sequence[np.ndarray],
-    fired: Sequence[np.ndarray] | None,
+    kinds: Sequence[np.ndarray],
     sensors: Sequence[SensorNode],
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per snapshot k, the arrays `build_edges` gives for the table rows
-    `rows[k]` that fired `fired[k]` (None: any sensor qualifies), with each
-    distinct key linked once across all snapshots.
+    `rows[k]` observable through `kinds[k]` (see :func:`_observable`), with
+    each distinct key linked once across all snapshots.
 
-    A row's key is the row itself, or under strict matching the row and its
-    fired-kind set: its edge depends on nothing else, since a point's
-    nearest eligible sensor and its distance do not depend on the points
-    linked beside it (the determinism contract). So `build_edges` runs
-    once on the distinct keys, and each snapshot gathers its rows' results.
+    A row's key is the row and its kind set, `row * 16 + bits`: every kind
+    under plain matching, the kinds that fired under strict matching. Its
+    edge depends on nothing else, since a point's nearest eligible sensor
+    and its distance do not depend on the points linked beside it (the
+    determinism contract). So `build_edges` runs once on the distinct keys,
+    and each snapshot gathers its rows' results.
     """
-    if fired is None:
-        groups, keys = 1, list(rows)
-    else:
-        groups = 1 << len(ObservationKind)
-        keys = [r * groups + _bit_sets(f) for r, f in zip(rows, fired)]
+    groups = 1 << len(ObservationKind)
+    keys = [r * groups + _bit_sets(k) for r, k in zip(rows, kinds)]
     seen = np.zeros(len(table) * groups, dtype=bool)
     for key in keys:
         seen[key] = True
     distinct = np.flatnonzero(seen)
-    row, kinds = np.divmod(distinct, groups)
-    if fired is not None:
-        fired = (kinds[:, None] >> np.arange(len(ObservationKind)) & 1).astype(bool)
+    row, bits = np.divmod(distinct, groups)
+    fired = (bits[:, None] >> np.arange(len(ObservationKind)) & 1).astype(bool)
     sensor_id, weight_km = build_edges(table.lon[row], table.lat[row], sensors, fired=fired)
     at = (np.searchsorted(distinct, key) for key in keys)
     return [(sensor_id[k], weight_km[k]) for k in at]
@@ -476,9 +480,9 @@ def build_temporal_gstbn(
     interval end. RoI nodes are keyed by grid cell, so a cell firing in
     several intervals reuses one node id; ids are assigned in first-firing
     order. With `strict_observations`, RoIs only link to sensors that
-    observe at least one variable that fired there. Each RoI, or under
-    strict matching each RoI and fired-kind set, is linked once for all
-    the snapshots it fires in.
+    observe at least one variable that fired there. Each RoI and its kind
+    set (every kind under plain matching, the kinds that fired under strict
+    matching) is linked once for all the snapshots it fires in.
     """
     catalog = tuple(catalog)  # TemporalGstbn rejects duplicate ids
     if not catalog:
@@ -489,28 +493,31 @@ def build_temporal_gstbn(
 
     timestamps, ordered = _series_intervals(series)
 
-    cells = np.zeros(0, dtype=np.int64)  # the cells given ids so far: id k + 1 at k
-    coords = []  # (lon, lat) of the cells each interval gives ids
+    grid = next(iter(ordered.values()))[0].grid
+    id_of = np.zeros(grid.n_lat * grid.n_lon, dtype=np.int64)  # a cell's roi id, 0 until it fires
+    news = []  # (cell, lon, lat) of the cells each interval gives ids, in id order
+    given = 0
     intervals = []  # (timestamp, roi ids, residual) per snapshot, rows in roi-id order
+    observable = []  # per snapshot, the kinds through which each row may be observed
     for k, t_end in enumerate(timestamps[1:]):
         fields = [compute_residual_field(snaps[k], snaps[k + 1]) for snaps in ordered.values()]
         events = extract_roi_events(fields, threshold)
         # cells firing for the first time take the next ids, in cell order
-        new = ~np.isin(events.cell, cells)
-        cells = np.concatenate([cells, events.cell[new]])
-        coords.append((events.lon[new], events.lat[new]))
-        by_cell = np.argsort(cells)
-        ids = by_cell[np.searchsorted(cells, events.cell, sorter=by_cell)] + 1
+        new = id_of[events.cell] == 0
+        fresh = np.arange(given + 1, given + 1 + np.count_nonzero(new))
+        id_of[events.cell[new]] = fresh
+        given += len(fresh)
+        news.append((events.cell[new], events.lon[new], events.lat[new]))
+        ids = id_of[events.cell]
         order = np.argsort(ids, kind="stable")
         residual = events.residual[order]
-        if strict_observations:  # here, so no later interval's error can come first
-            _check_observed(actives, ~np.isnan(residual))
+        observable.append(_observable(residual, strict_observations))
+        _check_observed(actives, observable[-1])  # here, so no later interval's error comes first
         intervals.append((t_end, ids[order], residual))
 
-    lon, lat = (np.concatenate(column) for column in zip(*coords))
+    cells, lon, lat = (np.concatenate(column) for column in zip(*news))
     table = RoITable(lon=lon, lat=lat, cell=cells)
-    fired = [~np.isnan(r) for _, _, r in intervals] if strict_observations else None
-    edges = _link(table, [ids - 1 for _, ids, _ in intervals], fired, actives)
+    edges = _link(table, [ids - 1 for _, ids, _ in intervals], observable, actives)
     return TemporalGstbn(
         snapshots=tuple(
             GstbnSnapshot(t, ids, *linked, residual)
@@ -651,12 +658,13 @@ def remove_sensor(net: TemporalGstbn, sensor_id: int) -> TemporalGstbn:
     """New network with the given sensor deactivated.
 
     Only the RoIs it served are relinked, through :func:`build_edges`,
-    each distinct key (the RoI, or under strict matching the RoI and its
-    fired-kind set) once for all snapshots; every other RoI keeps its
-    nearest sensor. The sensor stays in the catalog for reporting; it just
-    stops receiving edges. Removing the last active sensor is refused, and
-    under strict matching so is leaving an orphaned RoI no sensor observes:
-    the NoObserversError names the first snapshot's unobserved kinds.
+    each distinct key (the RoI and its kind set: every kind under plain
+    matching, the kinds that fired under strict matching) once for all
+    snapshots; every other RoI keeps its nearest sensor. The sensor stays
+    in the catalog for reporting; it just stops receiving edges. Removing
+    the last active sensor is refused, and so is leaving an orphaned RoI
+    no sensor observes (possible only under strict matching): the
+    NoObserversError names the first snapshot's unobserved kinds.
     """
     target = net.sensors_by_id.get(sensor_id)
     if target is None:
@@ -671,11 +679,10 @@ def remove_sensor(net: TemporalGstbn, sensor_id: int) -> TemporalGstbn:
     if not actives:
         raise NoObserversError("removal would leave no active sensors")
     served = [snap.sensor_id == sensor_id for snap in net.snapshots]
-    fired = None
-    if net.strict_observations:
-        fired = [~np.isnan(snap.residual[mask]) for snap, mask in zip(net.snapshots, served)]
-        for kinds in fired:
-            _check_observed(actives, kinds)
+    observable = [_observable(snap.residual[mask], net.strict_observations)
+                  for snap, mask in zip(net.snapshots, served)]
+    for kinds in observable:
+        _check_observed(actives, kinds)
     rows = [snap.roi_id[mask] - 1 for snap, mask in zip(net.snapshots, served)]
-    edges = _link(net.roi_table, rows, fired, actives)
+    edges = _link(net.roi_table, rows, observable, actives)
     return _relinked(net, catalog, ((mask, *linked) for mask, linked in zip(served, edges)))

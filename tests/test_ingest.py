@@ -285,21 +285,22 @@ class TestGridParsing:
         assert not snap.valid[1, 1]
 
 
-def write_grid_text(path, variable, timestamp, n_lat, n_lon, body):
+def write_grid_text(path, variable, timestamp, n_lat, n_lon, body, dlon=0.5):
     """The grid file with `body`, where a lone surrogate such as "\\udcff"
     stands for the byte that is not UTF-8 (0xff)."""
     path.write_bytes((
         f"GSTBN-GRID v1\nvariable={variable.value} timestamp={timestamp}\n"
-        f"nlat={n_lat} nlon={n_lon} lat0=1.0 dlat=0.5 lon0=2.0 dlon=0.5\n" + body
+        f"nlat={n_lat} nlon={n_lon} lat0=1.0 dlat=0.5 lon0=2.0 dlon={dlon}\n" + body
     ).encode("utf-8", "surrogateescape"))
     return path
 
 
-def assert_body_matches_reference(directory, n_lat, n_lon, body, chunk):
-    """The grid with `body` parses, in chunks of about `chunk` bytes, to
-    the reference loop's values bit for bit, or raises its ParseError."""
+def assert_body_matches_reference(directory, n_lat, n_lon, body, chunk, dlon=0.5):
+    """The grid with `body` parses, in passes that end at the first row
+    end from `chunk` bytes on, to the reference loop's values bit for bit,
+    or raises its ParseError."""
     path = write_grid_text(
-        directory / "differential.grid", ObservationKind.SALINITY, 3, n_lat, n_lon, body
+        directory / "differential.grid", ObservationKind.SALINITY, 3, n_lat, n_lon, body, dlon
     )
     try:
         want = reference_grid_values(path, read_utf8(path), n_lat, n_lon)
@@ -351,19 +352,21 @@ HALFWAY_TOKENS = ("9007199254740993", "-9007199254740995", "9007199254740993.0",
                   "1152921504606847104", "98.8735804987761", "-7238190542.098104",
                   "43.647423898929123")
 EXPONENT_TOKENS = ("2.5E+3", "1e-05", "1e-320", "5e-324", "-1.5e+16")
-NAN_TOKENS = ("nan", "-nan", "+NaN", "-NaN")
-# float() takes them, plain decimals do not
-FLOAT_ONLY_TOKENS = ("1_0", "\u0661\u0662", "+1", "1e\u0661")
-BAD_TOKENS = ("inf", "-Infinity", "1e500", "9" * 400, "-" + "9" * 309 + ".5", "#", "1#2", "abc",
-              "0x1", "1,5", "\x00", "-", ".", "-.", "--1", "1-", "1.2.3", "NaNa", "NaN5", "N",
-              "aNN", "NNN", "Naa", "\udcff", "1e\udcc3")  # the last two: bytes not UTF-8
+NAN_TOKENS = ("+NaN", "-NaN")
+# float() takes them, plain decimals do not; float() of bytes reads the ASCII
+# ones in the bulk reader, and the others go to the token loop
+FLOAT_ONLY_TOKENS = ("1_0", "\u0661\u0662", "+1", "1e\u0661", "nan", "-nan", "+1.5", "1e5_0",
+                     "1_000.5")
+BAD_TOKENS = ("inf", "Infinity", "-Infinity", "1e500", "9" * 400, "-" + "9" * 309 + ".5", "#",
+              "1#2", "abc", "0x1", "1,5", "\x00", "-", ".", "-.", "--1", "1-", "1.2.3", "NaNa", "NaN5",
+              "N", "aNN", "NNN", "Naa", "\udcff", "1e\udcc3")  # the last two: bytes not UTF-8
 ODD_TOKENS = EXPONENT_TOKENS + NAN_TOKENS + FLOAT_ONLY_TOKENS + BAD_TOKENS
 # in-row whitespace for str.split; splitlines() also breaks rows at the second group
 ROW_SEPARATORS = ("\t", "  ", "\x0c", "\x1f", "\xa0", "\u3000")
 LINE_BREAKS = ("\x0b", "\x1c", "\x85", "\r")
 # each takes the place of one space or newline; \x01 is no whitespace at all
 ODD_SEPARATORS = ROW_SEPARATORS + LINE_BREAKS + ("\r\n", " \n", "\n ", "\x01")
-CHUNK_BYTES = (gstbn.ingest._CHUNK,) * 4 + (1, 7, 16, 40)  # small ones split bodies between tokens
+CHUNK_BYTES = (gstbn.ingest._CHUNK,) * 4 + (1, 7, 16, 40)  # small ones give one row per pass
 # a 2 x 2 body with one thing wrong, or right: each check of the bulk reader
 # has a body here that it alone turns away
 GOOD_BODY = "1.5 -2.25\n3.0 NaN\n"
@@ -486,7 +489,7 @@ class TestParserFuzz:
     def test_grid_body_matches_reference_loop(self, tmp_path_factory, case, chunk):
         assert_body_matches_reference(tmp_path_factory.getbasetemp(), *case, chunk)
 
-    # a chunk of 40 bytes holds a whole token of bulk_tokens, so the body stays in bulk
+    # a pass holds whole rows whatever the chunk, so the body stays in bulk
     @settings(max_examples=300, deadline=None)
     @given(case=grid_bodies(max_defects=0), chunk=st.sampled_from((gstbn.ingest._CHUNK, 40)),
            extended=st.booleans())
@@ -537,6 +540,24 @@ class TestParserFuzz:
         )
         with pytest.raises(ParseError, match="4: expected 1000000000000000 values, got 2"):
             parse_grid_snapshot_write(tmp_path, text)
+
+    @pytest.mark.parametrize("chunk", [gstbn.ingest._CHUNK, 1])
+    def test_ascii_float_only_bodies_never_need_the_token_loop(self, tmp_path, monkeypatch, chunk):
+        # float() of bytes reads every ASCII token float() of text reads
+        tokens = [t for t in FLOAT_ONLY_TOKENS + NAN_TOKENS + EXPONENT_TOKENS if t.isascii()]
+        body = "".join(" ".join(tokens[i:] + tokens[:i]) + "\n" for i in range(len(tokens)))
+        monkeypatch.setattr(gstbn.ingest, "_parse_rows", no_token_loop)
+        assert_body_matches_reference(tmp_path, len(tokens), len(tokens), body, chunk)
+
+    def test_rows_longer_than_a_pass_parse_in_bulk(self, tmp_path, monkeypatch):
+        # a pass ends at the first row end from _CHUNK bytes on, so each pass
+        # here is one row of more than _CHUNK bytes
+        rng = np.random.default_rng(41)
+        rows = [" ".join(map(repr, rng.normal(0.0, 50.0, 30_000).tolist())) for _ in range(2)]
+        assert min(map(len, rows)) > gstbn.ingest._CHUNK
+        monkeypatch.setattr(gstbn.ingest, "_parse_rows", no_token_loop)
+        assert_body_matches_reference(tmp_path, 2, 30_000, "\n".join(rows) + "\n",
+                                      gstbn.ingest._CHUNK, dlon=0.001)
 
     # TWO_PASSES is written in more than _CHUNK bytes, so the bulk reader
     # takes it in two passes (checked below)
@@ -915,8 +936,8 @@ class TestParseGridSeriesThreads:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_token_loop_bodies_parse_alike_on_one_and_two_cpus(self, tmp_path, monkeypatch, cpus):
-        # a CRLF body and 1_0 go to the token loop; an exponent stays in the bulk reader
-        bodies = ["1.5 2.5\r\n3.5 NaN\r\n", "1_0 2.5\n3.5 NaN\n", "1.5 1e-05\n3.5 NaN\n", GOOD_BODY]
+        # CRLF and a tab go to the token loop; an exponent stays in the bulk reader
+        bodies = ["1.5 2.5\r\n3.5 NaN\r\n", "1.5\t2.5\n3.5 NaN\n", "1.5 1e-05\n3.5 NaN\n", GOOD_BODY]
         paths = [
             write_grid_text(tmp_path / f"{t}.grid", ObservationKind.TEMPERATURE, t, 2, 2, body)
             for t, body in enumerate(bodies)

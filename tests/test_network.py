@@ -432,6 +432,20 @@ class TestBuildTemporalGstbn:
             for sensor_id, fired in zip(snap.sensor_id.tolist(), payloads(snap)):
                 assert net.sensors_by_id[sensor_id].observations & fired.keys()
 
+        # plain matching ignores what a sensor observes: a temperature RoI
+        # takes sensor 1, and the network is the one where it observes all
+        plain = scenario_network_from(catalog, small_scenario)
+        assert any(
+            sensor_id == catalog[0].id and ObservationKind.TEMPERATURE in fired
+            for snap in plain.snapshots
+            for sensor_id, fired in zip(snap.sensor_id.tolist(), payloads(snap))
+        )
+        catalog[0] = replace(catalog[0], observations=frozenset(ObservationKind))
+        ref = scenario_network_from(catalog, small_scenario)
+        assert plain.snapshots == ref.snapshots
+        for name in ("lon", "lat", "cell"):
+            assert np.array_equal(getattr(plain.roi_table, name), getattr(ref.roi_table, name))
+
     def test_mobile_sensor_treated_as_stationary(self, small_scenario):
         catalog = scenario_sensor_nodes(small_scenario)
         from dataclasses import replace
