@@ -263,6 +263,8 @@ def _cmd_synth(args: argparse.Namespace) -> None:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(args.spec, exc.lineno, f"bad JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError(args.spec, None, "bad JSON: nested too deeply") from None
     spec = scenario_spec_from_dict(doc)
     generate_scenario(spec, args.out)
 

@@ -13,18 +13,13 @@ Grid snapshot (text, one variable at one timestamp)::
     GSTBN-GRID v1
     variable=<name> timestamp=<epoch seconds>
     nlat=<n> nlon=<n> lat0=<f> dlat=<f> lon0=<f> dlon=<f>
-    <n_lon space-separated values> x n_lat rows, NaN marks missing
+    <n_lon values between blanks> x n_lat rows, NaN marks missing
 
 Floats are written with repr so parse(format(x)) reproduces x exactly.
-A grid body has two readers. The bulk reader (`_parse_body`) reads a body
-laid out as `format_grid_snapshot` writes it straight from the file's
-bytes, exactly: decimals and NaN in bulk, any other token by float(). Any
-other file, and every file where longdouble is not x87 extended, takes the
-reference path to the token loop (`_parse_rows`), which gives the same
-values or reports the first fault. One function, `_grid_file`, reads a
-file on either thread: `parse_grid_series` reads files in pairs, the first
-of each on the calling thread and, with two usable CPUs or more, the second
-on one helper thread.
+One reader, `_grid_file`, reads a grid file in the grammar written out
+above `_EXTENDED` and raises its first fault, on either thread:
+`parse_grid_series` reads files in pairs, the first of each on the calling
+thread and, with two usable CPUs or more, the second on one helper thread.
 """
 
 from __future__ import annotations
@@ -35,6 +30,7 @@ import io
 import json
 import math
 import os
+import re
 import threading
 from collections import Counter
 from json.encoder import encode_basestring_ascii
@@ -106,8 +102,12 @@ def _read(path: Path, digests: dict[str, str] | None) -> bytes:
     return data
 
 
-def _decode(path: Path, data: bytes) -> str:
-    """`data` as UTF-8 text; ParseError naming the line of the first bad byte."""
+def read_utf8(path, digests: dict[str, str] | None = None) -> str:
+    """A file's text as UTF-8, whatever the locale; ParseError if the file
+    is unreadable or not UTF-8 (naming the line of the first bad byte).
+    With `digests`, also sets `digests[str(path)]` to the bytes' sha256."""
+    path = Path(path)
+    data = _read(path, digests)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -115,14 +115,6 @@ def _decode(path: Path, data: bytes) -> str:
         raise ParseError(
             path, line, f"not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}"
         ) from None
-
-
-def read_utf8(path, digests: dict[str, str] | None = None) -> str:
-    """A file's text as UTF-8, whatever the locale; ParseError if the file
-    is unreadable or not UTF-8 (naming the line of the first bad byte).
-    With `digests`, also sets `digests[str(path)]` to the bytes' sha256."""
-    path = Path(path)
-    return _decode(path, _read(path, digests))
 
 
 def _parse_enum(enum_cls, token: str, path, line: int, field: str):
@@ -253,32 +245,28 @@ def parse_grid_snapshot(path, digests: dict[str, str] | None = None) -> FieldSna
 
 def _grid_file(path: Path, data: bytes) -> tuple:
     """The grid file `data` as (timestamp, variable, grid, values), the
-    arguments of its `FieldSnapshot`; ParseError for the first fault. The
-    bulk reader reads the body when the header is ASCII and sound and it
-    accepts the body. Every other file takes the reference path (decode,
-    header, row count, token loop), which alone reports faults, in that
-    order. Safe to run on any thread."""
-    head = _ascii_header(path, data)
-    values = None if head is None else _parse_body(data, head[3], head[2].shape)
-    if values is not None:
-        return (*head[:3], values)
-    lines = _decode(path, data).splitlines()
+    arguments of its `FieldSnapshot`; ParseError for the first fault in file
+    order: the header's, then the row count's, then each row's. Safe to run
+    on any thread."""
+    lines, start = [], 0
+    while len(lines) < 3 and start < len(data):
+        end = data.find(b"\n", start)
+        line = data[start:] if end < 0 else data[start:end].removesuffix(b"\r")
+        lines.append(line.decode("latin-1"))
+        start = len(data) if end < 0 else end + 1
     timestamp, variable, grid = _grid_header(path, lines)
-    body = lines[3:]
-    if len(body) != grid.n_lat:
-        raise ParseError(path, len(lines), f"expected {grid.n_lat} data rows, found {len(body)}")
-    return timestamp, variable, grid, _parse_rows(body, grid.n_lon, path)
+    return timestamp, variable, grid, _parse_body(path, data, start, grid.shape)
 
 
 def _grid_header(path: Path, lines: list[str]) -> tuple:
-    """(timestamp, variable, grid) from a grid file's first lines;
-    ParseError for the first fault."""
-    if not lines or lines[0] != _GRID_MAGIC:
+    """(timestamp, variable, grid) from a grid file's first lines, each
+    byte a character; ParseError for the first fault."""
+    if not lines or _fields(path, 1, lines[0]) != _GRID_MAGIC.split():
         raise ParseError(path, 1, f"missing magic line {_GRID_MAGIC!r}")
     if len(lines) < 3:
         raise ParseError(path, len(lines), "truncated header")
 
-    meta = lines[1].split()
+    meta = _fields(path, 2, lines[1])
     if len(meta) != 2:
         raise ParseError(path, 2, "expected: variable=<name> timestamp=<int>")
     variable = _parse_enum(
@@ -289,7 +277,7 @@ def _grid_header(path: Path, lines: list[str]) -> tuple:
     except ValueError:
         raise ParseError(path, 2, f"bad timestamp in {meta[1]!r}") from None
 
-    dims = lines[2].split()
+    dims = _fields(path, 3, lines[2])
     keys = ("nlat", "nlon", "lat0", "dlat", "lon0", "dlon")
     if len(dims) != len(keys):
         raise ParseError(path, 3, f"expected: {' '.join(k + '=<v>' for k in keys)}")
@@ -301,57 +289,47 @@ def _grid_header(path: Path, lines: list[str]) -> tuple:
         except ValueError:
             raise ParseError(path, 3, f"bad {key} value {value!r}") from None
     try:
-        grid = GridSpec(
-            n_lat=raw["nlat"],
-            n_lon=raw["nlon"],
-            lat0=raw["lat0"],
-            d_lat=raw["dlat"],
-            lon0=raw["lon0"],
-            d_lon=raw["dlon"],
-        )
-    except ValueError as exc:
+        grid = GridSpec(*raw.values())  # the keys in the order of its fields
+    except (ValueError, OverflowError) as exc:  # an extent past the float range overflows
         raise ParseError(path, 3, str(exc)) from None
     return timestamp, variable, grid
 
 
-def _ascii_header(path: Path, data: bytes) -> tuple | None:
-    """(timestamp, variable, grid, body offset) when a file's first three
-    lines are ASCII, its first three b"\n" end them as `str.splitlines`
-    would end them (no other line break in the header) and they parse;
-    else None, and the reference path reports the fault. The body is not
-    scanned: the bulk reader declines a byte of 0x80 or above."""
-    end = -1
-    for _ in range(3):
-        end = data.find(b"\n", end + 1)
-        if end < 0:
-            return None
-    header = data[:end + 1]
-    if not header.isascii():
-        return None
-    lines = header.decode("ascii").splitlines()
-    try:
-        return (*_grid_header(path, lines), end + 1) if len(lines) == 3 else None
-    except ParseError:
-        return None
+_HEADER_BYTE = re.compile("[^\t -~]")
 
 
-# --- the grid body as exact decimals in bulk -------------------------------
+def _fields(path: Path, line: int, text: str) -> list[str]:
+    """The fields of header line `text`: runs of printable ASCII between
+    spaces and tabs. ParseError for any other byte."""
+    odd = _HEADER_BYTE.search(text)
+    if odd:
+        raise ParseError(
+            path, line, f"bad byte 0x{ord(odd.group()):02x} in column {odd.start() + 1}"
+        )
+    return text.split()
+
+
+# --- the grid body ----------------------------------------------------------
 #
-# A body written by `format_grid_snapshot` is n_lat rows of n_lon tokens,
-# one ' ' between tokens and a '\n' after each row. A token matching
-# -?[0-9]*\.?[0-9]* with at least one digit is the decimal M / 10**a (its
-# digits M, a of them after the dot), and when it holds at most 19 bytes
-# after its sign, M < 10**19 < 2**64. In x87 extended precision (a 64-bit
-# significand) M and 10**a are both exact, so the quotient is rounded once,
-# to 64 bits (Clinger, PLDI 1990). Rounding it again to binary64 gives
-# float(token) unless the extended quotient lies exactly halfway between
-# two doubles; such tokens (1 in 2,000 random ones), the longer ones and
-# every token that is neither such a decimal nor NaN (as the exponents repr
-# writes below 1e-4 and from 1e16) go through float() one by one. float()
-# of bytes takes only ASCII, where it reads a token as the token loop's
-# float() of text does. A body outside this layout, one where float()
-# rejects a token or gives inf, or a longdouble of another format, is left
-# to the token loop, which reports every error.
+# The body grammar: ASCII rows, one per line, where a line ends in '\n' or
+# '\r\n' and a last line with no line end is a row if it is not empty. A row
+# is n_lon values between blanks (runs of ' ' and '\t', also at its start and
+# end), and each value matches _VALUE. One reader takes every body in passes
+# of whole rows. Per pass, a token's row comes from the positions of the row
+# ends, and a token with a byte that is not a digit, its one dot or a leading
+# minus (nor exactly NaN) is checked against _VALUE.
+#
+# Its values: a token matching -?[0-9]*\.?[0-9]* with at least one digit is
+# the decimal M / 10**a (its digits M, a of them after the dot), and when it
+# holds at most 19 bytes after its sign, M < 10**19 < 2**64. In x87 extended
+# precision (a 64-bit significand) M and 10**a are both exact, so the
+# quotient is rounded once, to 64 bits (Clinger, PLDI 1990). Rounding it
+# again to binary64 gives float(token) unless the extended quotient lies
+# exactly halfway between two doubles; such tokens (1 in 2,000 random ones),
+# the longer ones and the checked ones (as the exponents repr writes below
+# 1e-4 and from 1e16) go through float() one by one. Where longdouble is not
+# x87 extended, every token of the checked pass goes through float(). Only
+# float() gives inf, for an overflow, and that is a fault.
 
 # x87 extended precision: a 64-bit significand in the low 8 of 16 bytes
 _EXTENDED = (
@@ -359,6 +337,7 @@ _EXTENDED = (
     and np.dtype(np.longdouble).itemsize == 16
     and np.little_endian
 )
+_VALUE = re.compile(rb"[+-]?(?:NaN|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
 _WIDTH = 24  # bytes of the window that ends each token: three uint64 words
 _MAX_BYTES = 19  # bytes after the sign that keep M below 10**19
 _CHUNK = 1 << 19  # a pass ends at the first row end from here: its temporaries fit a 2 MiB L2
@@ -374,77 +353,122 @@ _KEEP = np.array(
 _WINDOW = np.dtype((np.void, _WIDTH))
 
 
-def _parse_body(data: bytes, start: int, shape: tuple[int, int]) -> np.ndarray | None:
+def _parse_body(path: Path, data: bytes, start: int, shape: tuple[int, int]) -> np.ndarray:
     """The grid body `data[start:]` read in passes of whole rows, each
-    ending at the first row end at or past _CHUNK bytes, or None when it
-    is outside the grammar above or longdouble is not x87 extended."""
-    # each token takes at least two bytes, so a bad header cannot make a huge array
-    if not _EXTENDED or 2 * shape[0] * shape[1] > len(data) - start:
-        return None
-    values = np.empty(shape).reshape(-1)
-    done = 0
-    while start < len(data):
-        end = data.find(b"\n", start + _CHUNK - 1) + 1 or len(data)
-        parsed = _parse_tokens(data, start, end, shape[1])
-        if parsed is None or done + len(parsed) > len(values):
-            return None
-        values[done:done + len(parsed)] = parsed
-        done += len(parsed)
-        start = end
-    return values.reshape(shape) if done == len(values) else None
+    ending at the first row end at or past _CHUNK bytes; ParseError for the
+    first fault, the row count's before any row's."""
+    n_lat, n_lon = shape
+    # a value and the blank after it take two bytes, so a body too short for
+    # the shape has a fault before it fills this
+    values = np.empty(min(n_lat * n_lon, (len(data) - start + 1) // 2))
+    done, at, fault = 0, start, None
+    try:
+        while at < len(data):
+            stop = data.find(b"\n", at + _CHUNK - 1) + 1 or len(data)
+            parsed = _parse_tokens(path, data, at, stop, n_lon, 4 + done // n_lon)
+            if done + len(parsed) > len(values):  # more rows than n_lat
+                break
+            values[done:done + len(parsed)] = parsed
+            done, at = done + len(parsed), stop
+    except ParseError as exc:
+        fault = exc
+    if fault is None and at == len(data) and done == n_lat * n_lon:
+        return values.reshape(shape)
+    rows = data.count(b"\n", start) + (start < len(data) and not data.endswith(b"\n"))
+    if rows != n_lat:
+        raise ParseError(path, 3 + rows, f"expected {n_lat} data rows, found {rows}")
+    raise fault  # with n_lat rows of n_lon values read, the body is whole
 
 
-def _parse_tokens(data: bytes, start: int, end: int, n_lon: int):
-    """The values of the tokens in `data[start:end]`, whole rows of `n_lon`
-    tokens; None when the bytes break the grammar."""
-    chunk = np.frombuffer(data, np.uint8, end - start, start)
-    # every control byte splits tokens here, and must then be a ' ' or, after
-    # each n_lon-th token, a '\n'
-    sep = (chunk <= ord(" ")).nonzero()[0]
-    if not len(sep) or sep[-1] != len(chunk) - 1:
-        return None
-    kind = chunk[sep]
-    newline = kind[n_lon - 1::n_lon]
-    if not ((newline == ord("\n")).all()
-            and np.count_nonzero(kind == ord(" ")) == len(sep) - len(newline)):
-        return None
-    first = np.empty_like(sep)
+def _parse_tokens(path: Path, data: bytes, start: int, stop: int, n_lon: int, line: int):
+    """The values of `data[start:stop]`, whole rows of which the first is
+    line `line` of the file; ParseError for the first fault of its rows."""
+    chunk = np.frombuffer(data, np.uint8, stop - start, start)
+    low = (chunk <= ord(" ")).nonzero()[0]
+    kind = chunk[low]
+    # the blanks: ' ', '\t', '\n' and a '\r' before a '\n'
+    blank = (kind == ord(" ")) | (kind == ord("\n")) | (kind == ord("\t"))
+    cr = (kind == ord("\r")).nonzero()[0]
+    blank[cr] = chunk.take(low[cr] + 1, mode="clip") == ord("\n")
+    sep = low if blank.all() else low[blank]
+    # a token ends at a blank, or at the end of the file's last line, and
+    # starts after the blank before it; runs of blanks leave empty ones
+    end = sep if len(sep) and sep[-1] == len(chunk) - 1 else np.append(sep, len(chunk))
+    first = np.empty_like(end)
     first[0] = 0
-    np.add(sep[:-1], 1, out=first[1:])
-    length = sep - first
+    np.add(end[:-1], 1, out=first[1:])
+    length = end - first
+    if not length.all():
+        token = length.nonzero()[0]
+        first, end, length = first[token], end[token], length[token]
+    # each row's token count, from the tokens before each row end
+    row_ends = low[kind == ord("\n")]
+    if chunk[-1] != ord("\n"):
+        row_ends = np.append(row_ends, len(chunk))
+    ends = first.searchsorted(row_ends)
+    count = ends - np.concatenate(([0], ends[:-1]))
     head = chunk[first]
     neg = head == ord("-")
     nan = (length == 3) & (head == ord("N"))
     nan_at = first[nan]
     nan[nan] = (chunk[nan_at + 1] == ord("a")) & (chunk[nan_at + 2] == ord("N"))
-    nan_at = first[nan]
     dot = (chunk == ord(".")).nonzero()[0]
-    dotted = sep.searchsorted(dot)
-    has_dot = np.zeros(len(sep), dtype=bool)
+    dotted = end.searchsorted(dot)
+    has_dot = np.zeros(len(end), dtype=bool)
     has_dot[dotted] = True
-    # a token holds at most one dot, and a byte besides it and a leading
-    # minus: float() rejects any other
-    if not (np.count_nonzero(has_dot) == len(dot) and (length - has_dot - neg > 0).all()):
-        return None
-    # the values of NaNs, of tokens over _MAX_BYTES and of float() tokens
-    # come out wrong and are replaced
-    inexact = length - neg > _MAX_BYTES
-    # when the digits, separators, dots, leading minus signs and NaNs
-    # (disjoint sets of bytes) miss a byte, float() reads that byte's token
+    # a token of digits, at most one dot and a leading minus is a plain
+    # decimal if it has a digit; _VALUE checks every other token
+    check = length - has_dot - neg <= 0
+    if np.count_nonzero(has_dot) != len(dot):
+        check[dotted[1:][dotted[1:] == dotted[:-1]]] = True
+    # when the digits, blanks, dots, leading minus signs and NaNs (disjoint
+    # sets of bytes) miss a byte, that byte's token is checked
     n_digits = np.count_nonzero(chunk - np.uint8(ord("0")) < 10)
-    if n_digits + len(sep) + len(dot) + np.count_nonzero(neg) + 3 * len(nan_at) != len(chunk):
-        odd = (chunk > ord(" ")) & (chunk != ord(".")) & (chunk - np.uint8(ord("0")) >= 10)
+    n_nan = 3 * np.count_nonzero(nan)
+    if n_digits + len(sep) + len(dot) + np.count_nonzero(neg) + n_nan != len(chunk):
+        odd = (chunk != ord(".")) & (chunk - np.uint8(ord("0")) >= 10)
+        odd[sep] = False
         odd[first[neg]] = False
-        inexact[sep.searchsorted(odd.nonzero()[0])] = True
-        inexact[nan] = False  # a NaN's bytes are odd too, and its value is set below
-    scale = np.full(len(sep), _MAX_BYTES)
-    scale[dotted] = np.minimum(sep[dotted] - dot - 1, _MAX_BYTES)
-    # each token's window is the _WIDTH bytes before its separator, as three
+        check[end.searchsorted(odd.nonzero()[0])] = True
+        check[nan] = False
+    checked = check.nonzero()[0].tolist()
+    spans = zip(checked, (start + first[checked]).tolist(), (start + end[checked]).tolist())
+    bad = next((t for t, a, b in spans if not _VALUE.fullmatch(data, a, b)), len(end))
+    # the first fault by token: a row's count at its first token, before its values
+    short = (count != n_lon).nonzero()[0].tolist()
+    limit = min(bad, short[0] * n_lon) if short else bad
+    if _EXTENDED:
+        values, inexact = _decimals(data, start, first, end, length, neg, dot, dotted)
+        redo = (inexact | check)[:limit].nonzero()[0]
+        bounds = zip((start + first[redo]).tolist(), (start + end[redo]).tolist())
+        values[redo] = [float(data[a:b]) for a, b in bounds]
+        values[nan] = np.nan
+    else:
+        until = start + first[limit] if limit < len(end) else stop
+        values = np.fromiter(map(float, data[start:until].split()), np.float64, limit)
+    inf = np.isinf(values[:limit]).nonzero()[0].tolist()
+    if not inf and short and short[0] * n_lon == limit:
+        raise ParseError(path, line + short[0], f"expected {n_lon} values, got {count[short[0]]}")
+    if not inf and limit == len(end):
+        return values
+    t = inf[0] if inf else limit
+    text = data[start + first[t]:start + end[t]].decode("utf-8", "replace")
+    what = "non-finite" if inf else "bad"
+    raise ParseError(path, line + t // n_lon, f"{what} value {text!r} in column {t % n_lon + 1}")
+
+
+def _decimals(data, start, first, end, length, neg, dot, dotted):
+    """(values, inexact): each token's value as a decimal of at most
+    _MAX_BYTES bytes after its sign, and where float() must read it
+    instead (a longer token, or a quotient halfway between two doubles)."""
+    scale = np.full(len(end), _MAX_BYTES)
+    scale[dotted] = np.minimum(end[dotted] - dot - 1, _MAX_BYTES)
+    # each token's window is the _WIDTH bytes before its end, as three
     # little-endian words (the three header lines are longer than a window,
     # so it starts inside the file); _KEEP clears the bytes before the first
     # digit and keeps the low nibble of the rest: a digit's value, 14 for a dot
     windows = np.ndarray((len(data) - _WIDTH + 1,), _WINDOW, data, strides=(1,))
-    digits = windows[start + sep - _WIDTH].view(np.uint64).reshape(-1, 3)
+    digits = windows[start + end - _WIDTH].view(np.uint64).reshape(-1, 3)
     digits &= _KEEP.take(np.maximum(_WIDTH - length + neg, 0), axis=0)
     mantissa = _mantissa(_eight_digits(digits), scale)
     quotient = mantissa.astype(np.longdouble) / _TEN_POW.take(scale)
@@ -453,15 +477,7 @@ def _parse_tokens(data: bytes, start: int, end: int, n_lon: int):
     # its 64 significand bits: 0x400 in the 11 it drops is a tie
     halfway = quotient.view(np.uint64)[::2] & np.uint64(0x7FF) == np.uint64(0x400)
     np.negative(values, out=values, where=neg)
-    redo = (inexact | halfway).nonzero()[0]
-    bounds = zip((start + first[redo]).tolist(), (start + sep[redo]).tolist())
-    try:
-        values[redo] = [float(data[a:b]) for a, b in bounds]
-    except ValueError:  # a bad float() token; the token loop reports it
-        return None
-    values[nan] = np.nan
-    # only float() gives inf, for an overflow; the token loop reports it
-    return None if np.isinf(values).any() else values
+    return values, halfway | (length - neg > _MAX_BYTES)
 
 
 def _eight_digits(words: np.ndarray) -> np.ndarray:
@@ -488,28 +504,6 @@ def _mantissa(groups: np.ndarray, scale: np.ndarray) -> np.ndarray:
     n = with_dot - _DOT_VALUE.take(scale)
     fraction = n % _MOD.take(scale)
     return (n - fraction) // np.uint64(10) + fraction
-
-
-def _parse_rows(body: list[str], n_lon: int, path) -> np.ndarray:
-    """The reference token loop: `float` on each `str.split` token, raising
-    ParseError with the line and column of the first bad row or value."""
-    rows = []
-    for i, row_text in enumerate(body):
-        tokens = row_text.split()
-        line = 4 + i
-        if len(tokens) != n_lon:
-            raise ParseError(path, line, f"expected {n_lon} values, got {len(tokens)}")
-        row = []
-        for j, token in enumerate(tokens):
-            try:
-                v = float(token)
-            except ValueError:
-                raise ParseError(path, line, f"bad value {token!r} in column {j + 1}") from None
-            if math.isinf(v):
-                raise ParseError(path, line, f"non-finite value {token!r} in column {j + 1}")
-            row.append(v)
-        rows.append(row)
-    return np.array(rows, dtype=np.float64)
 
 
 def format_grid_snapshot(snap: FieldSnapshot) -> str:

@@ -337,7 +337,7 @@ def scenario_spec_from_dict(doc: Mapping) -> ScenarioSpec:
             threshold=float(doc.get("threshold", 0.5)),
             seed=_whole(doc.get("seed", 0), "seed"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"bad scenario spec: {exc}") from exc
 
 

@@ -8,6 +8,7 @@ something.
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import mpmath as mp
@@ -191,6 +192,41 @@ def geojson_document(net, timestamp):
         properties = {"roi_id": rid, "sensor_id": sid, "weight_km": weight}
         features.append({"type": "Feature", "geometry": geometry, "properties": properties})
     return {"type": "FeatureCollection", "features": features}
+
+
+# the grid body grammar, written out on its own: one value, and the blanks
+# between values; a line ends in "\n" or "\r\n"
+GRID_VALUE = re.compile(r"[+-]?NaN|[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+GRID_BLANKS = re.compile(rb"[ \t]+")
+
+
+def reference_grid_values(path, data, n_lat, n_lon):
+    """The body of the grid file bytes `data`, whose first three lines are
+    its header, read by the written grammar value by value with `float`;
+    raises the ParseError the reader must raise. It shares no code with
+    the reader."""
+    lines = data.split(b"\n")
+    last = lines.pop()  # after the last line end: a row if it is not empty
+    lines = [line.removesuffix(b"\r") for line in lines] + ([last] if last else [])
+    body = lines[3:]
+    if len(body) != n_lat:
+        raise ParseError(path, len(lines), f"expected {n_lat} data rows, found {len(body)}")
+    rows = []
+    for i, row_bytes in enumerate(body):
+        tokens = [t for t in GRID_BLANKS.split(row_bytes) if t]
+        if len(tokens) != n_lon:
+            raise ParseError(path, 4 + i, f"expected {n_lon} values, got {len(tokens)}")
+        row = []
+        for j, token in enumerate(tokens):
+            text = token.decode("utf-8", "replace")
+            if not GRID_VALUE.fullmatch(text):
+                raise ParseError(path, 4 + i, f"bad value {text!r} in column {j + 1}")
+            v = float(text)
+            if math.isinf(v):
+                raise ParseError(path, 4 + i, f"non-finite value {text!r} in column {j + 1}")
+            row.append(v)
+        rows.append(row)
+    return rows
 
 
 def serial_grid_series(paths, digests=None):

@@ -407,6 +407,45 @@ class TestReadsEachInputOnce:
         assert digests == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
 
 
+class TestMetamorphic:
+    """Relations of the determinism contract: an input change that must not
+    change the outputs, or must change only the named bytes."""
+
+    def test_grid_path_order_does_not_change_the_bytes(self, tiled_dir, tmp_path):
+        grids = sorted(tiled_dir.glob("*.grid"))
+        outputs = []
+        for name, grid_args in (("dir", [tiled_dir]), ("reversed", grids[::-1])):
+            args = ["--sensors", str(tiled_dir / "sensors.csv"), "--grids", *map(str, grid_args)]
+            report = tmp_path / f"{name}.json"
+            assert main(["score", *args, "--out", str(report)]) == 0
+            assert main(["build", *args, "--out", str(tmp_path / name)]) == 0
+            outputs.append((report.read_bytes(), read_all(tmp_path / name)))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]) == 3
+
+    @pytest.mark.parametrize(
+        "command", [["score"], ["optimize", "--trials", "200"]], ids=["score", "optimize"]
+    )
+    def test_catalog_row_order_changes_only_its_digest(self, tiled_dir, tmp_path, command):
+        header, *rows = (tiled_dir / "sensors.csv").read_bytes().splitlines(keepends=True)
+        order = np.random.default_rng(11).permutation(len(rows))
+        catalog = tmp_path / "sensors.csv"
+        outputs = []
+        # one path for both catalogs, so that only the digest can tell them apart
+        for texts in (rows, [rows[k] for k in order]):
+            catalog.write_bytes(header + b"".join(texts))
+            run = tmp_path / f"run-{len(outputs)}"
+            run.mkdir()
+            args = [*command, "--sensors", str(catalog), "--grids", str(tiled_dir)]
+            assert main([*args, "--out", str(run / "report.json")]) == 0
+            outputs.append((hashlib.sha256(catalog.read_bytes()).hexdigest(), read_all(run)))
+        (before, want), (after, got) = outputs
+        assert before != after and list(order) != sorted(order)
+        assert want["report.json"].count(before.encode()) == 1
+        want["report.json"] = want["report.json"].replace(before.encode(), after.encode())
+        assert got == want
+
+
 class TestNoPerRoiObjects:
     """The CLI path reads the RoI table's arrays, so the node and coordinate
     objects it makes scale with the sensors and placements, not with the
@@ -671,7 +710,8 @@ class TestErrorsAndUsage:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("gstbn: error:")
-        assert f"{bad}:2: not UTF-8" in err
+        # a grid file is ASCII, and the byte is a fault of the header line that holds it
+        assert f"{bad}:2: {'not UTF-8' if target == 'catalog' else 'bad byte 0xff'}" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -750,6 +790,22 @@ class TestNonFiniteNumbers:
         assert proc.stderr == (
             f"gstbn: error: bad scenario spec: {field}: expected an integer, got {value}\n"
         )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", ["huge-integer", "deep-nesting"])
+    def test_unreadable_synth_spec_reports_one_error_line(self, tmp_path, case):
+        spec = tmp_path / "spec.json"
+        if case == "huge-integer":  # past the float range
+            doc = scenario_spec_to_dict(cli_spec())
+            doc["grid"]["lat0"] = 10**400
+            spec.write_text(json.dumps(doc), encoding="utf-8")
+            message = "bad scenario spec: int too large to convert to float"
+        else:
+            spec.write_text('{"grid": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+            message = f"{spec}: bad JSON: nested too deeply"
+        proc = run_fresh(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")])
+        assert proc.returncode == 1
+        assert proc.stderr == f"gstbn: error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_infinite_relative_increase_is_null(self, tmp_path):

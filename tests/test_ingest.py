@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -52,6 +53,7 @@ from oracles import (
     edge_rows,
     geojson_document,
     payloads,
+    reference_grid_values,
     roi_coords,
     sequential_sum,
     serial_grid_series,
@@ -262,10 +264,33 @@ class TestGridParsing:
         with pytest.raises(ParseError, match="expected 2 data rows"):
             parse_grid_snapshot_write(tmp_path, self.GOOD + "7.0 8.0 9.0\n")
 
-    def test_header_line_break_other_than_newline_counts(self, tmp_path):
-        # splitlines() breaks at "\r" too, so this text has three data rows
+    def test_header_line_break_other_than_newline_is_a_fault(self, tmp_path):
+        # a line ends in "\n" or "\r\n" only, so this "\r" is a byte of line 2
         text = self.GOOD.replace("timestamp=100\n", "timestamp=100\r") + "7.0 8.0 9.0\n"
-        with pytest.raises(ParseError, match="6: expected 2 data rows, found 3"):
+        with pytest.raises(ParseError, match="2: bad byte 0x0d in column 35"):
+            parse_grid_snapshot_write(tmp_path, text)
+
+    def test_header_fields_between_blanks_and_crlf_line_ends(self, tmp_path):
+        lines = self.GOOD.splitlines()
+        text = "".join(f" {line.replace(' ', chr(9) + '  ')}\t\r\n" for line in lines[:3])
+        snap = parse_grid_snapshot_write(tmp_path, text + "\n".join(lines[3:]))
+        assert snap == parse_grid_snapshot_write(tmp_path, self.GOOD)
+
+    @pytest.mark.parametrize("old, new, fault", [
+        ("GRID", "GR\u00cfD", "1: bad byte 0xc3 in column 9"),
+        ("temperature", "temp\u00e9rature", "2: bad byte 0xc3 in column 14"),
+        ("lon0=-90.0", "lon0=-90.0\x0c", "3: bad byte 0x0c in column 44"),
+        ("dlon=0.5", "dlon=\u0660.5", "3: bad byte 0xd9 in column 50"),  # int() takes \u0660
+    ])
+    def test_a_header_byte_outside_printable_ascii_is_a_fault(self, tmp_path, old, new, fault):
+        path = tmp_path / "g.grid"
+        path.write_bytes(self.GOOD.replace(old, new).encode("utf-8"))
+        with pytest.raises(ParseError, match=f"{fault}$"):
+            parse_grid_snapshot(path)
+
+    def test_an_extent_past_the_float_range_is_a_fault(self, tmp_path):
+        text = self.GOOD.replace("nlon=3", "nlon=1" + "0" * 400)
+        with pytest.raises(ParseError, match="3: int too large to convert to float"):
             parse_grid_snapshot_write(tmp_path, text)
 
     def test_row_length_mismatch_reports_line(self, tmp_path):
@@ -277,12 +302,15 @@ class TestGridParsing:
             parse_grid_snapshot_write(tmp_path, self.GOOD.replace("2.0", "two"))
 
     def test_infinity_rejected(self, tmp_path):
-        with pytest.raises(ParseError, match="non-finite"):
+        # "inf" is outside the value grammar; a decimal past the float range overflows
+        with pytest.raises(ParseError, match="4: bad value 'inf' in column 2"):
             parse_grid_snapshot_write(tmp_path, self.GOOD.replace("2.0", "inf"))
+        with pytest.raises(ParseError, match="4: non-finite value '1e500' in column 2"):
+            parse_grid_snapshot_write(tmp_path, self.GOOD.replace("2.0", "1e500"))
 
-    def test_nan_case_insensitive(self, tmp_path):
-        snap = parse_grid_snapshot_write(tmp_path, self.GOOD.replace("NaN", "nan"))
-        assert not snap.valid[1, 1]
+    def test_nan_is_spelled_NaN(self, tmp_path):
+        with pytest.raises(ParseError, match="5: bad value 'nan' in column 2"):
+            parse_grid_snapshot_write(tmp_path, self.GOOD.replace("NaN", "nan"))
 
 
 def write_grid_text(path, variable, timestamp, n_lat, n_lon, body, dlon=0.5):
@@ -295,50 +323,27 @@ def write_grid_text(path, variable, timestamp, n_lat, n_lon, body, dlon=0.5):
     return path
 
 
-def assert_body_matches_reference(directory, n_lat, n_lon, body, chunk, dlon=0.5):
+def assert_body_matches_reference(directory, n_lat, n_lon, body, chunk, dlon=0.5,
+                                  extended=gstbn.ingest._EXTENDED):
     """The grid with `body` parses, in passes that end at the first row
-    end from `chunk` bytes on, to the reference loop's values bit for bit,
-    or raises its ParseError."""
+    end from `chunk` bytes on, to the grammar reference's values bit for
+    bit, or raises its ParseError; `extended` stands for `_EXTENDED`."""
     path = write_grid_text(
         directory / "differential.grid", ObservationKind.SALINITY, 3, n_lat, n_lon, body, dlon
     )
-    try:
-        want = reference_grid_values(path, read_utf8(path), n_lat, n_lon)
-    except ParseError as exc:
-        with pytest.raises(ParseError) as got, mock.patch.object(gstbn.ingest, "_CHUNK", chunk):
-            parse_grid_snapshot(path)
-        assert str(got.value) == str(exc)
-        return
-    with mock.patch.object(gstbn.ingest, "_CHUNK", chunk):
+    with mock.patch.object(gstbn.ingest, "_CHUNK", chunk), \
+            mock.patch.object(gstbn.ingest, "_EXTENDED", extended):
+        try:
+            want = reference_grid_values(path, path.read_bytes(), n_lat, n_lon)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_grid_snapshot(path)
+            assert str(got.value) == str(exc)
+            return
         snap = parse_grid_snapshot(path)
     ref = FieldSnapshot(timestamp=3, variable=snap.variable, grid=snap.grid, values=want)
     assert snap.values.tobytes() == ref.values.tobytes()
     assert np.array_equal(snap.valid, ref.valid)
-
-
-def reference_grid_values(path, text, n_lat, n_lon):
-    """The grid body parsed token by token with `float`, independent of the
-    parser under test; raises the ParseError the parser must raise."""
-    lines = text.splitlines()
-    body = lines[3:]
-    if len(body) != n_lat:
-        raise ParseError(path, len(lines), f"expected {n_lat} data rows, found {len(body)}")
-    rows = []
-    for i, row_text in enumerate(body):
-        tokens = row_text.split()
-        if len(tokens) != n_lon:
-            raise ParseError(path, 4 + i, f"expected {n_lon} values, got {len(tokens)}")
-        row = []
-        for j, token in enumerate(tokens):
-            try:
-                v = float(token)
-            except ValueError:
-                raise ParseError(path, 4 + i, f"bad value {token!r} in column {j + 1}") from None
-            if math.isinf(v):
-                raise ParseError(path, 4 + i, f"non-finite value {token!r} in column {j + 1}")
-            row.append(v)
-        rows.append(row)
-    return rows
 
 
 FINITE_TOKENS = (
@@ -352,23 +357,28 @@ HALFWAY_TOKENS = ("9007199254740993", "-9007199254740995", "9007199254740993.0",
                   "1152921504606847104", "98.8735804987761", "-7238190542.098104",
                   "43.647423898929123")
 EXPONENT_TOKENS = ("2.5E+3", "1e-05", "1e-320", "5e-324", "-1.5e+16")
+# in the grammar, and each read by float() after the value grammar checks it
 NAN_TOKENS = ("+NaN", "-NaN")
-# float() takes them, plain decimals do not; float() of bytes reads the ASCII
-# ones in the bulk reader, and the others go to the token loop
-FLOAT_ONLY_TOKENS = ("1_0", "\u0661\u0662", "+1", "1e\u0661", "nan", "-nan", "+1.5", "1e5_0",
-                     "1_000.5")
-BAD_TOKENS = ("inf", "Infinity", "-Infinity", "1e500", "9" * 400, "-" + "9" * 309 + ".5", "#",
-              "1#2", "abc", "0x1", "1,5", "\x00", "-", ".", "-.", "--1", "1-", "1.2.3", "NaNa", "NaN5",
-              "N", "aNN", "NNN", "Naa", "\udcff", "1e\udcc3")  # the last two: bytes not UTF-8
-ODD_TOKENS = EXPONENT_TOKENS + NAN_TOKENS + FLOAT_ONLY_TOKENS + BAD_TOKENS
-# in-row whitespace for str.split; splitlines() also breaks rows at the second group
-ROW_SEPARATORS = ("\t", "  ", "\x0c", "\x1f", "\xa0", "\u3000")
-LINE_BREAKS = ("\x0b", "\x1c", "\x85", "\r")
-# each takes the place of one space or newline; \x01 is no whitespace at all
-ODD_SEPARATORS = ROW_SEPARATORS + LINE_BREAKS + ("\r\n", " \n", "\n ", "\x01")
+PLUS_TOKENS = ("+1", "+1.5")
+# float() takes them, the value grammar does not
+FLOAT_ONLY_TOKENS = ("1_0", "\u0661\u0662", "1e\u0661", "nan", "-nan", "1e5_0", "1_000.5",
+                     "inf", "Infinity", "-Infinity")
+BAD_TOKENS = ("1e500", "9" * 400, "-" + "9" * 309 + ".5", "#", "1#2", "abc", "0x1", "1,5", "\x00",
+              "-", ".", "-.", "--1", "1-", "1.2.3", "NaNa", "NaN5", "N", "aNN", "NNN", "Naa", "1e",
+              "e5", "\udcff", "1e\udcc3")  # the last two: bytes not UTF-8
+ODD_TOKENS = EXPONENT_TOKENS + NAN_TOKENS + PLUS_TOKENS + FLOAT_ONLY_TOKENS + BAD_TOKENS
+# each takes the place of one space or newline: blanks and line ends first,
+# then bytes that str.split() or splitlines() would take for whitespace but
+# the grammar takes for part of a value; \x01 is no whitespace at all
+BLANK_SEPARATORS = ("\t", "  ", " \t ", "\r\n", " \n", "\n ", "\t\r\n")
+NOT_BLANK = ("\x0c", "\x1f", "\xa0", "\u3000", "\x0b", "\x1c", "\x85", "\r", "\x01")
+ODD_SEPARATORS = BLANK_SEPARATORS + NOT_BLANK
 CHUNK_BYTES = (gstbn.ingest._CHUNK,) * 4 + (1, 7, 16, 40)  # small ones give one row per pass
-# a 2 x 2 body with one thing wrong, or right: each check of the bulk reader
-# has a body here that it alone turns away
+# the value routes this platform can take: float() on every token, and the
+# decimals in bulk where longdouble is x87 extended
+ROUTES = (False, True) if gstbn.ingest._EXTENDED else (False,)
+# a 2 x 2 body with one thing wrong, or right: each check of the reader has
+# a body here that it alone turns away
 GOOD_BODY = "1.5 -2.25\n3.0 NaN\n"
 ODD_BODIES = (
     [f"1.5 -2.25\n{odd} NaN\n" for odd in ODD_TOKENS]
@@ -376,6 +386,9 @@ ODD_BODIES = (
     + ["1.5\n-2.25 3.0 NaN\n", "1.5 -2.25 3.0\nNaN\n", "1.5 -2.25\n3.0\n", "1.5 -2.25\n3.0 NaN",
        "1.5 -2.25\n3.0 NaN\n7", "1.5 -2.25\n3.0 NaN\n\n", "1.5 -2.25\n", GOOD_BODY]
 )
+BODY_PIECES = (b"0", b"1", b"9", b".", b"-", b"+", b"e", b"E", b"N", b"a", b"NaN", b" ", b"  ",
+               b"\t", b"\r", b"\n", b"\r\n", b"\x0c", b"\x00", b"\xff", b"\xc2\xa0", b"_",
+               b"5" * 25, b"1e400")
 
 
 @st.composite
@@ -389,7 +402,7 @@ def long_decimals(draw):
 
 @st.composite
 def bulk_tokens(draw):
-    """A token the bulk reader takes: the repr of a double (with an exponent
+    """A token in the grammar: the repr of a double (with an exponent
     below 1e-4 and from 1e16, maybe spelled with 'E' or a leading '+'), a
     long decimal, a midpoint, NaN or another plain decimal."""
     pick = draw(st.integers(0, 3))
@@ -409,14 +422,19 @@ def bulk_tokens(draw):
 
 @st.composite
 def grid_bodies(draw, max_defects=2):
-    """(n_lat, n_lon, body text): rows laid out as format_grid_snapshot
-    writes them, of tokens the bulk reader takes, with up to `max_defects`:
-    any double's repr or an odd token, an odd separator, a short, long,
-    blank or early-broken row, or another ending."""
+    """(n_lat, n_lon, body text): rows in the grammar, of tokens
+    format_grid_snapshot may write between runs of spaces and tabs (also
+    at a row's start and end), each row ending in "\n" or "\r\n" and the
+    last maybe in nothing; with up to `max_defects`: any double's repr or an
+    odd token, an odd separator, a short, long, blank or early-broken row,
+    or another ending."""
     n_lat = draw(st.integers(1, 4))
     n_lon = draw(st.integers(1, 4))
     rows = [[draw(bulk_tokens()) for _ in range(n_lon)] for _ in range(n_lat)]
-    ending, odd_separators = "\n", []
+    blanks = st.sampled_from((" ", " ", " ", "\t", "  ", " \t "))
+    pad = st.sampled_from(("", "", "", " ", "\t"))
+    line_end = draw(st.sampled_from(("\n", "\n", "\r\n")))
+    ending, odd_separators = draw(st.sampled_from((line_end, line_end, ""))), []
     for _ in range(draw(st.integers(0, max_defects))):
         i = draw(st.integers(0, len(rows) - 1))
         row = rows[i]
@@ -440,17 +458,13 @@ def grid_bodies(draw, max_defects=2):
             rows[i + 1].insert(0, row.pop())  # the token count stays right
         elif defect == "ending":
             ending = draw(st.sampled_from(["", "\n\n", "\r\n", " \n", "\n "]))
-    text = "\n".join(" ".join(row) for row in rows) + ending
+    text = line_end.join(draw(pad) + draw(blanks).join(row) + draw(pad) for row in rows) + ending
     for k, odd in odd_separators:
         at = [m for m, ch in enumerate(text) if ch in " \n"]
         if at:
             m = at[k % len(at)]
             text = text[:m] + odd + text[m + 1:]
     return n_lat, n_lon, text
-
-
-def no_token_loop(*args):
-    raise AssertionError("the token loop ran on a body in the bulk grammar")
 
 
 def valid_grid_bytes():
@@ -481,24 +495,38 @@ def mutated(draw, original):
 
 
 class TestParserFuzz:
-    """Bad input of any kind ends as a ParseError; the fast grid path
-    returns what the token loop would, bit for bit, or the loop's error."""
+    """Bad input of any kind ends as a ParseError; the grid reader returns
+    what the grammar reference reads, bit for bit, or its error, with x87
+    long double and without."""
 
     @settings(max_examples=600, deadline=None)
-    @given(case=grid_bodies(), chunk=st.sampled_from(CHUNK_BYTES))
-    def test_grid_body_matches_reference_loop(self, tmp_path_factory, case, chunk):
-        assert_body_matches_reference(tmp_path_factory.getbasetemp(), *case, chunk)
+    @given(case=grid_bodies(), chunk=st.sampled_from(CHUNK_BYTES),
+           extended=st.sampled_from(ROUTES))
+    def test_grid_body_matches_reference_loop(self, tmp_path_factory, case, chunk, extended):
+        assert_body_matches_reference(tmp_path_factory.getbasetemp(), *case, chunk,
+                                      extended=extended)
 
-    # a pass holds whole rows whatever the chunk, so the body stays in bulk
+    # a pass holds whole rows whatever the chunk
     @settings(max_examples=300, deadline=None)
-    @given(case=grid_bodies(max_defects=0), chunk=st.sampled_from((gstbn.ingest._CHUNK, 40)),
-           extended=st.booleans())
-    def test_bulk_bodies_never_need_the_token_loop(self, tmp_path_factory, case, chunk, extended):
-        # without x87 long double every body goes to the token loop instead
-        loop = gstbn.ingest._parse_rows if not extended else no_token_loop
-        with mock.patch.object(gstbn.ingest, "_EXTENDED", extended), \
-                mock.patch.object(gstbn.ingest, "_parse_rows", loop):
-            assert_body_matches_reference(tmp_path_factory.getbasetemp(), *case, chunk)
+    @given(case=grid_bodies(max_defects=0), chunk=st.sampled_from(CHUNK_BYTES),
+           extended=st.sampled_from(ROUTES))
+    def test_bodies_in_the_grammar_parse(self, tmp_path_factory, case, chunk, extended):
+        n_lat, n_lon, body = case
+        directory = tmp_path_factory.getbasetemp()
+        path = write_grid_text(directory / "grammar.grid", ObservationKind.SALINITY, 3, *case)
+        assert len(reference_grid_values(path, path.read_bytes(), n_lat, n_lon)) == n_lat
+        assert_body_matches_reference(directory, *case, chunk, extended=extended)
+
+    # bodies of any bytes, from pieces that each check of the reader looks at
+    @settings(max_examples=300, deadline=None)
+    @given(pieces=st.lists(st.sampled_from(BODY_PIECES), max_size=40),
+           n_lat=st.integers(1, 3), n_lon=st.integers(1, 3),
+           chunk=st.sampled_from((1, 7, 40, gstbn.ingest._CHUNK)), extended=st.sampled_from(ROUTES))
+    def test_body_bytes_match_reference_loop(self, tmp_path_factory, pieces, n_lat, n_lon, chunk,
+                                             extended):
+        body = b"".join(pieces).decode("utf-8", "surrogateescape")
+        assert_body_matches_reference(tmp_path_factory.getbasetemp(), n_lat, n_lon, body, chunk,
+                                      extended=extended)
 
     @pytest.mark.parametrize("chunk", [gstbn.ingest._CHUNK, 7])
     @pytest.mark.parametrize("body", ODD_BODIES)
@@ -506,10 +534,9 @@ class TestParserFuzz:
         assert_body_matches_reference(tmp_path, 2, 2, body, chunk)
 
     @pytest.mark.parametrize("body", ODD_BODIES)
-    def test_each_odd_body_matches_reference_loop_without_x87(self, tmp_path, monkeypatch, body):
-        # the path every platform without x87 long double takes: the token loop
-        monkeypatch.setattr(gstbn.ingest, "_EXTENDED", False)
-        assert_body_matches_reference(tmp_path, 2, 2, body, gstbn.ingest._CHUNK)
+    def test_each_odd_body_matches_reference_loop_without_x87(self, tmp_path, body):
+        # every platform without x87 long double reads each value with float()
+        assert_body_matches_reference(tmp_path, 2, 2, body, gstbn.ingest._CHUNK, extended=False)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.one_of(st.binary(max_size=200), mutated(valid_grid_bytes())))
@@ -541,31 +568,29 @@ class TestParserFuzz:
         with pytest.raises(ParseError, match="4: expected 1000000000000000 values, got 2"):
             parse_grid_snapshot_write(tmp_path, text)
 
+    @pytest.mark.parametrize("extended", ROUTES)
     @pytest.mark.parametrize("chunk", [gstbn.ingest._CHUNK, 1])
-    def test_ascii_float_only_bodies_never_need_the_token_loop(self, tmp_path, monkeypatch, chunk):
-        # float() of bytes reads every ASCII token float() of text reads
-        tokens = [t for t in FLOAT_ONLY_TOKENS + NAN_TOKENS + EXPONENT_TOKENS if t.isascii()]
+    def test_checked_tokens_read_as_float_reads_them(self, tmp_path, chunk, extended):
+        tokens = list(NAN_TOKENS + PLUS_TOKENS + EXPONENT_TOKENS)
         body = "".join(" ".join(tokens[i:] + tokens[:i]) + "\n" for i in range(len(tokens)))
-        monkeypatch.setattr(gstbn.ingest, "_parse_rows", no_token_loop)
-        assert_body_matches_reference(tmp_path, len(tokens), len(tokens), body, chunk)
+        assert_body_matches_reference(tmp_path, len(tokens), len(tokens), body, chunk,
+                                      extended=extended)
 
-    def test_rows_longer_than_a_pass_parse_in_bulk(self, tmp_path, monkeypatch):
+    def test_rows_longer_than_a_pass_parse_in_bulk(self, tmp_path):
         # a pass ends at the first row end from _CHUNK bytes on, so each pass
         # here is one row of more than _CHUNK bytes
         rng = np.random.default_rng(41)
         rows = [" ".join(map(repr, rng.normal(0.0, 50.0, 30_000).tolist())) for _ in range(2)]
         assert min(map(len, rows)) > gstbn.ingest._CHUNK
-        monkeypatch.setattr(gstbn.ingest, "_parse_rows", no_token_loop)
         assert_body_matches_reference(tmp_path, 2, 30_000, "\n".join(rows) + "\n",
                                       gstbn.ingest._CHUNK, dlon=0.001)
 
-    # TWO_PASSES is written in more than _CHUNK bytes, so the bulk reader
-    # takes it in two passes (checked below)
+    # TWO_PASSES is written in more than _CHUNK bytes, so the reader takes
+    # it in two passes (checked below)
     TWO_PASSES = (250, 150)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 5), TWO_PASSES])
-    def test_written_grids_never_need_the_token_loop(self, tmp_path, monkeypatch, shape):
-        monkeypatch.setattr(gstbn.ingest, "_parse_rows", no_token_loop)
+    def test_written_grids_read_back_bit_for_bit(self, tmp_path, shape):
         snap = self.written_grid(shape)
         path = tmp_path / "fast.grid"
         write_grid_snapshot(snap, path)
@@ -585,21 +610,23 @@ class TestParserFuzz:
         text = format_grid_snapshot(self.written_grid(self.TWO_PASSES))
         assert gstbn.ingest._CHUNK < len(text.encode("utf-8")) < 2 * gstbn.ingest._CHUNK
 
-    @pytest.mark.parametrize("fault", [
-        ("", ""), ("GSTBN-GRID", "GSTBN-GRIT"), ("salinity", "wind"),
-        ("timestamp=3", "timestamp=x"), ("nlat=2", "nlat=0"), ("dlon=0.5", "dlon=0.5 x=1"),
-    ], ids=["none", "magic", "variable", "timestamp", "shape", "dims"])
-    def test_a_byte_not_utf8_is_reported_before_a_header_fault(self, tmp_path, fault):
-        # only the header is checked for ASCII before the header is read, but
-        # the first fault reported is still the byte, as `read_utf8` reports it
+    @pytest.mark.parametrize("fault, message", [
+        (("", ""), "5: bad value 'N\ufffdN' in column 2"),
+        (("GSTBN-GRID", "GSTBN-GRIT"), "1: missing magic line 'GSTBN-GRID v1'"),
+        (("salinity", "wind"), "2: bad variable 'wind'"),
+        (("timestamp=3", "timestamp=x"), "2: bad timestamp in 'timestamp=x'"),
+        (("nlat=2", "nlat=0"), "3: grid must have at least one cell, got 0x2"),
+        (("dlon=0.5", "dlon=0.5 x=1"), "3: expected: nlat=<v> nlon=<v>"),
+        (("1.5 -2.25\n", "1.5 -2.25\n1 2\n"), "6: expected 2 data rows, found 3"),
+        (("-2.25", "-2.25 7"), "4: expected 2 values, got 3"),
+    ], ids=["none", "magic", "variable", "timestamp", "shape", "dims", "rows", "values"])
+    def test_a_byte_not_utf8_is_a_fault_of_its_value_in_file_order(self, tmp_path, fault,
+                                                                     message):
         path = write_grid_text(tmp_path / "g.grid", ObservationKind.SALINITY, 3, 2, 2,
                                "1.5 -2.25\n3.0 N\udcffN\n")
         path.write_bytes(path.read_bytes().replace(*(part.encode() for part in fault)))
-        with pytest.raises(ParseError, match="5: not UTF-8: byte 0xff") as want:
-            read_utf8(path)
-        with pytest.raises(ParseError) as got:
+        with pytest.raises(ParseError, match=f"^{path}:{re.escape(message)}"):
             parse_grid_snapshot(path)
-        assert str(got.value) == str(want.value)
 
     @staticmethod
     def written_grid(shape):
@@ -775,9 +802,7 @@ class TestParseGridSeriesThreads:
             assert_same_outcome(parse_on(cpus, paths), want)
 
     @pytest.mark.parametrize("land", [False, True], ids=["plain", "nan-block"])
-    def test_bench_tiny_spec_parses_alike_on_one_and_two_cpus(self, tmp_path, monkeypatch, land):
-        # and every file the bench writes stays in the bulk reader
-        monkeypatch.setattr(gstbn.ingest, "_parse_rows", no_token_loop)
+    def test_bench_tiny_spec_parses_alike_on_one_and_two_cpus(self, tmp_path, land):
         scenario = load_bench_scenario()
         spec = scenario.load_spec("tiny")
         if not land:
@@ -859,7 +884,7 @@ class TestParseGridSeriesThreads:
         bad = write("z.grid", 30)
         bad.write_bytes(bad.read_bytes().replace(b"GSTBN", b"GSTBM"))
         tail = [bad, write("x.grid", 40), write("y.grid", 50)]
-        if case == "two-bad-files":  # the token loop finds b's error as b is read
+        if case == "two-bad-files":  # the reader finds b's error as b is read
             paths = [write("b.grid", 10, "1.5 abc\n3.0 NaN\n"), *tail]
         elif case == "duplicate-then-corrupt":
             paths = [write("a.grid", 0), write("c.grid", 5), write("b.grid", 0), *tail]
@@ -935,28 +960,22 @@ class TestParseGridSeriesThreads:
         assert finished == [paths[1]]
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_token_loop_bodies_parse_alike_on_one_and_two_cpus(self, tmp_path, monkeypatch, cpus):
-        # CRLF and a tab go to the token loop; an exponent stays in the bulk reader
+    def test_crlf_tab_and_exponent_bodies_parse_alike_on_one_and_two_cpus(
+        self, tmp_path, monkeypatch, cpus
+    ):
         bodies = ["1.5 2.5\r\n3.5 NaN\r\n", "1.5\t2.5\n3.5 NaN\n", "1.5 1e-05\n3.5 NaN\n", GOOD_BODY]
         paths = [
             write_grid_text(tmp_path / f"{t}.grid", ObservationKind.TEMPERATURE, t, 2, 2, body)
             for t, body in enumerate(bodies)
         ]
         want = serial_outcome(paths)
+        assert not isinstance(want[0], str)
         # files 0 and 1 are read at once on two CPUs, each by its own thread
         _, alone = spy_reads(monkeypatch, paths[:2] if cpus == 2 else ())
-        looped = []
-
-        def spy(*args, real=gstbn.ingest._parse_rows):
-            looped.append(threading.current_thread())
-            return real(*args)
-
-        monkeypatch.setattr(gstbn.ingest, "_parse_rows", spy)
         filters = list(warnings.filters)
         assert_same_outcome(parse_on(cpus, paths), want)
         assert list(warnings.filters) == filters
         assert not alone
-        assert len(looped) == 2 and len(set(looped)) == cpus
 
 
 class TestExportGeojson:
