@@ -21,138 +21,22 @@ if "numpy" not in sys.modules and not any(
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 del os, sys
 
-from .errors import (
-    GstbnError,
-    NoObserversError,
-    NotFoundError,
-    OrderingError,
-    ParameterError,
-    ParseError,
-    StructuralError,
-)
-from .geo import EARTH, EarthModel, GeoCoord, great_circle_distance, haversine_km
-from .field import (
-    DEFAULT_ROI_THRESHOLD,
-    FieldSnapshot,
-    GridSpec,
-    ObservationKind,
-    ResidualField,
-    RoIEvents,
-    RoIThreshold,
-    compute_residual_field,
-    extract_roi_events,
-)
-from .network import (
-    GstbnSnapshot,
-    Membership,
-    Mobility,
-    OperationalStatus,
-    RoITable,
-    SensorNode,
-    TemporalGstbn,
-    add_sensor,
-    build_edges,
-    build_temporal_gstbn,
-    remove_sensor,
-)
-from .metrics import (
-    CentralityReport,
-    CoverageReport,
-    RobustnessReport,
-    average_temporal_coverage,
-    coverage_report,
-    degree_centrality,
-    evaluate_robustness,
-    static_coverage,
-    total_temporal_coverage,
-)
-from .placement import (
-    PlacedSensor,
-    PlacementResult,
-    SearchDomain,
-    TrialRecord,
-    candidate_score,
-    derive_seed,
-    monte_carlo_place,
-    place_sequential,
-)
-from .ingest import (
-    export_geojson,
-    format_geojson,
-    format_grid_snapshot,
-    format_sensor_catalog,
-    parse_grid_series,
-    parse_grid_snapshot,
-    parse_sensor_catalog,
-    write_grid_snapshot,
-    write_sensor_catalog,
-)
+from . import errors, field, geo, ingest, metrics, network, placement
+from .errors import *
+from .geo import *
+from .field import *
+from .network import *
+from .metrics import *
+from .placement import *
+from .ingest import *
 
 __all__ = [
     "__version__",
-    # errors
-    "GstbnError",
-    "StructuralError",
-    "OrderingError",
-    "NoObserversError",
-    "NotFoundError",
-    "ParameterError",
-    "ParseError",
-    # geo
-    "GeoCoord",
-    "EarthModel",
-    "EARTH",
-    "great_circle_distance",
-    "haversine_km",
-    # field
-    "ObservationKind",
-    "GridSpec",
-    "FieldSnapshot",
-    "ResidualField",
-    "RoIThreshold",
-    "RoIEvents",
-    "DEFAULT_ROI_THRESHOLD",
-    "compute_residual_field",
-    "extract_roi_events",
-    # network
-    "Membership",
-    "Mobility",
-    "OperationalStatus",
-    "SensorNode",
-    "RoITable",
-    "GstbnSnapshot",
-    "TemporalGstbn",
-    "build_edges",
-    "build_temporal_gstbn",
-    "add_sensor",
-    "remove_sensor",
-    # metrics
-    "CoverageReport",
-    "CentralityReport",
-    "RobustnessReport",
-    "static_coverage",
-    "total_temporal_coverage",
-    "average_temporal_coverage",
-    "coverage_report",
-    "degree_centrality",
-    "evaluate_robustness",
-    # placement
-    "SearchDomain",
-    "TrialRecord",
-    "PlacedSensor",
-    "PlacementResult",
-    "derive_seed",
-    "candidate_score",
-    "monte_carlo_place",
-    "place_sequential",
-    # ingest
-    "parse_sensor_catalog",
-    "format_sensor_catalog",
-    "write_sensor_catalog",
-    "parse_grid_snapshot",
-    "format_grid_snapshot",
-    "write_grid_snapshot",
-    "parse_grid_series",
-    "export_geojson",
-    "format_geojson",
+    *errors.__all__,
+    *geo.__all__,
+    *field.__all__,
+    *network.__all__,
+    *metrics.__all__,
+    *placement.__all__,
+    *ingest.__all__,
 ]

@@ -60,7 +60,7 @@ def _non_negative_float(text: str) -> float:
     return value
 
 
-def _add_network_args(p: argparse.ArgumentParser) -> None:
+def _add_network_args(p: argparse.ArgumentParser, report: bool = True) -> None:
     p.add_argument("--sensors", required=True, type=Path, help="sensor catalog CSV")
     p.add_argument(
         "--grids",
@@ -80,9 +80,10 @@ def _add_network_args(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="only link RoIs to sensors observing one of the variables that fired",
     )
-    p.add_argument(
-        "--seed", type=_non_negative_int, default=42, help="seed recorded in reports"
-    )
+    if report:  # `build` writes no report, so it takes no seed
+        p.add_argument(
+            "--seed", type=_non_negative_int, default=42, help="seed recorded in reports"
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_build = sub.add_parser("build", help="construct the network, write GeoJSON per snapshot")
-    _add_network_args(p_build)
+    _add_network_args(p_build, report=False)
     p_build.add_argument("--out", required=True, type=Path, help="output directory")
 
     p_score = sub.add_parser("score", help="write a coverage and centrality report")
@@ -243,7 +244,6 @@ def _cmd_optimize(args: argparse.Namespace) -> None:
         n_sensors=args.new_sensors,
         trials=args.trials,
         seed=args.seed,
-        workers=args.threads,
         traces=traces,
     )
     _write_report(args, result.network, inputs, placement=placement_to_dict(result))

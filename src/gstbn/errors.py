@@ -6,6 +6,16 @@ GstbnError so callers (and the CLI) can catch one base class.
 
 from __future__ import annotations
 
+__all__ = [
+    "GstbnError",
+    "StructuralError",
+    "OrderingError",
+    "NoObserversError",
+    "NotFoundError",
+    "ParameterError",
+    "ParseError",
+]
+
 
 class GstbnError(Exception):
     """Base class for all domain errors."""

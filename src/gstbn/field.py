@@ -55,7 +55,8 @@ class GridSpec:
     """Regular lat/lon grid; cell (i, j) is centred at
     (lat0 + i*d_lat, lon0 + j*d_lon). Values are stored row-major, so the
     flat cell index is i*n_lon + j. `lat_at` and `lon_at` also take index
-    arrays.
+    arrays. ValueError for a grid with no cells, a spacing that is not
+    positive, or a corner centre that is not a legal coordinate.
     """
 
     n_lat: int
@@ -71,8 +72,11 @@ class GridSpec:
         if not (self.d_lat > 0.0 and self.d_lon > 0.0):
             raise ValueError(f"grid spacing must be positive, got d_lat={self.d_lat} d_lon={self.d_lon}")
         # corner centres must be legal coordinates; this bounds every cell
-        GeoCoord(self.lon0, self.lat0)
-        GeoCoord(self.lon_at(self.n_lon - 1), self.lat_at(self.n_lat - 1))
+        try:
+            GeoCoord(self.lon0, self.lat0)
+            GeoCoord(self.lon_at(self.n_lon - 1), self.lat_at(self.n_lat - 1))
+        except OverflowError as exc:  # an int past the float range
+            raise ValueError(str(exc)) from None
 
     @property
     def cell_count(self) -> int:
@@ -118,8 +122,7 @@ class FieldSnapshot:
     writing to the input later leaves the snapshot as it was. NaN is the
     one mark of a cell with no data: every non-finite input value is stored
     as NaN. A caller holding a separate mask passes
-    `np.where(mask, values, np.nan)`. The grid parser hands over the array
-    it has just made instead, through `_adopt`, and nothing is copied.
+    `np.where(mask, values, np.nan)`.
     """
 
     timestamp: int
@@ -128,20 +131,8 @@ class FieldSnapshot:
     values: np.ndarray
 
     def __post_init__(self):
-        self._own(np.array(self.values, dtype=np.float64))
-
-    @classmethod
-    def _adopt(cls, timestamp, variable, grid, values: np.ndarray) -> "FieldSnapshot":
-        """The snapshot `cls(timestamp, variable, grid, values)` gives,
-        holding `values` itself: a float64 array that no one else holds,
-        which gets NaN in place of its non-finite values."""
-        snap = cls.__new__(cls)
-        snap.timestamp, snap.variable, snap.grid = timestamp, variable, grid
-        snap._own(values)
-        return snap
-
-    def _own(self, vals: np.ndarray) -> None:
         self.timestamp = int(self.timestamp)
+        vals = np.array(self.values, dtype=np.float64)
         if vals.shape != self.grid.shape:
             raise StructuralError(f"values shape {vals.shape} does not match grid {self.grid.shape}")
         vals[~np.isfinite(vals)] = np.nan

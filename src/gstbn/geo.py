@@ -15,11 +15,8 @@ __all__ = [
     "GeoCoord",
     "EarthModel",
     "EARTH",
-    "BLOCK_PAIRS",
     "great_circle_distance",
     "haversine_km",
-    "lonlat_arrays",
-    "row_blocks",
 ]
 
 

@@ -60,15 +60,8 @@ __all__ = [
     "format_grid_snapshot",
     "write_grid_snapshot",
     "parse_grid_series",
-    "read_utf8",
     "format_geojson",
     "export_geojson",
-    "coverage_to_dict",
-    "centrality_to_dict",
-    "robustness_to_dict",
-    "placement_to_dict",
-    "build_report",
-    "dump_json",
 ]
 
 _GRID_MAGIC = "GSTBN-GRID v1"
@@ -240,14 +233,13 @@ def _parse_kv(token: str, key: str, path, line: int) -> str:
 def parse_grid_snapshot(path, digests: dict[str, str] | None = None) -> FieldSnapshot:
     """Read one grid snapshot file. `digests` as in :func:`read_utf8`."""
     path = Path(path)
-    return FieldSnapshot._adopt(*_grid_file(path, _read(path, digests)))
+    return _grid_file(path, _read(path, digests))
 
 
-def _grid_file(path: Path, data: bytes) -> tuple:
-    """The grid file `data` as (timestamp, variable, grid, values), the
-    arguments of its `FieldSnapshot`; ParseError for the first fault in file
-    order: the header's, then the row count's, then each row's. Safe to run
-    on any thread."""
+def _grid_file(path: Path, data: bytes) -> FieldSnapshot:
+    """The grid file `data` as its `FieldSnapshot`; ParseError for the first
+    fault in file order: the header's, then the row count's, then each
+    row's. Safe to run on any thread."""
     lines, start = [], 0
     while len(lines) < 3 and start < len(data):
         end = data.find(b"\n", start)
@@ -255,7 +247,7 @@ def _grid_file(path: Path, data: bytes) -> tuple:
         lines.append(line.decode("latin-1"))
         start = len(data) if end < 0 else end + 1
     timestamp, variable, grid = _grid_header(path, lines)
-    return timestamp, variable, grid, _parse_body(path, data, start, grid.shape)
+    return FieldSnapshot(timestamp, variable, grid, _parse_body(path, data, start, grid.shape))
 
 
 def _grid_header(path: Path, lines: list[str]) -> tuple:
@@ -290,7 +282,7 @@ def _grid_header(path: Path, lines: list[str]) -> tuple:
             raise ParseError(path, 3, f"bad {key} value {value!r}") from None
     try:
         grid = GridSpec(*raw.values())  # the keys in the order of its fields
-    except (ValueError, OverflowError) as exc:  # an extent past the float range overflows
+    except ValueError as exc:
         raise ParseError(path, 3, str(exc)) from None
     return timestamp, variable, grid
 
@@ -536,7 +528,7 @@ def _usable_cpus() -> int:
 
 def _read_grid(p, hashed: bool) -> tuple[dict[str, str] | None, object]:
     """Grid file `p`, read on any thread: (if `hashed`, its `digests` entry
-    as `_read` sets it, then the error raised or its `_grid_file` tuple)."""
+    as `_read` sets it, then the error raised or its `FieldSnapshot`)."""
     digests = {} if hashed else None
     try:
         path = Path(p)
@@ -550,11 +542,11 @@ def parse_grid_series(paths: Iterable, digests=None) -> dict[ObservationKind, li
     `digests` as in :func:`read_utf8`.
 
     Files 2k and 2k+1 form a pair. When the process may use two CPUs or
-    more, one helper thread reads file 2k+1 (bytes, digest, header and
-    body) while the calling thread reads file 2k and builds its
-    `FieldSnapshot`; the caller then joins the helper and takes file 2k+1's
-    result. The next pair starts only then. With one usable CPU, and for
-    the last file of an odd series, the caller reads the file itself.
+    more, one helper thread reads file 2k+1 (bytes, digest, header, body
+    and `FieldSnapshot`) while the calling thread reads file 2k; the caller
+    then joins the helper and takes file 2k+1's result. The next pair
+    starts only then. With one usable CPU, and for the last file of an odd
+    series, the caller reads the file itself.
 
     No thread is more than one file ahead, no file is started after a
     failed read, and results are taken in path order, so the snapshots,
@@ -572,7 +564,7 @@ def parse_grid_series(paths: Iterable, digests=None) -> dict[ObservationKind, li
             if helper is not None:  # file i, the second of its pair, was read on the helper
                 helper.join()
                 helper = None
-                hashes, read = ahead.pop()
+                hashes, snap = ahead.pop()
             else:
                 if paired and i + 1 < len(paths):
                     helper = threading.Thread(
@@ -581,12 +573,11 @@ def parse_grid_series(paths: Iterable, digests=None) -> dict[ObservationKind, li
                         daemon=True,
                     )
                     helper.start()
-                hashes, read = _read_grid(p, hashed)
+                hashes, snap = _read_grid(p, hashed)
             if hashes:
                 digests.update(hashes)
-            if isinstance(read, Exception):
-                raise read
-            snap = FieldSnapshot._adopt(*read)
+            if isinstance(snap, Exception):
+                raise snap
             key = (snap.variable, snap.timestamp)
             if key in sources:
                 raise ParseError(

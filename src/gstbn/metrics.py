@@ -21,7 +21,6 @@ __all__ = [
     "CoverageReport",
     "CentralityReport",
     "RobustnessReport",
-    "coverage_sum",
     "static_coverage",
     "total_temporal_coverage",
     "average_temporal_coverage",

@@ -16,9 +16,9 @@ weights with `coverage_sum` in edge order, so the two agree by
 construction. The relax step prunes by RoI tile, so one trial costs one
 distance per tile plus one per RoI of the tiles it may relax, instead of
 one per RoI node or a network rebuild. Trials are scored serially in
-blocks of at most BLOCK_PAIRS (trial, RoI) pairs; the `workers` argument
-is accepted for compatibility and ignored (it does not set the threads
-that parse grids either).
+blocks of at most BLOCK_PAIRS (trial, RoI) pairs on one thread;
+`monte_carlo_place` checks its `workers` argument, which `bench/run.py`
+passes, and otherwise ignores it.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def candidate_score(net: TemporalGstbn, candidate: GeoCoord) -> float:
     return _scores(net, *lonlat_arrays([candidate]))[0]
 
 
-def _check_common(trials: int, seed: int, workers: int) -> None:
+def _check_common(trials: int, seed: int, workers: int = 1) -> None:
     if trials < 1:
         raise ParameterError(f"trials must be at least 1, got {trials}")
     if seed < 0:
@@ -259,7 +259,6 @@ def place_sequential(
     trials: int = 1000,
     seed: int = 42,
     *,
-    workers: int = 1,
     traces: list[list[TrialRecord]] | None = None,
 ) -> PlacementResult:
     """Place `n_sensors` one at a time, committing each winner.
@@ -272,7 +271,7 @@ def place_sequential(
     """
     if n_sensors < 1:
         raise ParameterError(f"n_sensors must be at least 1, got {n_sensors}")
-    _check_common(trials, seed, workers)
+    _check_common(trials, seed)
     _fresh_id(net.sensor_catalog, n_sensors)
     baseline = average_temporal_coverage(net)
     current = net
@@ -281,7 +280,7 @@ def place_sequential(
     for k in range(n_sensors):
         trace_k: list[TrialRecord] | None = [] if traces is not None else None
         coord, score = monte_carlo_place(
-            current, domain, trials, derive_seed(seed, k), workers=workers, trace=trace_k
+            current, domain, trials, derive_seed(seed, k), trace=trace_k
         )
         if traces is not None:
             traces.append(trace_k)

@@ -71,12 +71,12 @@ def network_args(files):
     ]
 
 
-def run_fresh(args):
+def run_fresh(args, **env):
     """The CLI in a fresh process, so a warning printed under the default
-    filters shows on stderr."""
+    filters shows on stderr; `env` adds environment variables."""
     return subprocess.run(
         [sys.executable, "-m", "gstbn.cli", *args],
-        env={"PYTHONPATH": str(Path(gstbn.__file__).resolve().parents[1])},
+        env={"PYTHONPATH": str(Path(gstbn.__file__).resolve().parents[1]), **env},
         capture_output=True,
         text=True,
         timeout=60,
@@ -445,6 +445,53 @@ class TestMetamorphic:
         want["report.json"] = want["report.json"].replace(before.encode(), after.encode())
         assert got == want
 
+    def test_an_inactive_sensor_changes_only_the_catalog_digest(self, tiled_dir, tmp_path):
+        text = (tiled_dir / "sensors.csv").read_bytes()
+        fresh = max(s.id for s in parse_sensor_catalog(tiled_dir / "sensors.csv")) + 1
+        # at the centre hotspot, where it would link RoIs if it were active
+        row = f"{fresh},federal,synthetic,idle,stationary,28.0,-88.0,inactive,\n".encode()
+        catalog = tmp_path / "sensors.csv"
+        outputs = []
+        for catalog_bytes in (text, text + row):
+            catalog.write_bytes(catalog_bytes)
+            run = tmp_path / f"run-{len(outputs)}"
+            args = ["--sensors", str(catalog), "--grids", str(tiled_dir)]
+            assert main(["score", *args, "--out", str(run / "report.json")]) == 0
+            assert main(["build", *args, "--out", str(run / "net")]) == 0
+            digest = hashlib.sha256(catalog_bytes).hexdigest().encode()
+            outputs.append((digest, (run / "report.json").read_bytes(), read_all(run / "net")))
+        (before, report, net), (after, got_report, got_net) = outputs
+        assert len(parse_sensor_catalog(catalog)) == fresh
+        assert report.count(before) == 1
+        assert got_report == report.replace(before, after)
+        assert got_net == net and len(net) == 3
+
+    def test_a_smaller_trial_budget_writes_a_prefix_of_the_trace(self, tiled_dir, tmp_path):
+        traces = []
+        for trials in ("100", "200"):
+            trace = tmp_path / f"trace-{trials}.csv"
+            assert main([
+                "optimize", *tiled_args(tiled_dir), "--new-sensors", "1", "--trials", trials,
+                "--trace", str(trace), "--out", str(tmp_path / f"run-{trials}.json"),
+            ]) == 0
+            traces.append(trace.read_text().splitlines(keepends=True))
+        short, long = traces
+        assert len(short) == 101 and len(long) == 201
+        assert short == long[:101]
+
+    def test_the_hash_seed_does_not_change_the_bytes(self, tiled_dir, tmp_path):
+        outputs = []
+        for hash_seed in ("0", "12345"):
+            out = tmp_path / hash_seed
+            proc = run_fresh([
+                "optimize", *tiled_args(tiled_dir), "--new-sensors", "2", "--trials", "100",
+                "--trace", str(out / "trace.csv"), "--out", str(out / "run.json"),
+            ], PYTHONHASHSEED=hash_seed)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            outputs.append(read_all(out))
+        assert outputs[0] == outputs[1]
+        assert {"run.json", "trace.csv"} < outputs[0].keys()
+
 
 class TestNoPerRoiObjects:
     """The CLI path reads the RoI table's arrays, so the node and coordinate
@@ -626,6 +673,12 @@ class TestErrorsAndUsage:
     def test_unknown_flag_exits_2(self, scenario_dir):
         with pytest.raises(SystemExit) as exc:
             main(["score", *network_args(scenario_dir), "--out", "x", "--wat"])
+        assert exc.value.code == 2
+
+    def test_build_takes_no_seed(self, scenario_dir, tmp_path):
+        # build writes no report, so there is nothing a seed could change
+        with pytest.raises(SystemExit) as exc:
+            main(["build", *network_args(scenario_dir), "--seed", "1", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
     def test_zero_trials_exits_2(self, scenario_dir, tmp_path):

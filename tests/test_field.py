@@ -98,6 +98,15 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(n_lat=2, n_lon=2, lat0=0.0, d_lat=0.0, lon0=0.0, d_lon=1.0)
 
+    @pytest.mark.parametrize("args", [
+        (1, 10**400, 1.0, 0.5, 2.0, 5e-324),
+        (10**400, 1, 1.0, 0.5, 2.0, 0.5),
+        (1, 1, 10**400, 0.5, 2.0, 0.5),
+    ], ids=["n_lon", "n_lat", "lat0"])
+    def test_an_int_past_the_float_range_is_a_value_error(self, args):
+        with pytest.raises(ValueError, match="^int too large to convert to float$"):
+            GridSpec(*args)
+
     def test_containing_cell(self):
         grid = GridSpec(n_lat=2, n_lon=2, lat0=10.0, d_lat=1.0, lon0=20.0, d_lon=1.0)
         from gstbn.geo import GeoCoord

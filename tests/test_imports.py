@@ -42,6 +42,15 @@ def test_star_import_binds_every_public_name():
     assert set(gstbn.__all__) <= names.keys()
 
 
+def test_each_public_name_comes_from_the_one_module_that_lists_it():
+    # under star imports a name two modules list would bind the later module's object
+    assert len(gstbn.__all__) == len(set(gstbn.__all__))
+    for module in (gstbn.errors, gstbn.geo, gstbn.field, gstbn.network, gstbn.metrics,
+                   gstbn.placement, gstbn.ingest):
+        for name in module.__all__:
+            assert getattr(gstbn, name) is getattr(module, name), (module.__name__, name)
+
+
 def test_import_loads_neither_scipy_nor_a_process_pool():
     # every CLI call pays the import, and scipy alone used to add about 0.4 s
     code = (

@@ -713,10 +713,11 @@ def serial_outcome(paths):
         return str(exc), digests
 
 
-def parse_on(cpus, paths):
+def parse_on(cpus, paths, digests=None):
     """`parse_grid_series` as seen with `cpus` usable CPUs, as
-    (series or ParseError text, digests); no thread outlives the call."""
-    digests = {}
+    (series or ParseError text, digests); no thread outlives the call.
+    `digests`, empty, is the mapping it fills (a new dict by default)."""
+    digests = {} if digests is None else digests
     threads = threading.active_count()
     with mock.patch.object(gstbn.ingest, "_usable_cpus", lambda: cpus):
         try:
@@ -768,18 +769,19 @@ def spy_reads(monkeypatch, together=()):
     return reads, alone
 
 
-def spy_snapshots(monkeypatch, step):
-    """Run `step(i)` as the caller takes file i's result, just before it
-    builds file i's `FieldSnapshot`."""
-    real = gstbn.ingest.FieldSnapshot._adopt
-    built = []
+class StepDigests(dict):
+    """A `digests` mapping that runs `step(i)` as the caller takes file i's
+    result, before its checks: only the calling thread updates `digests`,
+    once per file whose bytes were read."""
 
-    def snapshot(*args):
-        step(len(built))
-        built.append(None)
-        return real(*args)
+    def __init__(self, step):
+        super().__init__()
+        self.step, self.taken = step, 0
 
-    monkeypatch.setattr(gstbn.ingest.FieldSnapshot, "_adopt", snapshot)
+    def update(self, entries):
+        self.step(self.taken)
+        self.taken += 1
+        super().update(entries)
 
 
 class TestParseGridSeriesThreads:
@@ -867,10 +869,10 @@ class TestParseGridSeriesThreads:
 
         def slow(i):
             time.sleep(0.05)
-            ahead.append(len(reads) - i - 1)
+            # the furthest file started, counted from the one the caller takes
+            ahead.append(max(paths.index(p) for p, _, _ in reads) - i)
 
-        spy_snapshots(monkeypatch, slow)
-        assert_same_outcome(parse_on(2, paths), want)
+        assert_same_outcome(parse_on(2, paths, StepDigests(slow)), want)
         assert len(ahead) == len(paths) and max(ahead) <= 1
 
     @staticmethod
@@ -926,9 +928,10 @@ class TestParseGridSeriesThreads:
             return result
 
         monkeypatch.setattr(gstbn.ingest, "_read_grid", spy_read)
-        if step == "caller":
-            spy_snapshots(monkeypatch, lambda i: hold(paths[i]))
-        assert_same_outcome(parse_on(cpus, paths), want)
+        digests = StepDigests(lambda i: hold(paths[i])) if step == "caller" else None
+        assert_same_outcome(parse_on(cpus, paths, digests), want)
+        # the step ran on each file the caller took, up to the first bad one
+        assert digests is None or digests.taken == paths.index(first_bad) + 1
         assert not late
         assert later_failed.is_set() == (cpus == 2)
         # no file is taken after one whose read failed
